@@ -5,7 +5,8 @@ For each trial: draw a random binomial ideal with rational coefficients,
 compute its reduced Groebner basis with the binomial engine, and ask the
 independent rational Buchberger whether the two generate the same ideal.
 Also exercises colon, elimination and saturation against their oracle
-counterparts.
+counterparts, including the exponent at which the colon chain of one
+variable stops growing.
 
     python3 scripts/random_crosscheck.py --trials 200 --seed 7
 """
@@ -15,7 +16,7 @@ import random
 import sys
 import time
 
-from binomials import colon_monomial, eliminate, saturate_vars
+from binomials import colon_monomial, eliminate, saturate_vars, saturation
 from binomials import oracle as orc
 from binomials.orders import elim
 
@@ -26,6 +27,10 @@ def rand_exponent(r, n, maxdeg):
     for _ in range(total):
         e[r.randrange(n)] += 1
     return tuple(e)
+
+
+def power(i, k, n):
+    return tuple(k if j == i else 0 for j in range(n))
 
 
 def rand_ideal(r, n, maxdeg):
@@ -83,6 +88,17 @@ def main():
         if not orc.ideal_equal(orc.from_binomial_ideal(saturate_vars(S, range(args.vars))),
                                orc.from_binomial_ideal(S)):
             print("FAIL saturation fixed point at trial %d" % trial)
+            return 1
+
+        i = r.randrange(args.vars)
+        d, sat = saturation(I, power(i, 1, args.vars))
+        stops = [orc.ideal_equal(orc.from_binomial_ideal(sat), orc.rational_colon_poly(
+                     raw, orc.poly([(power(i, k, args.vars), 1)]), args.vars))
+                 for k in (d - 1, d, d + 1) if k >= 0]
+        # I : X_i^k reaches the saturation at k = d, not before
+        if stops != [False] * (d > 0) + [True, True]:
+            print("FAIL saturation exponent %d of variable %d at trial %d: %r"
+                  % (d, i, trial, I.gens))
             return 1
 
     elapsed = time.monotonic() - start

@@ -3,10 +3,10 @@
 from .scalars import Scalar
 from .orders import MonomialOrder, lex, grevlex, elim, order_cmp
 from .engine import (Binomial, BinomialIdeal, ReducedGB, Term, binomial,
-                     monomial, ideal, groebner_basis, normal_form,
+                     monomial, ideal, normal_form,
                      ideal_member, ideal_equals, ideal_contains, ideal_sum,
                      eliminate, project_ideal, colon, colon_monomial,
-                     saturate_vars, saturate_monomial, intersect,
+                     saturation, saturate_vars, intersect,
                      intersect_monomial, pure_part)
 from .lattices import (Lattice, PartialCharacter, SmithForm, smith_normal_form,
                        hnf, kernel_basis, saturations, is_saturated,

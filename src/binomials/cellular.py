@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import (BinomialIdeal, colon_monomial, ideal_contains,
-                     ideal_equals, ideal_member, ideal_sum, monomial,
-                     saturate_vars)
+from .engine import (BinomialIdeal, ideal_contains, ideal_equals,
+                     ideal_member, ideal_sum, monomial, saturate_vars,
+                     saturation)
 from .errors import InputError, UnitIdealError
 
 
@@ -45,61 +45,34 @@ def _unit_var(n, i, power=1):
     return tuple(power if j == i else 0 for j in range(n))
 
 
-def _nilpotency_exponent(I, i):
-    """Least d with X_i^d in I, or None; decided by saturation first."""
-    sat = saturate_vars(I, [i])
-    if not sat.is_unit():
-        return None
-    d = 1
-    while not ideal_member(monomial(_unit_var(I.n, i, d)), I):
-        d += 1
-    return d
-
-
-def _classify_variables(I):
-    """(delta, nilpotency dict, offenders): offenders are zerodivisor,
-    non-nilpotent variables; empty exactly when I is cellular."""
-    delta, nilpotency, offenders = set(), {}, []
+def _classify(I):
+    """(component, offender) from one saturation per variable, exactly one
+    of them None.  component is the CellularComponent view of a cellular
+    I.  offender is (i, d, I : X_i^d) for the lowest-index zerodivisor X_i
+    that is not nilpotent, split as I = (I : X_i^d) n (I + <X_i^d>)."""
+    delta, nilpotency = set(), {}
     for i in range(I.n):
-        if ideal_equals(colon_monomial(I, _unit_var(I.n, i)), I):
+        d, sat = saturation(I, _unit_var(I.n, i))
+        if d == 0:
             delta.add(i)
-            continue
-        d = _nilpotency_exponent(I, i)
-        if d is None:
-            offenders.append(i)
+        elif sat.is_unit():
+            nilpotency[i] = d  # the least d with X_i^d in I
         else:
-            nilpotency[i] = d
-    return delta, nilpotency, offenders
+            return None, (i, d, sat)
+    return CellularComponent(frozenset(delta), I, tuple(sorted(nilpotency.items()))), None
 
 
 def is_cellular(I):
     """The unique delta when I is cellular, None otherwise."""
-    if I.is_unit():
-        raise UnitIdealError("cellularity is undefined for the unit ideal")
-    delta, nilpotency, offenders = _classify_variables(I)
-    return frozenset(delta) if not offenders else None
+    component = as_cellular(I)
+    return None if component is None else component.delta
 
 
 def as_cellular(I):
     """The CellularComponent view of I, or None when I is not cellular."""
     if I.is_unit():
         raise UnitIdealError("cellularity is undefined for the unit ideal")
-    delta, nilpotency, offenders = _classify_variables(I)
-    if offenders:
-        return None
-    return CellularComponent(frozenset(delta), I, tuple(sorted(nilpotency.items())))
-
-
-def _stable_colon_exponent(I, i):
-    """Least d with I : X_i^d = I : X_i^e for all e >= d."""
-    d = 1
-    current = colon_monomial(I, _unit_var(I.n, i))
-    while True:
-        nxt = colon_monomial(current, _unit_var(I.n, i))
-        if ideal_equals(nxt, current):
-            return d, current
-        current = nxt
-        d += 1
+    return _classify(I)[0]
 
 
 def component_sort_key(component):
@@ -119,25 +92,31 @@ def cellular_decompose(I, prune_components=False):
     out, work = [], [I]
     while work:
         J = work.pop()
-        delta, nilpotency, offenders = _classify_variables(J)
-        if not offenders:
-            out.append(CellularComponent(frozenset(delta), J,
-                                         tuple(sorted(nilpotency.items()))))
+        component, offender = _classify(J)
+        if offender is None:
+            out.append(component)
             continue
-        i = offenders[0]
-        d, left = _stable_colon_exponent(J, i)
+        i, d, left = offender
         power = monomial(_unit_var(J.n, i, d))
         right = ideal_sum(J, BinomialIdeal(J.names, (power,)))
-        assert not ideal_equals(left, J), "colon branch did not grow"
-        assert not ideal_member(power, J), "monomial branch did not grow"
+        if ideal_equals(left, J):
+            raise AssertionError("colon branch did not grow")
+        if ideal_member(power, J):
+            raise AssertionError("monomial branch did not grow")
         work.append(right)
         work.append(left)
-    unique = []
-    for comp in out:
-        if not any(ideal_equals(comp.ideal, kept.ideal) for kept in unique):
-            unique.append(comp)
+    unique = _dedupe(out)
     unique.sort(key=component_sort_key)
     return prune(unique) if prune_components else unique
+
+
+def _dedupe(components):
+    """The components in order, dropping any whose ideal equals an earlier one."""
+    unique = []
+    for comp in components:
+        if not any(ideal_equals(comp.ideal, kept.ideal) for kept in unique):
+            unique.append(comp)
+    return unique
 
 
 def prune(components):
@@ -146,10 +125,7 @@ def prune(components):
     Removing a superset never changes the intersection, but this pairwise
     pruning does not certify a minimal decomposition.
     """
-    unique = []
-    for comp in components:
-        if not any(ideal_equals(comp.ideal, kept.ideal) for kept in unique):
-            unique.append(comp)
+    unique = _dedupe(components)
     kept = []
     for i, comp in enumerate(unique):
         redundant = any(j != i and ideal_contains(comp.ideal, other.ideal)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from .cellular import is_cellular
 from .engine import (BinomialIdeal, Term, colon_monomial, eliminate,
                      ideal_equals, ideal_member, ideal_sum, monomial,
-                     normal_form, saturate_monomial, saturate_vars)
+                     normal_form, saturate_vars, saturation)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
-from .lattices import character_of, lattice_ideal, lattice_intersect
-from .mesoprimary import is_mesoprime, is_mesoprimary, is_prime
+from .lattices import character_of, is_saturated, lattice_ideal, lattice_intersect
+from .mesoprimary import is_mesoprime, is_mesoprimary
 from .orders import e_add, e_deg, grevlex, zero
 from .scalars import ONE
 
@@ -118,8 +118,9 @@ def classify_element(c, u):
     u = tuple(u)
     I = c.ideal
     nil = _is_nil(c, u)
-    nilpotent = any(u) and saturate_monomial(I, u).is_unit()
-    cancellable = ideal_equals(colon_monomial(I, u), I)
+    d, sat = saturation(I, u)
+    nilpotent = any(u) and sat.is_unit()
+    cancellable = d == 0
     if cancellable or nil:
         # nil sums are all the absorbing class, so the defining implication
         # a + b = a + c != nil => b = c holds vacuously
@@ -151,16 +152,21 @@ def classify_congruence(c):
         raise NonMaximalCongruenceError(
             "congruence classification needs a maximal congruence")
     I = c.ideal
+    meso = is_mesoprime(I)
+    ok, witness = is_mesoprimary(I)
     flags = CongruenceFlags(
         cancellative=_is_lattice_ideal(I),
-        prime=is_mesoprime(I) is not None,
-        primary=is_cellular(I) is not None,
-        mesoprimary=is_mesoprimary(I)[0],
-        toric=is_prime(I),
+        prime=meso is not None,
+        primary=ok or witness is not None,  # cellular
+        mesoprimary=ok,
+        toric=meso is not None and is_saturated(meso.character.lattice),
     )
-    assert not flags.toric or flags.prime
-    assert not flags.prime or flags.primary
-    assert not flags.mesoprimary or flags.primary
+    if flags.toric and not flags.prime:
+        raise AssertionError("toric congruence that is not prime")
+    if flags.prime and not flags.primary:
+        raise AssertionError("prime congruence that is not primary")
+    if flags.mesoprimary and not flags.primary:
+        raise AssertionError("mesoprimary congruence that is not primary")
     return flags
 
 

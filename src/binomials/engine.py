@@ -136,11 +136,6 @@ def ideal(names, gens):
     return BinomialIdeal(tuple(names), tuple(gens))
 
 
-def groebner_basis(I, order=None):
-    """Reduced Groebner basis of I (memoized on the ideal per order)."""
-    return I.groebner(order)
-
-
 # ---------------------------------------------------------------------------
 # reduction and Buchberger
 
@@ -360,23 +355,30 @@ def colon(I, divisor):
     return colon_monomial(I, divisor.lead)
 
 
-def saturate_vars(I, sigma):
-    """I : (prod_{i in sigma} X_i)^infinity, by iterating the colon."""
-    sigma = sorted(set(sigma))
-    if not sigma:
-        return I
-    u = tuple(1 if i in sigma else 0 for i in range(I.n))
-    current = I
-    while True:
+def saturation(I, u):
+    """(d, I : (X^u)^infinity) from the colon chain I, I : X^u, I : X^(2u), ...
+
+    d is the least exponent with I : X^(d*u) = I : X^((d+1)*u); from there
+    the chain is constant, so the saturation is I : X^(d*u).  d = 0 exactly
+    when X^u is a nonzerodivisor, and a unit saturation makes d the least
+    exponent with X^(d*u) in I.
+    """
+    u = tuple(u)
+    if len(u) != I.n:
+        raise InputError("monomial dimension %d, ring has %d variables" % (len(u), I.n))
+    d, current = 0, I
+    while any(u):
         step = colon_monomial(current, u)
         if ideal_equals(step, current):
-            return current
-        current = step
+            break
+        d, current = d + 1, step
+    return d, current
 
 
-def saturate_monomial(I, u):
-    """I : (X^u)^infinity."""
-    return saturate_vars(I, [i for i, x in enumerate(u) if x])
+def saturate_vars(I, sigma):
+    """I : (prod_{i in sigma} X_i)^infinity."""
+    sigma = set(sigma)
+    return saturation(I, tuple(1 if i in sigma else 0 for i in range(I.n)))[1]
 
 
 def intersect_monomial(I, M):

@@ -132,12 +132,6 @@ def hnf(vectors):
     return tuple(rows[:rank])
 
 
-def hnf_with_transform(vectors):
-    """(H, T, rank) with H = T * vectors, T unimodular, zero rows last."""
-    rows, T, rank = _hnf_rows(vectors, True)
-    return tuple(rows), T, rank
-
-
 def kernel_basis(A):
     """Basis of the integer right kernel {v : A v = 0}."""
     cols = transpose(A)

@@ -70,54 +70,60 @@ def _delta_character(I, delta):
 
 def _standard_monomials(component):
     """Exponents u supported off delta with u_i < d_i and X^u outside I,
-    in lexicographic order over the nilpotent coordinates."""
+    in lexicographic order over the nilpotent coordinates; the first is 0."""
     I = component.ideal
     nil = dict(component.nilpotency)
     indices = sorted(nil)
-    out = []
     for combo in itertools.product(*(range(nil[i]) for i in indices)):
         u = [0] * I.n
         for i, c in zip(indices, combo):
             u[i] = c
         u = tuple(u)
         if not ideal_member(monomial(u), I):
-            out.append(u)
-    return out
+            yield u
+
+
+def _mesoprimes(component):
+    """(mesoprime of I : X^u, u) for each standard monomial u, in order."""
+    I = component.ideal
+    for u in _standard_monomials(component):
+        quotient = colon_monomial(I, u) if any(u) else I
+        yield Mesoprime(I.names, component.delta,
+                        _delta_character(quotient, component.delta)), u
 
 
 def associated_mesoprimes(component):
     """Distinct associated mesoprimes with one witness monomial each,
     deterministically ordered."""
-    I = component.ideal
-    delta = component.delta
     found = {}
-    for u in _standard_monomials(component):
-        quotient = colon_monomial(I, u) if any(u) else I
-        m = Mesoprime(I.names, delta, _delta_character(quotient, delta))
-        if m not in found:
-            found[m] = u
+    for m, u in _mesoprimes(component):
+        found.setdefault(m, u)
     return sorted(found.items(), key=lambda kv: kv[0].sort_key())
+
+
+def _base_and_witness(I):
+    """(base, witness) where base is the mesoprime of I itself and witness
+    the first standard monomial whose colon has another mesoprime (None
+    when there is none); (None, None) when I is not cellular."""
+    if I.is_unit():
+        raise UnitIdealError("mesoprimary test is undefined for the unit ideal")
+    component = as_cellular(I)
+    if component is None:
+        return None, None
+    pairs = _mesoprimes(component)
+    base, _ = next(pairs)
+    for m, u in pairs:
+        if m != base:
+            return base, u
+    return base, None
 
 
 def is_mesoprimary(I):
     """(True, None) for mesoprimary ideals; otherwise (False, witness)
     where the witness monomial exhibits a second associated mesoprime
     (None when I is not even cellular)."""
-    if I.is_unit():
-        raise UnitIdealError("mesoprimary test is undefined for the unit ideal")
-    component = as_cellular(I)
-    if component is None:
-        return False, None
-    base = Mesoprime(I.names, component.delta, _delta_character(I, component.delta))
-    for u in _standard_monomials(component):
-        if not any(u):
-            continue
-        quotient = colon_monomial(I, u)
-        m = Mesoprime(I.names, component.delta,
-                      _delta_character(quotient, component.delta))
-        if m != base:
-            return False, u
-    return True, None
+    base, witness = _base_and_witness(I)
+    return base is not None and witness is None, witness
 
 
 def is_mesoprime(I):
@@ -156,15 +162,13 @@ def cellular_radical(component):
 def mesoprimary_primary_decomposition(I):
     """I = intersection of (I + I_j) over the lattice decomposition of its
     delta part; each component is primary."""
-    ok, witness = is_mesoprimary(I)
-    if not ok:
+    base, witness = _base_and_witness(I)
+    if base is None or witness is not None:
         raise NotMesoprimaryError(
             "ideal is not mesoprimary" if witness is None else
             "ideal is not mesoprimary: colon by the witness monomial changes "
             "the delta part", witness=witness)
-    component = as_cellular(I)
-    rho = _delta_character(I, component.delta)
     out = []
-    for _, lattice_component in lattice_primary_decomposition(rho, I.names):
+    for _, lattice_component in lattice_primary_decomposition(base.character, I.names):
         out.append(ideal_sum(I, lattice_component))
     return out

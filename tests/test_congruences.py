@@ -308,9 +308,12 @@ class TestCancellativeIntersect:
             v = rand_exponent(r, 2, 6)
             assert intersection_related(c1, c2, u, v) == (
                 related(c1, u, v) and related(c2, u, v))
-        # refines both: (2,0) ~ (0,2) holds in c2 but not in the refinement
-        assert related(c2, (2, 0), (0, 2))
-        assert not intersection_related(c1, c2, (2, 0), (0, 2))
+        # refines both: (1,0) ~ (0,1) holds in c1 (X - Y is a generator) but
+        # not in c2, so not in the refinement.  (2,0) ~ (0,2) cannot separate
+        # them: X^2 = (X+Y)(X-Y) + Y^2, so both are nil in c1.
+        assert related(c1, (1, 0), (0, 1))
+        assert not related(c2, (1, 0), (0, 1))
+        assert not intersection_related(c1, c2, (1, 0), (0, 1))
 
     def test_ideal_is_strictly_inside_oracle_intersection(self):
         # the associated ideal refines the oracle intersection, with equality

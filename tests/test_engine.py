@@ -6,7 +6,7 @@ from binomials import (Binomial, Scalar, Term, binomial, colon, colon_monomial,
                        eliminate, grevlex, ideal, ideal_contains, ideal_equals,
                        ideal_member, ideal_sum, intersect, intersect_monomial,
                        lex, monomial, normal_form, project_ideal, pure_part,
-                       saturate_vars)
+                       saturate_vars, saturation)
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
 from binomials import oracle as orc
@@ -227,6 +227,75 @@ class TestSaturate:
             S = saturate_vars(I, [0, 1, 2])
             assert ideal_equals(saturate_vars(S, [0, 1, 2]), S)
             assert ideal_contains(S, I)
+
+
+def unit_power(n, i, k):
+    return tuple(k if j == i else 0 for j in range(n))
+
+
+def check_saturation_per_variable(I, oracle):
+    """The exponent and ideal that saturation(I, e_i) returns, per variable."""
+    for i in range(I.n):
+        d, sat = saturation(I, unit_power(I.n, i, 1))
+        assert (d == 0) == ideal_equals(colon_monomial(I, unit_power(I.n, i, 1)), I)
+        assert ideal_equals(sat, saturate_vars(I, [i]))
+        assert ideal_equals(sat, colon_monomial(I, unit_power(I.n, i, d)))
+        if sat.is_unit() and not I.is_unit():
+            # the chain stops exactly at the nilpotency exponent of X_i
+            assert ideal_member(monomial(unit_power(I.n, i, d)), I)
+            assert not ideal_member(monomial(unit_power(I.n, i, d - 1)), I)
+        if oracle:
+            gens = orc.from_binomial_ideal(I)
+            got = orc.from_binomial_ideal(sat)
+            for k in (d, d + 1):
+                assert orc.ideal_equal(orc.rational_colon_poly(
+                    gens, orc.poly([(unit_power(I.n, i, k), 1)]), I.n), got)
+            if d:
+                assert not orc.ideal_equal(orc.rational_colon_poly(
+                    gens, orc.poly([(unit_power(I.n, i, d - 1), 1)]), I.n), got)
+
+
+class TestSaturation:
+    CORPUS = [
+        ideal(XY, [b2((1, 1), (0, 1))]),
+        ideal(XY, [b2((2, 0), (0, 2))]),
+        ideal(XY, [b2((1, 0), (0, 1)), monomial((0, 2))]),
+        ideal(XY, [b2((2, 0), (0, 0)), b2((1, 1), (0, 1)), monomial((0, 2))]),
+        ideal(XY, [monomial((2, 0)), monomial((1, 1)), monomial((0, 3))]),
+        ideal(("X", "Y", "Z"), [b2((4, 2, 0), (0, 0, 6)), b2((3, 2, 0), (0, 0, 5)),
+                                b2((2, 0, 0), (0, 1, 1))]),
+    ]
+
+    @pytest.mark.parametrize("I", CORPUS)
+    def test_corpus(self, I):
+        check_saturation_per_variable(I, oracle=True)
+
+    def test_random_rational_against_oracle(self):
+        r = rng(606)
+        for _ in range(20):
+            check_saturation_per_variable(rand_ideal(r, maxdeg=4), oracle=True)
+
+    def test_random_beyond_q(self):
+        r = rng(607)
+        for _ in range(20):
+            check_saturation_per_variable(rand_ideal(r, rational=False), oracle=False)
+
+    def test_by_a_monomial(self):
+        # I : (X^u)^infinity is the saturation at the support of u
+        r = rng(608)
+        for _ in range(20):
+            I = rand_ideal(r)
+            u = rand_exponent(r, 3, 3)
+            d, sat = saturation(I, u)
+            assert ideal_equals(sat, saturate_vars(I, [i for i, x in enumerate(u) if x]))
+            assert (d == 0) == ideal_equals(colon_monomial(I, u), I)
+
+    def test_zero_exponent(self, um_ideal):
+        assert saturation(um_ideal, (0, 0)) == (0, um_ideal)
+
+    def test_rejects_wrong_dimension(self, um_ideal):
+        with pytest.raises(InputError):
+            saturation(um_ideal, (1, 0, 0))
 
 
 class TestIntersectMonomial:
