@@ -1,7 +1,7 @@
 """Exact computations with binomial ideals and monoid congruences on N^n."""
 
 from .scalars import Scalar
-from .orders import MonomialOrder, lex, grevlex, elim, order_cmp
+from .orders import MonomialOrder, lex, grevlex, elim
 from .engine import (Binomial, BinomialIdeal, ReducedGB, Term, binomial,
                      monomial, ideal, normal_form,
                      ideal_member, ideal_equals, ideal_contains, ideal_sum,

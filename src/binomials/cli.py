@@ -42,13 +42,17 @@ def _get_ideal(args, session=None):
     return session, session.only_ideal(getattr(args, "ideal", None))
 
 
-def _get_matrix(args):
+def _is_matrix_literal(spec):
+    return re.fullmatch(r"[\d\s;\-]+", spec) is not None
+
+
+def _get_matrix(args, session=None):
     spec = args.matrix
     if spec is None:
         raise InputError("--matrix is required")
-    if re.fullmatch(r"[\d\s;\-]+", spec):
+    if _is_matrix_literal(spec):
         return parse_matrix_literal(spec)
-    session = _read_session(args)
+    session = session or _read_session(args)
     return session.only_matrix(spec)
 
 
@@ -370,14 +374,19 @@ def cmd_lattice_decomp(args):
 
 
 def cmd_toric(args):
-    A = _get_matrix(args)
-    names = tuple(args.vars.split(",")) if args.vars else None
-    if names is None:
+    # read the session at most once, and only for a named matrix or a given
+    # file: stdin may be a pipe that never closes
+    session = None
+    if not _is_matrix_literal(args.matrix):
+        session = _read_session(args)
+    elif args.file and not args.vars:
         try:
-            names = _read_session(args).names or None
+            session = _read_session(args)
         except (InputError, OSError):
             pass
-    if names is None:
+    A = _get_matrix(args, session)
+    names = tuple(args.vars.split(",")) if args.vars else session and session.names
+    if not names:
         names = tuple("X%d" % (i + 1) for i in range(len(A[0])))
     I = lat.toric_ideal(A, names)
     _emit_ideal(I, args)

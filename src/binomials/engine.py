@@ -176,9 +176,9 @@ def _combine(t1, t2, order):
     return Binomial(u, v, (b * a.inv()).negate())
 
 
-def _spair_terms(f, g):
-    """The two signed terms of the S-polynomial of oriented f and g."""
-    m = e_lcm(f.lead, g.lead)
+def _spair_terms(f, g, m):
+    """The two signed terms of the S-polynomial of oriented f and g; m is
+    the lcm of their leads."""
     # X^(m-lf)*f - X^(m-lg)*g; the X^m terms cancel
     t1 = (e_add(e_sub(m, g.lead), g.trail), g.coeff) if g.trail is not None else None
     t2 = (e_add(e_sub(m, f.lead), f.trail), f.coeff.negate()) if f.trail is not None else None
@@ -186,40 +186,59 @@ def _spair_terms(f, g):
 
 
 def _reduced_basis(gens, order):
-    basis = []
+    """Buchberger with the Gebauer-Moeller pair update.
+
+    ``basis`` keeps every element ever added, because queued pairs refer to
+    them by index; ``live`` holds the elements whose lead no later lead
+    divides, and S-polynomials reduce against those only.  A pair is
+    trivial (its S-polynomial is zero) when the leads are coprime or both
+    elements are monomials.  Heap entries carry the pair's lcm.
+    """
+    basis, live, pairs = [], {}, []
+
+    def update(h):
+        k, lh = len(basis), h.lead
+        basis.append(h)
+        # new pairs (g, h): drop one whenever another new lcm divides its lcm;
+        # trivial pairs stay in as witnesses until every test is done
+        new = []
+        for i, g in live.items():
+            m = e_lcm(g.lead, lh)
+            new.append((m, i, m == e_add(g.lead, lh) or g.is_monomial and h.is_monomial))
+        kept = []
+        for x, (m, i, trivial) in enumerate(new):
+            if (trivial or not any(e_divides(m2, m) for m2, _, _ in new[x + 1:])
+                    and not any(e_divides(m2, m) for m2, _, _ in kept)):
+                kept.append((m, i, trivial))
+        # criterion B_k on the queue: lead(h) | lcm(a, b), and lcm(a, h) and
+        # lcm(b, h) both differ from lcm(a, b)
+        survivors = [p for p in pairs
+                     if not e_divides(lh, p[3])
+                     or e_lcm(basis[p[1]].lead, lh) == p[3]
+                     or e_lcm(basis[p[2]].lead, lh) == p[3]]
+        if len(survivors) < len(pairs):
+            pairs[:] = survivors
+            heapq.heapify(pairs)
+        for m, i, trivial in kept:
+            if not trivial:
+                heapq.heappush(pairs, (order.key(m), i, k, m))
+        for i in [i for i, g in live.items() if e_divides(lh, g.lead)]:
+            del live[i]
+        live[k] = h
+
     for g in gens:
-        ob = oriented(g, order)
-        if ob is not None:
-            basis.append(ob)
-
-    pairs = []
-
-    def push_pairs(j):
-        for i in range(j):
-            f, g = basis[i], basis[j]
-            if f.is_monomial and g.is_monomial:
-                continue
-            key = order.key(e_lcm(f.lead, g.lead))
-            heapq.heappush(pairs, (key, i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
+        update(oriented(g, order))
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        f, g = basis[i], basis[j]
-        lcm = e_lcm(f.lead, g.lead)
-        if lcm == e_add(f.lead, g.lead):
-            continue  # coprime leads: S-pair reduces to zero
-        t1, t2 = _spair_terms(f, g)
-        r1 = _nf_exponent(*t1, basis) if t1 is not None else None
-        r2 = _nf_exponent(*t2, basis) if t2 is not None else None
+        _, i, j, m = heapq.heappop(pairs)
+        t1, t2 = _spair_terms(basis[i], basis[j], m)
+        r1 = _nf_exponent(*t1, live.values()) if t1 is not None else None
+        r2 = _nf_exponent(*t2, live.values()) if t2 is not None else None
         r = _combine(r1, r2, order)
         if r is not None:
-            basis.append(r)
-            push_pairs(len(basis) - 1)
+            update(r)
 
-    return _interreduce(basis, order)
+    return _interreduce(live.values(), order)
 
 
 def _interreduce(basis, order):

@@ -53,7 +53,8 @@ def det(A):
     out = Fraction(sign)
     for i in range(n):
         out *= M[i][i]
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise AssertionError("determinant of an integer matrix is not an integer")
     return int(out)
 
 
@@ -72,7 +73,8 @@ def invert_unimodular(V):
                 factor = M[r][c]
                 M[r] = [x - factor * y for x, y in zip(M[r], M[c])]
     out = [[x for x in row[n:]] for row in M]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise AssertionError("inverse is not integral; the matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
 
 
@@ -442,7 +444,8 @@ def extend_character(rho, M):
         values = [target[i].root(diag[i], branches[i]) for i in range(r)]
         ext = PartialCharacter.from_generators(M.n, m_rows, values)
         for v, s in zip(L.basis, rho.values):
-            assert ext(v) == s
+            if ext(v) != s:
+                raise AssertionError("extension disagrees with the character on %r" % (v,))
         out.append(ext)
     return out
 
@@ -569,10 +572,12 @@ def fibers(A, target):
     if not is_positive(A):
         raise NotPositiveError("degree matrix is not positive; fibers may be infinite")
     w = positive_witness(A)
-    assert w is not None
+    if w is None:
+        raise AssertionError("positive matrix without a positive witness")
     cols = transpose(A)
     weights = [sum(wi * x for wi, x in zip(w, col)) for col in cols]
-    assert all(wt >= 1 for wt in weights)
+    if any(wt < 1 for wt in weights):
+        raise AssertionError("positive witness gives a column weight below 1")
     n = len(cols)
     out = []
 

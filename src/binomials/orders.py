@@ -94,8 +94,3 @@ def elim(block, inner=None):
     """Order eliminating the ``block`` variables (ties broken by ``inner``)."""
     blk = tuple(sorted(set(block)))
     return MonomialOrder("elim", None, blk, inner or grevlex())
-
-
-def order_cmp(order, u, v):
-    """Compare two exponents; returns LT, EQ or GT."""
-    return order.cmp(u, v)

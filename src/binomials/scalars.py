@@ -35,6 +35,32 @@ def factor_positive(m):
     return out
 
 
+def _merge_primes(a, b):
+    """Product of two sorted (prime, exponent) tuples; cancelled primes drop out."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        p, q = a[i][0], b[j][0]
+        if p < q:
+            out.append(a[i])
+            i += 1
+        elif q < p:
+            out.append(b[j])
+            j += 1
+        else:
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((p, e))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+_HALF = Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class Scalar:
     """e^(2*pi*i*torsion) * prod(p**e for p, e in primes); never zero.
@@ -91,10 +117,14 @@ class Scalar:
         return cls(Fraction(k, order) % 1)
 
     def __mul__(self, other):
-        exps = dict(self.primes)
-        for p, e in other.primes:
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return Scalar.from_prime_powers(self.torsion + other.torsion, exps)
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
+        torsion = self.torsion + other.torsion
+        if torsion >= 1:
+            torsion -= 1
+        return Scalar(torsion, _merge_primes(self.primes, other.primes))
 
     def inv(self):
         return Scalar.from_prime_powers(-self.torsion,
@@ -121,7 +151,10 @@ class Scalar:
                                         {p: e / d for p, e in self.primes})
 
     def negate(self):
-        return self * Scalar.minus_one()
+        torsion = self.torsion + _HALF
+        if torsion >= 1:
+            torsion -= 1
+        return Scalar(torsion, self.primes)
 
     def is_one(self):
         return self.torsion == 0 and not self.primes

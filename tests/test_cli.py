@@ -185,6 +185,24 @@ class TestMatrixCommands:
         assert code == 0
         assert out.splitlines() == ["X^3 - Y*Z", "X^2*Y - Z^2", "Y^2 - X*Z"]
 
+    def test_toric_literal_never_reads_stdin(self, capsys, monkeypatch):
+        class OpenPipe:
+            def isatty(self):
+                return False
+
+            def read(self, *args):
+                pytest.fail("toric with a literal matrix read stdin")
+
+        monkeypatch.setattr("sys.stdin", OpenPipe())
+        code, out, _ = run(capsys, ["toric", "--matrix", "3 4 5"])
+        assert code == 0
+        assert out.splitlines() == ["X1^3 - X2*X3", "X1^2*X2 - X3^2", "X2^2 - X1*X3"]
+
+    def test_toric_names_from_file(self, capsys, session_file):
+        code, out, _ = run(capsys, ["toric", "--matrix", "3 4 5",
+                                    session_file("ring A B C\n")])
+        assert code == 0 and "B^2 - A*C" in out
+
     def test_toric_named_matrix(self, capsys, session_file):
         text = "ring X Y Z\nmatrix A\n3 4 5\n"
         code, out, _ = run(capsys, ["toric", "--matrix", "A",

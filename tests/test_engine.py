@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from binomials import (Binomial, Scalar, Term, binomial, colon, colon_monomial,
-                       eliminate, grevlex, ideal, ideal_contains, ideal_equals,
-                       ideal_member, ideal_sum, intersect, intersect_monomial,
-                       lex, monomial, normal_form, project_ideal, pure_part,
-                       saturate_vars, saturation)
+from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial, colon,
+                       colon_monomial, elim, eliminate, grevlex, ideal,
+                       ideal_contains, ideal_equals, ideal_member, ideal_sum,
+                       intersect, intersect_monomial, lex, monomial,
+                       normal_form, project_ideal, pure_part, saturate_vars,
+                       saturation)
+from binomials.engine import _nf_exponent
+from binomials.orders import e_add, e_divides, e_lcm, e_sub
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
 from binomials import oracle as orc
@@ -434,3 +437,85 @@ class TestGBClosure:
                                     else orc.poly([(g.lead, 1),
                                                    (g.trail, -g.coeff.as_fraction())])
                                     for g in I.gens])
+
+
+def reduces_to_zero(terms, elements):
+    """Whether a sum of at most two signed terms c*X^u reduces to zero."""
+    left = [r for r in (_nf_exponent(u, c, elements) for u, c in terms) if r is not None]
+    if not left:
+        return True
+    if len(left) == 1:
+        return False
+    (u, a), (v, b) = left
+    return u == v and a == b.negate()
+
+
+def generator_terms(b):
+    """X^lead - c*X^trail as signed terms."""
+    if b.trail is None:
+        return [(b.lead, ONE)]
+    return [(b.lead, ONE), (b.trail, b.coeff.negate())]
+
+
+def s_pair_terms(f, g):
+    """X^(m-lf)*f - X^(m-lg)*g with m the lcm of the leads; the X^m terms cancel."""
+    m = e_lcm(f.lead, g.lead)
+    terms = []
+    if f.trail is not None:
+        terms.append((e_add(e_sub(m, f.lead), f.trail), f.coeff.negate()))
+    if g.trail is not None:
+        terms.append((e_add(e_sub(m, g.lead), g.trail), g.coeff))
+    return terms
+
+
+def as_poly(b):
+    return orc.poly([(t, c.as_fraction()) for t, c in generator_terms(b)])
+
+
+BUCHBERGER_ORDERS = [grevlex(), lex(), elim([0]), elim([0, 1], lex())]
+
+
+@pytest.mark.parametrize("order", BUCHBERGER_ORDERS,
+                         ids=["grevlex", "lex", "elim0", "elim01-lex"])
+class TestBuchberger:
+    """The reduced GB is a Groebner basis of the input, reduced, and
+    independent of the order the generators come in."""
+
+    def check(self, I, order, r):
+        els = I.groebner(order).elements
+        for x, f in enumerate(els):
+            others = els[:x] + els[x + 1:]
+            assert not any(e_divides(g.lead, f.lead) for g in others)
+            if f.trail is not None:
+                assert order.cmp(f.lead, f.trail) > 0
+                assert _nf_exponent(f.trail, f.coeff, els) == (f.trail, f.coeff)
+            for g in els[:x]:
+                assert reduces_to_zero(s_pair_terms(g, f), els), (g, f)
+        for g in I.gens:
+            assert reduces_to_zero(generator_terms(g), els), g
+        gens = list(I.gens)
+        r.shuffle(gens)
+        assert BinomialIdeal(I.names, tuple(gens)).groebner(order).elements == els
+
+    def test_rational(self, order):
+        r = rng(909)
+        for _ in range(80):
+            self.check(rand_ideal(r, n=3, size=r.randint(1, 4)), order, r)
+
+    def test_roots_of_unity(self, order):
+        r = rng(910)
+        for _ in range(80):
+            self.check(rand_ideal(r, n=3, size=r.randint(1, 4), rational=False), order, r)
+
+    def test_four_variables(self, order):
+        r = rng(911)
+        for _ in range(30):
+            self.check(rand_ideal(r, n=4, size=r.randint(2, 4), maxdeg=4,
+                                  rational=False), order, r)
+
+    def test_matches_oracle(self, order):
+        r = rng(912)
+        for _ in range(40):
+            I = rand_ideal(r, n=3, size=r.randint(1, 4), maxdeg=5)
+            expected = orc.rational_gb([as_poly(g) for g in I.gens], order)
+            assert [as_poly(b) for b in I.groebner(order).elements] == expected

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from binomials import elim, grevlex, lex, order_cmp
+from binomials import elim, grevlex, lex
 from binomials.errors import InputError
 from binomials.orders import EQ, GT, LT, e_add, zero
 
@@ -14,18 +14,18 @@ ORDERS = [lex(), grevlex(), lex((2, 0, 1)), grevlex((1, 2, 0)),
 
 class TestFixtures:
     def test_lex(self):
-        assert order_cmp(lex(), (1, 0), (0, 3)) == GT
+        assert lex().cmp((1, 0), (0, 3)) == GT
 
     def test_grevlex_tiebreak(self):
-        assert order_cmp(grevlex(), (2, 0), (1, 1)) == GT
+        assert grevlex().cmp((2, 0), (1, 1)) == GT
 
     def test_eq(self):
         for order in ORDERS:
-            assert order_cmp(order, (1, 2, 3), (1, 2, 3)) == EQ
+            assert order.cmp((1, 2, 3), (1, 2, 3)) == EQ
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            order_cmp(lex(), (1, 0), (1, 0, 0))
+            lex().cmp((1, 0), (1, 0, 0))
 
     def test_elim_blocks_dominate(self):
         order = elim([0])

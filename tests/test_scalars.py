@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from binomials import Scalar
-from binomials.scalars import factor_positive
+from binomials.scalars import MINUS_ONE, ONE, factor_positive
+
+from gen import rng
 
 
 def scalars(allow_roots=True):
@@ -125,3 +127,60 @@ class TestRendering:
         assert str(Scalar.zeta(4, 1)) == "zeta(4,1)"
         assert str(Scalar.from_rational(2).root(2, 0)) == "2^(1/2)"
         assert str(Scalar.from_rational(2) * Scalar.zeta(3, 2)) == "2*zeta(3,2)"
+
+
+def rand_prime_power_scalar(r):
+    """Torsion k/m and a few primes with small, often fractional, exponents."""
+    m = r.choice([1, 2, 3, 4, 6])
+    exps = {p: Fraction(r.choice([-2, -1, 1, 2]), r.choice([1, 1, 2, 3]))
+            for p in (2, 3, 5, 7) if r.random() < 0.5}
+    return Scalar.from_prime_powers(Fraction(r.randrange(m), m), exps)
+
+
+def by_construction(a, b):
+    """a * b through the general constructor."""
+    exps = dict(a.primes)
+    for p, e in b.primes:
+        exps[p] = exps.get(p, 0) + e
+    return Scalar.from_prime_powers(a.torsion + b.torsion, exps)
+
+
+class TestFastPaths:
+    def test_product_matches_construction(self):
+        r = rng(31)
+        cancelled = 0
+        for _ in range(500):
+            a, b = rand_prime_power_scalar(r), rand_prime_power_scalar(r)
+            if r.random() < 0.3:
+                b = b * a.inv()     # a * b is the old b: the primes of a cancel
+            assert a * b == by_construction(a, b)
+            cancelled += len(set(dict(a.primes)) - set(dict((a * b).primes)))
+        assert cancelled > 100
+
+    def test_one_is_returned_operand(self):
+        r = rng(32)
+        for _ in range(50):
+            a = rand_prime_power_scalar(r)
+            assert ONE * a == a == a * ONE
+            assert ONE * a == by_construction(ONE, a)
+
+    def test_cancelled_prime_dropped(self):
+        got = Scalar.from_rational(2, 3) * Scalar.from_rational(3)
+        assert got.primes == ((2, Fraction(1)),)
+        root = Scalar.from_rational(5).root(2, 0)
+        assert (root * root.inv()).is_one()
+
+    def test_torsion_wraps(self):
+        assert Scalar.zeta(3, 2) * Scalar.zeta(3, 2) == Scalar.zeta(3, 1)
+        assert (Scalar.zeta(4, 3) * Scalar.zeta(4, 1)).is_one()
+        assert Scalar.zeta(6, 5) * MINUS_ONE == Scalar.zeta(3, 1)
+
+    def test_negate_matches_construction(self):
+        r = rng(33)
+        for _ in range(200):
+            a = rand_prime_power_scalar(r)
+            assert a.negate() == Scalar.from_prime_powers(a.torsion + Fraction(1, 2),
+                                                          dict(a.primes))
+            assert a.negate().negate() == a
+        assert MINUS_ONE.negate().is_one()
+        assert ONE.negate() == MINUS_ONE
