@@ -128,6 +128,15 @@ class TestDecompositions:
         assert code == 0
         assert "X - Y" in out and "X + Y" in out
 
+    @pytest.mark.parametrize("argv", [["gb"], ["colon", "--monomial", "Y"],
+                                      ["cellular"]])
+    def test_oracle_mismatch_refuses(self, capsys, session_file, monkeypatch, argv):
+        monkeypatch.setattr("binomials.oracle.ideal_equal", lambda f, g: False)
+        code, out, err = run(capsys, argv + ["--oracle", session_file(UM)])
+        assert code == 1
+        assert out.endswith("oracle: MISMATCH \n")
+        assert err == "refused: oracle cross-check failed \n"
+
     def test_meso_primary_decomp(self, capsys, session_file):
         text = "ring X Y\nideal I\nX^2 - 1\nY^2\n"
         code, out, _ = run(capsys, ["meso-primary-decomp", "--oracle",
