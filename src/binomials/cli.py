@@ -21,13 +21,13 @@ from . import oracle as orc
 from .cellular import as_cellular, cellular_decompose, is_cellular
 from .errors import InputError, NotMesoprimaryError, Refusal
 from .orders import elim as elim_order
-from .parsing import (binomial_json, ideal_text, monomial_str,
+from .parsing import (binomial_json, check_names, ideal_text, monomial_str,
                       parse_binomial, parse_input, parse_matrix_literal,
                       parse_order, parse_scalar, parse_single_term)
 
 
 def _read_session(args):
-    if getattr(args, "file", None) and args.file != "-":
+    if args.file and args.file != "-":
         with open(args.file) as handle:
             text = handle.read()
     elif not sys.stdin.isatty():
@@ -37,9 +37,8 @@ def _read_session(args):
     return parse_input(text)
 
 
-def _get_ideal(args, session=None):
-    session = session or _read_session(args)
-    return session, session.only_ideal(getattr(args, "ideal", None))
+def _get_ideal(args):
+    return _read_session(args).only_ideal(args.ideal)
 
 
 def _is_matrix_literal(spec):
@@ -47,18 +46,14 @@ def _is_matrix_literal(spec):
 
 
 def _get_matrix(args, session=None):
-    spec = args.matrix
-    if spec is None:
-        raise InputError("--matrix is required")
-    if _is_matrix_literal(spec):
-        return parse_matrix_literal(spec)
+    if _is_matrix_literal(args.matrix):
+        return parse_matrix_literal(args.matrix)
     session = session or _read_session(args)
-    return session.only_matrix(spec)
+    return session.only_matrix(args.matrix)
 
 
 def _order(args, names):
-    spec = getattr(args, "order", None)
-    return parse_order(spec, names) if spec else None
+    return parse_order(args.order, names) if args.order else None
 
 
 def _keep_indices(spec, names):
@@ -71,7 +66,11 @@ def _keep_indices(spec, names):
     return sorted(set(out))
 
 
-def _emit_ideal(I, args, order=None, label=None, extra=None):
+def _var_list(names, indices):
+    return ",".join(names[i] for i in sorted(indices))
+
+
+def _emit_ideal(I, args, order=None, extra=None):
     if args.json:
         gb = I.groebner(order)
         payload = {
@@ -80,57 +79,61 @@ def _emit_ideal(I, args, order=None, label=None, extra=None):
                            sorted(gb.elements, key=lambda b: gb.order.key(b.lead),
                                   reverse=True)],
         }
-        if label:
-            payload["label"] = label
         if extra:
             payload.update(extra)
         print(json.dumps(payload, sort_keys=True))
     else:
-        if label:
-            print(label)
         for line in ideal_text(I, order):
             print(line)
 
 
-def _oracle_note(ok, detail=""):
-    print("oracle: %s" % ("verified" if ok else "MISMATCH %s" % detail))
-    if not ok:
-        raise Refusal("oracle cross-check failed %s" % detail)
+def _emit_parts(args, key, parts):
+    """Print ``(header, ideal, extra JSON fields)`` parts: each header and its
+    indented basis, or with --json one object listing the parts under ``key``."""
+    if args.json:
+        payload = [dict(extra, generators=[binomial_json(b, J.names)
+                                           for b in J.groebner().elements])
+                   for _, J, extra in parts]
+        print(json.dumps({key: payload}, sort_keys=True))
+    else:
+        for header, J, _ in parts:
+            print(header)
+            for line in ideal_text(J):
+                print("  " + line)
 
 
-def _oracle_ideal_equal(I, J):
+def _oracle_check(args, target, sources, construct):
+    """With --oracle, recompute ``target`` with the rational oracle:
+    ``construct`` gets the generators of each ideal of ``sources`` as
+    rational polynomials.  Skipped when a coefficient is outside Q; a
+    mismatch refuses."""
+    if not args.oracle:
+        return
     try:
-        gi = orc.from_binomial_ideal(I)
-        gj = orc.from_binomial_ideal(J)
+        expected = orc.from_binomial_ideal(target)
+        gens = [orc.from_binomial_ideal(J) for J in sources]
     except ValueError:
         print("oracle: skipped (coefficients outside Q)")
         return
-    _oracle_note(orc.ideal_equal(gi, gj))
-
-
-def _oracle_components_intersect(I, components):
-    try:
-        gens = [orc.from_binomial_ideal(c) for c in components]
-        target = orc.from_binomial_ideal(I)
-    except ValueError:
-        print("oracle: skipped (coefficients outside Q)")
-        return
-    _oracle_note(orc.ideal_equal(orc.intersect_all(gens, I.n), target))
+    if not orc.ideal_equal(construct(*gens), expected):
+        print("oracle: MISMATCH ")
+        raise Refusal("oracle cross-check failed ")
+    print("oracle: verified")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_gb(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     order = _order(args, I.names)
     _emit_ideal(I, args, order)
-    if args.oracle:
-        _oracle_ideal_equal(I, eng.BinomialIdeal(I.names, I.groebner(order).elements))
+    result = eng.BinomialIdeal(I.names, I.groebner(order).elements)
+    _oracle_check(args, result, [I], lambda g: g)
 
 
 def cmd_nf(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     order = _order(args, I.names)
     coeff, exponent = parse_single_term(args.term, I.names)
     gb = I.groebner(order)
@@ -149,87 +152,58 @@ def cmd_nf(args):
 
 
 def cmd_eliminate(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     keep = _keep_indices(args.keep, I.names)
     if not keep:
         raise InputError("--keep must name at least one variable")
     out = eng.eliminate(I, keep)
     _emit_ideal(out, args)
-    if args.oracle:
-        _oracle_elimination(I, out, keep)
-
-
-def _oracle_elimination(I, out, keep):
-    try:
-        gens = orc.from_binomial_ideal(I)
-        target = orc.from_binomial_ideal(out)
-    except ValueError:
-        print("oracle: skipped (coefficients outside Q)")
-        return
     block = [i for i in range(I.n) if i not in keep]
-    gb = orc.rational_gb(gens, elim_order(block))
-    kept = [f for f in gb if all(all(u[i] == 0 for i in block) for u in f)]
-    _oracle_note(orc.ideal_equal(kept, target))
+
+    def kept(gens):
+        gb = orc.rational_gb(gens, elim_order(block))
+        return [f for f in gb if all(all(u[i] == 0 for i in block) for u in f)]
+    _oracle_check(args, out, [I], kept)
 
 
 def cmd_colon(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     b = parse_binomial(args.monomial, I.names)
     out = eng.colon(I, b)
     _emit_ideal(out, args)
-    if args.oracle:
-        try:
-            gens = orc.from_binomial_ideal(I)
-            target = orc.from_binomial_ideal(out)
-            f = orc.poly([(b.lead, 1)])
-        except ValueError:
-            print("oracle: skipped (coefficients outside Q)")
-            return
-        _oracle_note(orc.ideal_equal(orc.rational_colon_poly(gens, f, I.n), target))
+    _oracle_check(args, out, [I, eng.BinomialIdeal(I.names, (b,))],
+                  lambda g, f: orc.rational_colon_poly(g, f[0], I.n))
 
 
 def cmd_saturate(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     sigma = _keep_indices(args.vars, I.names)
     _emit_ideal(eng.saturate_vars(I, sigma), args)
 
 
 def cmd_intersect_monomial(args):
-    session, I = _get_ideal(args)
-    M = session.only_ideal(args.with_ideal)
+    session = _read_session(args)
+    I, M = session.only_ideal(args.ideal), session.only_ideal(args.with_ideal)
     out = eng.intersect(I, M)
     _emit_ideal(out, args)
-    if args.oracle:
-        try:
-            gi, gm = orc.from_binomial_ideal(I), orc.from_binomial_ideal(M)
-            target = orc.from_binomial_ideal(out)
-        except ValueError:
-            print("oracle: skipped (coefficients outside Q)")
-            return
-        _oracle_note(orc.ideal_equal(orc.rational_intersect(gi, gm, I.n), target))
+    _oracle_check(args, out, [I, M], lambda g, m: orc.rational_intersect(g, m, I.n))
 
 
 def cmd_pure_part(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     lambdas = [parse_scalar(chunk.strip() or "1")
                for chunk in args.lambdas.split(",")]
     out = eng.pure_part(I, lambdas)
     _emit_ideal(out, args)
-    if args.oracle:
-        try:
-            gi = orc.from_binomial_ideal(I)
-            target = orc.from_binomial_ideal(out)
-            aug = [orc.poly([(tuple(1 if j == i else 0 for j in range(I.n)), 1),
-                             ((0,) * I.n, -lam.as_fraction())])
-                   for i, lam in enumerate(lambdas)]
-        except ValueError:
-            print("oracle: skipped (coefficients outside Q)")
-            return
-        _oracle_note(orc.ideal_equal(orc.rational_intersect(gi, aug, I.n), target))
+    # the augmentation ideal <X_i - lambda_i>
+    unit = [tuple(1 if j == i else 0 for j in range(I.n)) for i in range(I.n)]
+    aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(e, (0,) * I.n, lam)
+                                           for e, lam in zip(unit, lambdas)))
+    _oracle_check(args, out, [I, aug], lambda g, a: orc.rational_intersect(g, a, I.n))
 
 
 def cmd_maximal(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     out, complete = cg.maximal_ideal(I, args.bound)
     _emit_ideal(out, args, extra={"complete": complete})
     if not args.json:
@@ -237,54 +211,31 @@ def cmd_maximal(args):
 
 
 def cmd_cellular(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     components = cellular_decompose(I, prune_components=args.prune)
-    if args.json:
-        payload = []
-        for comp in components:
-            gb = comp.ideal.groebner()
-            payload.append({
-                "delta": sorted(comp.delta),
-                "nilpotency": [list(x) for x in comp.nilpotency],
-                "generators": [binomial_json(b, I.names) for b in gb.elements],
-            })
-        print(json.dumps({"components": payload}, sort_keys=True))
-    else:
-        for k, comp in enumerate(components):
-            delta = ",".join(I.names[i] for i in sorted(comp.delta)) or "-"
-            print("component %d (delta = %s)" % (k + 1, delta))
-            for line in ideal_text(comp.ideal):
-                print("  " + line)
-    if args.oracle:
-        _oracle_components_intersect(I, [c.ideal for c in components])
+    _emit_parts(args, "components", [
+        ("component %d (delta = %s)" % (k + 1, _var_list(I.names, c.delta) or "-"),
+         c.ideal, {"delta": sorted(c.delta),
+                   "nilpotency": [list(x) for x in c.nilpotency]})
+        for k, c in enumerate(components)])
+    _oracle_check(args, I, [c.ideal for c in components],
+                  lambda *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_mesoprimes(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("ideal is not cellular; associated mesoprimes are "
                       "defined for cellular ideals")
-    pairs = meso.associated_mesoprimes(comp)
-    if args.json:
-        payload = []
-        for m, witness in pairs:
-            gb = m.ideal().groebner()
-            payload.append({
-                "delta": sorted(m.delta),
-                "witness": list(witness),
-                "generators": [binomial_json(b, I.names) for b in gb.elements],
-            })
-        print(json.dumps({"mesoprimes": payload}, sort_keys=True))
-    else:
-        for m, witness in pairs:
-            print("mesoprime (witness %s)" % monomial_str(witness, I.names))
-            for line in ideal_text(m.ideal()):
-                print("  " + line)
+    _emit_parts(args, "mesoprimes", [
+        ("mesoprime (witness %s)" % monomial_str(witness, I.names), m.ideal(),
+         {"delta": sorted(m.delta), "witness": list(witness)})
+        for m, witness in meso.associated_mesoprimes(comp)])
 
 
 def cmd_is_cellular(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     delta = is_cellular(I)
     if delta is None:
         raise Refusal("ideal is not cellular: some variable is a "
@@ -292,11 +243,11 @@ def cmd_is_cellular(args):
     if args.json:
         print(json.dumps({"cellular": True, "delta": sorted(delta)}))
     else:
-        print("cellular: delta = {%s}" % ",".join(I.names[i] for i in sorted(delta)))
+        print("cellular: delta = {%s}" % _var_list(I.names, delta))
 
 
 def cmd_is_mesoprimary(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     ok, witness = meso.is_mesoprimary(I)
     if not ok:
         detail = ("not cellular" if witness is None else
@@ -307,7 +258,7 @@ def cmd_is_mesoprimary(args):
 
 
 def cmd_is_mesoprime(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     m = meso.is_mesoprime(I)
     if m is None:
         raise Refusal("ideal is not mesoprime: it is not of the form "
@@ -317,18 +268,18 @@ def cmd_is_mesoprime(args):
                           "lattice": [list(v) for v in m.character.lattice.basis]},
                          sort_keys=True))
     else:
-        print("mesoprime: delta = {%s}" % ",".join(I.names[i] for i in sorted(m.delta)))
+        print("mesoprime: delta = {%s}" % _var_list(I.names, m.delta))
 
 
 def cmd_is_prime(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     if not meso.is_prime(I):
         raise Refusal("ideal is not prime: not a mesoprime with saturated lattice")
     print(json.dumps({"prime": True}) if args.json else "prime")
 
 
 def cmd_radical(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("radical is computed for cellular ideals; decompose first")
@@ -336,41 +287,23 @@ def cmd_radical(args):
 
 
 def cmd_meso_primary_decomp(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     components = meso.mesoprimary_primary_decomposition(I)
-    if args.json:
-        payload = [{"generators": [binomial_json(b, I.names)
-                                   for b in comp.groebner().elements]}
-                   for comp in components]
-        print(json.dumps({"components": payload}, sort_keys=True))
-    else:
-        for k, comp in enumerate(components):
-            print("component %d" % (k + 1))
-            for line in ideal_text(comp):
-                print("  " + line)
-    if args.oracle:
-        _oracle_components_intersect(I, components)
+    _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
+                                      for k, c in enumerate(components)])
+    _oracle_check(args, I, components, lambda *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_lattice_decomp(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     rho = lat.character_of(I)
     if not eng.ideal_equals(lat.lattice_ideal(rho, I.names), I):
         raise Refusal("ideal is not a lattice ideal; lattice decomposition "
                       "needs a pure variable-saturated ideal")
-    decomp = lat.lattice_primary_decomposition(rho, I.names)
-    if args.json:
-        payload = [{"generators": [binomial_json(b, I.names)
-                                   for b in comp.groebner().elements]}
-                   for _, comp in decomp]
-        print(json.dumps({"components": payload}, sort_keys=True))
-    else:
-        for k, (_, comp) in enumerate(decomp):
-            print("component %d" % (k + 1))
-            for line in ideal_text(comp):
-                print("  " + line)
-    if args.oracle:
-        _oracle_components_intersect(I, [comp for _, comp in decomp])
+    components = [c for _, c in lat.lattice_primary_decomposition(rho, I.names)]
+    _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
+                                      for k, c in enumerate(components)])
+    _oracle_check(args, I, components, lambda *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_toric(args):
@@ -385,7 +318,10 @@ def cmd_toric(args):
         except (InputError, OSError):
             pass
     A = _get_matrix(args, session)
-    names = tuple(args.vars.split(",")) if args.vars else session and session.names
+    if args.vars:
+        names = check_names(tuple(args.vars.replace(",", " ").split()))
+    else:
+        names = session and session.names
     if not names:
         names = tuple("X%d" % (i + 1) for i in range(len(A[0])))
     I = lat.toric_ideal(A, names)
@@ -404,7 +340,12 @@ def cmd_is_positive(args):
 
 def cmd_fibers(args):
     A = _get_matrix(args)
-    target = [int(x) for x in args.target.replace(",", " ").split()]
+    target = []
+    for entry in args.target.replace(",", " ").split():
+        try:
+            target.append(int(entry))
+        except ValueError:
+            raise InputError("--target entry %r is not an integer" % entry) from None
     out = lat.fibers(A, target)
     if args.json:
         print(json.dumps({"fibers": [list(u) for u in out]}))
@@ -427,21 +368,16 @@ def cmd_snf(args):
                 print("  " + " ".join(str(x) for x in row))
 
 
-def _congruence_of(args, I):
-    c = cg.congruence(I)
-    if not c.maximal:
-        maximalized, complete = cg.maximal_ideal(I, getattr(args, "bound", None))
-        c = cg.congruence(maximalized)
-        print("note: congruence maximalized (completeness %s)"
-              % ("certified" if complete else "unknown"), file=sys.stderr)
-    return c
-
-
 def cmd_congruence(args):
-    session, I = _get_ideal(args)
+    I = _get_ideal(args)
     keys = ("cancellative", "prime", "primary", "mesoprimary", "toric")
     if args.action == "classify":
-        c = _congruence_of(args, I)
+        c = cg.congruence(I)
+        if not c.maximal:
+            maximalized, complete = cg.maximal_ideal(I, args.bound)
+            c = cg.congruence(maximalized)
+            print("note: congruence maximalized (completeness %s)"
+                  % ("certified" if complete else "unknown"), file=sys.stderr)
         flags = cg.classify_congruence(c)
         if args.json:
             print(json.dumps({k: getattr(flags, k) for k in keys},
@@ -473,14 +409,63 @@ def cmd_congruence(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, ideal_arg=True, file_arg=True):
-    if ideal_arg:
-        p.add_argument("--ideal", help="name of the ideal to use")
-    if file_arg:
-        p.add_argument("file", nargs="?", help="session file (default: stdin)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check the result with the rational oracle")
+def _arg(*flags, **options):
+    return flags, options
+
+
+MATRIX = _arg("--matrix", required=True)
+PREDICATE = "predicate; exit 1 when it fails"
+
+# name, function, help, own arguments, kind: "ideal" reads an ideal
+# (--ideal), "checked" reads one and cross-checks the result (--oracle),
+# "matrix" reads a degree matrix (--matrix)
+COMMANDS = (
+    ("gb", cmd_gb, "reduced Groebner basis",
+     [_arg("--order", help="lex | grevlex, optionally with a "
+                           "variable list, e.g. lex(T,X,Y,Z)")], "checked"),
+    ("nf", cmd_nf, "normal form of a monomial",
+     [_arg("--term", required=True), _arg("--order")], "ideal"),
+    ("eliminate", cmd_eliminate, "elimination ideal",
+     [_arg("--keep", required=True, help="variables to keep")], "checked"),
+    ("colon", cmd_colon, "ideal quotient by a monomial",
+     [_arg("--monomial", required=True)], "checked"),
+    ("saturate", cmd_saturate, "saturation at a variable set",
+     [_arg("--vars", required=True)], "ideal"),
+    ("intersect-monomial", cmd_intersect_monomial, "intersection with a monomial ideal",
+     [_arg("--with", dest="with_ideal", required=True,
+           help="name of the monomial ideal")], "checked"),
+    ("pure-part", cmd_pure_part,
+     "intersection with an augmentation ideal <X_i - lambda_i>",
+     [_arg("--lambda", dest="lambdas", required=True,
+           help="comma-separated scalar literals, one per variable")], "checked"),
+    ("maximal", cmd_maximal, "congruence-maximal ideal",
+     [_arg("--bound", type=int, help="total-degree bound of the nil search")], "ideal"),
+    ("cellular", cmd_cellular, "cellular decomposition",
+     [_arg("--prune", action="store_true",
+           help="drop components containing another component")], "checked"),
+    ("mesoprimes", cmd_mesoprimes, "associated mesoprimes", [], "ideal"),
+    ("is-cellular", cmd_is_cellular, PREDICATE, [], "ideal"),
+    ("is-mesoprimary", cmd_is_mesoprimary, PREDICATE, [], "ideal"),
+    ("is-mesoprime", cmd_is_mesoprime, PREDICATE, [], "ideal"),
+    ("is-prime", cmd_is_prime, PREDICATE, [], "ideal"),
+    ("radical", cmd_radical, "radical of a cellular ideal", [], "ideal"),
+    ("meso-primary-decomp", cmd_meso_primary_decomp,
+     "primary decomposition of a mesoprimary ideal", [], "checked"),
+    ("lattice-decomp", cmd_lattice_decomp,
+     "primary decomposition of a lattice ideal", [], "checked"),
+    ("toric", cmd_toric, "toric ideal of a degree matrix",
+     [_arg("--matrix", required=True,
+           help="inline rows like '3 4 5; 0 1 2' or a matrix name"),
+      _arg("--vars", help="comma-separated variable names")], "matrix"),
+    ("is-positive", cmd_is_positive, "positivity of the degree matrix",
+     [MATRIX], "matrix"),
+    ("fibers", cmd_fibers, "all factorizations of a degree",
+     [MATRIX, _arg("--target", required=True, help="degree vector")], "matrix"),
+    ("snf", cmd_snf, "Smith normal form", [MATRIX], "matrix"),
+)
+
+IDEAL_HELP = "name of the ideal to use"
+JSON_HELP = "machine-readable output"
 
 
 def build_parser():
@@ -490,107 +475,20 @@ def build_parser():
                     "monoid congruences they induce.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis")
-    p.add_argument("--order", help="lex | grevlex, optionally with a "
-                                   "variable list, e.g. lex(T,X,Y,Z)")
-    _add_common(p)
-    p.set_defaults(func=cmd_gb)
-
-    p = sub.add_parser("nf", help="normal form of a monomial")
-    p.add_argument("--term", required=True)
-    p.add_argument("--order")
-    _add_common(p)
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("eliminate", help="elimination ideal")
-    p.add_argument("--keep", required=True, help="variables to keep")
-    _add_common(p)
-    p.set_defaults(func=cmd_eliminate)
-
-    p = sub.add_parser("colon", help="ideal quotient by a monomial")
-    p.add_argument("--monomial", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_colon)
-
-    p = sub.add_parser("saturate", help="saturation at a variable set")
-    p.add_argument("--vars", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_saturate)
-
-    p = sub.add_parser("intersect-monomial",
-                       help="intersection with a monomial ideal")
-    p.add_argument("--with", dest="with_ideal", required=True,
-                   help="name of the monomial ideal")
-    _add_common(p)
-    p.set_defaults(func=cmd_intersect_monomial)
-
-    p = sub.add_parser("pure-part", help="intersection with an augmentation "
-                                         "ideal <X_i - lambda_i>")
-    p.add_argument("--lambda", dest="lambdas", required=True,
-                   help="comma-separated scalar literals, one per variable")
-    _add_common(p)
-    p.set_defaults(func=cmd_pure_part)
-
-    p = sub.add_parser("maximal", help="congruence-maximal ideal")
-    p.add_argument("--bound", type=int, help="total-degree bound of the nil search")
-    _add_common(p)
-    p.set_defaults(func=cmd_maximal)
-
-    p = sub.add_parser("cellular", help="cellular decomposition")
-    p.add_argument("--prune", action="store_true",
-                   help="drop components containing another component")
-    _add_common(p)
-    p.set_defaults(func=cmd_cellular)
-
-    p = sub.add_parser("mesoprimes", help="associated mesoprimes")
-    _add_common(p)
-    p.set_defaults(func=cmd_mesoprimes)
-
-    for name, func in (("is-cellular", cmd_is_cellular),
-                       ("is-mesoprimary", cmd_is_mesoprimary),
-                       ("is-mesoprime", cmd_is_mesoprime),
-                       ("is-prime", cmd_is_prime)):
-        p = sub.add_parser(name, help="predicate; exit 1 when it fails")
-        _add_common(p)
+    for name, func, text, arguments, kind in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if kind != "matrix":
+            p.add_argument("--ideal", help=IDEAL_HELP)
+        p.add_argument("file", nargs="?", help="session file (default: stdin)")
+        p.add_argument("--json", action="store_true", help=JSON_HELP)
+        if kind == "checked":
+            p.add_argument("--oracle", action="store_true",
+                           help="cross-check the result with the rational oracle")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("radical", help="radical of a cellular ideal")
-    _add_common(p)
-    p.set_defaults(func=cmd_radical)
-
-    p = sub.add_parser("meso-primary-decomp",
-                       help="primary decomposition of a mesoprimary ideal")
-    _add_common(p)
-    p.set_defaults(func=cmd_meso_primary_decomp)
-
-    p = sub.add_parser("lattice-decomp",
-                       help="primary decomposition of a lattice ideal")
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_decomp)
-
-    p = sub.add_parser("toric", help="toric ideal of a degree matrix")
-    p.add_argument("--matrix", required=True,
-                   help="inline rows like '3 4 5; 0 1 2' or a matrix name")
-    p.add_argument("--vars", help="comma-separated variable names")
-    _add_common(p, ideal_arg=False)
-    p.set_defaults(func=cmd_toric)
-
-    p = sub.add_parser("is-positive", help="positivity of the degree matrix")
-    p.add_argument("--matrix", required=True)
-    _add_common(p, ideal_arg=False)
-    p.set_defaults(func=cmd_is_positive)
-
-    p = sub.add_parser("fibers", help="all factorizations of a degree")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--target", required=True, help="degree vector")
-    _add_common(p, ideal_arg=False)
-    p.set_defaults(func=cmd_fibers)
-
-    p = sub.add_parser("snf", help="Smith normal form")
-    p.add_argument("--matrix", required=True)
-    _add_common(p, ideal_arg=False)
-    p.set_defaults(func=cmd_snf)
-
+    # its positionals differ: the action, then the file and two monomials
     p = sub.add_parser(
         "congruence", help="congruence queries",
         usage="binomials congruence {classify,related,table} [file] [u] [v] "
@@ -601,7 +499,8 @@ def build_parser():
     p.add_argument("v", nargs="?", help="second monomial (related)")
     p.add_argument("--max", type=int, default=64, help="class budget (table)")
     p.add_argument("--bound", type=int, help="nil-search bound (classify)")
-    _add_common(p, file_arg=False)
+    p.add_argument("--ideal", help=IDEAL_HELP)
+    p.add_argument("--json", action="store_true", help=JSON_HELP)
     p.set_defaults(func=cmd_congruence)
 
     return parser

@@ -25,6 +25,7 @@ from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
 from .lattices import character_of, is_saturated, lattice_ideal, lattice_intersect
 from .mesoprimary import is_mesoprime, is_mesoprimary
 from .orders import e_add, e_deg, grevlex, zero
+from .parsing import monomial_str
 from .scalars import ONE
 
 
@@ -319,15 +320,7 @@ def cancellative_intersect(c1, c2):
 def _class_label(cls, names):
     if cls is NIL:
         return "inf"
-    if not any(cls):
-        return "0"
-    parts = []
-    for name, e in zip(names, cls):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts)
+    return monomial_str(cls, names) if any(cls) else "0"
 
 
 def table_text(qt, names):

@@ -228,6 +228,17 @@ class Session:
         return next(iter(self.matrices.values()))
 
 
+def check_names(names, line=None):
+    """The ring's variable names, which must be distinct identifiers other
+    than ``zeta``, so that every printed generator parses back."""
+    if not names or len(set(names)) != len(names):
+        raise ParseError("ring needs distinct variable names", line)
+    for n in names:
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n) or n == "zeta":
+            raise ParseError("bad variable name %r" % n, line)
+    return names
+
+
 def parse_input(text):
     """Parse a session file; raises ParseError with line positions."""
     session = Session()
@@ -253,13 +264,7 @@ def parse_input(text):
         if head == "ring":
             if session.names:
                 raise ParseError("ring already declared", lineno)
-            names = tuple(rest.split())
-            if not names or len(set(names)) != len(names):
-                raise ParseError("ring needs distinct variable names", lineno)
-            for n in names:
-                if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", n) or n == "zeta":
-                    raise ParseError("bad variable name %r" % n, lineno)
-            session.names = names
+            session.names = check_names(tuple(rest.split()), lineno)
             continue
         if head in ("ideal", "matrix"):
             flush(lineno)

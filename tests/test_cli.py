@@ -232,10 +232,36 @@ class TestMatrixCommands:
         assert code == 0
         assert out.splitlines() == ["0 2 0", "1 0 1"]
 
+    def test_fibers_bad_target_entry(self, capsys):
+        code, out, err = run(capsys, ["fibers", "--matrix", "3 4 5",
+                                      "--target", "24 x"])
+        assert code == 2 and out == ""
+        assert err == "error: --target entry 'x' is not an integer\n"
+
+    @pytest.mark.parametrize("names, bad", [("a,a,b", "distinct"),
+                                            ("1,b,c", "'1'"),
+                                            ("a,zeta,c", "'zeta'")])
+    def test_toric_rejects_bad_variable_names(self, capsys, names, bad):
+        code, out, err = run(capsys, ["toric", "--matrix", "3 4 5",
+                                      "--vars", names])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and bad in err
+
     def test_snf(self, capsys):
         code, out, _ = run(capsys, ["snf", "--matrix", "2 -2", "--json"])
         payload = json.loads(out)
         assert payload["D"] == [[2, 0]]
+
+
+class TestOracleFlag:
+    @pytest.mark.parametrize("argv", [["nf", "--term", "X"],
+                                      ["saturate", "--vars", "Y"],
+                                      ["congruence", "table"]])
+    def test_rejected_where_nothing_is_checked(self, capsys, session_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [session_file(UM), "--oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 class TestCongruenceCommand:

@@ -95,6 +95,13 @@ class TestSessionGrammar:
         with pytest.raises(ParseError):
             parse_input("ring X\nring Y")
 
+    @pytest.mark.parametrize("ring, message", [("X X Y", "distinct"),
+                                               ("X 1Y", "'1Y'"),
+                                               ("X zeta", "'zeta'")])
+    def test_bad_ring_names(self, ring, message):
+        with pytest.raises(ParseError, match="line 2: .*%s" % message):
+            parse_input("# names\nring %s\n" % ring)
+
     def test_line_number_in_error(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_input("ring X Y\nideal I\nX - Y + 1")
