@@ -24,7 +24,6 @@ from .congruences import (NIL, Congruence, congruence, class_id, related,
                           cancellative_intersect, intersection_related,
                           table_text, table_json)
 from . import errors
-from . import oracle
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

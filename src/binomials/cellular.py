@@ -9,7 +9,7 @@ variable) and by sorting the resulting components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import (BinomialIdeal, ideal_contains, ideal_equals,
                      ideal_member, ideal_sum, monomial, saturate_vars,
@@ -17,14 +17,12 @@ from .engine import (BinomialIdeal, ideal_contains, ideal_equals,
 from .errors import InputError, UnitIdealError
 
 
-@dataclass(frozen=True)
-class CellularComponent:
-    """A delta-cellular ideal: variables in delta are nonzerodivisors,
-    the others are nilpotent with the recorded exponents."""
+class CellularComponent(namedtuple("CellularComponent", "delta ideal nilpotency")):
+    """A delta-cellular ideal: variables in delta (a frozenset) are
+    nonzerodivisors, the others are nilpotent with the recorded exponents,
+    ``nilpotency`` being the sorted ((i, d_i) for i not in delta)."""
 
-    delta: frozenset
-    ideal: BinomialIdeal
-    nilpotency: tuple  # sorted ((i, d_i) for i not in delta)
+    __slots__ = ()
 
 
 def cellular_component(I, delta, nilpotency):

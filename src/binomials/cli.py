@@ -17,7 +17,6 @@ from . import congruences as cg
 from . import engine as eng
 from . import lattices as lat
 from . import mesoprimary as meso
-from . import oracle as orc
 from .cellular import as_cellular, cellular_decompose, is_cellular
 from .errors import InputError, NotMesoprimaryError, Refusal
 from .orders import elim as elim_order
@@ -104,18 +103,20 @@ def _emit_parts(args, key, parts):
 
 def _oracle_check(args, target, sources, construct):
     """With --oracle, recompute ``target`` with the rational oracle:
-    ``construct`` gets the generators of each ideal of ``sources`` as
-    rational polynomials.  Skipped when a coefficient is outside Q; a
-    mismatch refuses."""
+    ``construct`` gets the oracle module, then the generators of each ideal
+    of ``sources`` as rational polynomials.  Skipped when a coefficient is
+    outside Q; a mismatch refuses.  The oracle is imported here, so a run
+    without --oracle never loads it."""
     if not args.oracle:
         return
+    from . import oracle as orc
     try:
         expected = orc.from_binomial_ideal(target)
         gens = [orc.from_binomial_ideal(J) for J in sources]
     except ValueError:
         print("oracle: skipped (coefficients outside Q)")
         return
-    if not orc.ideal_equal(construct(*gens), expected):
+    if not orc.ideal_equal(construct(orc, *gens), expected):
         print("oracle: MISMATCH ")
         raise Refusal("oracle cross-check failed ")
     print("oracle: verified")
@@ -129,7 +130,7 @@ def cmd_gb(args):
     order = _order(args, I.names)
     _emit_ideal(I, args, order)
     result = eng.BinomialIdeal(I.names, I.groebner(order).elements)
-    _oracle_check(args, result, [I], lambda g: g)
+    _oracle_check(args, result, [I], lambda orc, g: g)
 
 
 def cmd_nf(args):
@@ -147,7 +148,7 @@ def cmd_nf(args):
         if nf is None:
             print("0")
         else:
-            c = "" if nf.coeff.is_one() else "%s*" % nf.coeff
+            c = "" if nf.coeff.is_one() else "%s*" % (nf.coeff,)
             print("%s%s" % (c, monomial_str(nf.exponent, I.names)))
 
 
@@ -160,7 +161,7 @@ def cmd_eliminate(args):
     _emit_ideal(out, args)
     block = [i for i in range(I.n) if i not in keep]
 
-    def kept(gens):
+    def kept(orc, gens):
         gb = orc.rational_gb(gens, elim_order(block))
         return [f for f in gb if all(all(u[i] == 0 for i in block) for u in f)]
     _oracle_check(args, out, [I], kept)
@@ -172,7 +173,7 @@ def cmd_colon(args):
     out = eng.colon(I, b)
     _emit_ideal(out, args)
     _oracle_check(args, out, [I, eng.BinomialIdeal(I.names, (b,))],
-                  lambda g, f: orc.rational_colon_poly(g, f[0], I.n))
+                  lambda orc, g, f: orc.rational_colon_poly(g, f[0], I.n))
 
 
 def cmd_saturate(args):
@@ -186,7 +187,7 @@ def cmd_intersect_monomial(args):
     I, M = session.only_ideal(args.ideal), session.only_ideal(args.with_ideal)
     out = eng.intersect(I, M)
     _emit_ideal(out, args)
-    _oracle_check(args, out, [I, M], lambda g, m: orc.rational_intersect(g, m, I.n))
+    _oracle_check(args, out, [I, M], lambda orc, g, m: orc.rational_intersect(g, m, I.n))
 
 
 def cmd_pure_part(args):
@@ -199,7 +200,7 @@ def cmd_pure_part(args):
     unit = [tuple(1 if j == i else 0 for j in range(I.n)) for i in range(I.n)]
     aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(e, (0,) * I.n, lam)
                                            for e, lam in zip(unit, lambdas)))
-    _oracle_check(args, out, [I, aug], lambda g, a: orc.rational_intersect(g, a, I.n))
+    _oracle_check(args, out, [I, aug], lambda orc, g, a: orc.rational_intersect(g, a, I.n))
 
 
 def cmd_maximal(args):
@@ -219,7 +220,7 @@ def cmd_cellular(args):
                    "nilpotency": [list(x) for x in c.nilpotency]})
         for k, c in enumerate(components)])
     _oracle_check(args, I, [c.ideal for c in components],
-                  lambda *gens: orc.intersect_all(gens, I.n))
+                  lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_mesoprimes(args):
@@ -291,7 +292,7 @@ def cmd_meso_primary_decomp(args):
     components = meso.mesoprimary_primary_decomposition(I)
     _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
                                       for k, c in enumerate(components)])
-    _oracle_check(args, I, components, lambda *gens: orc.intersect_all(gens, I.n))
+    _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_lattice_decomp(args):
@@ -303,7 +304,7 @@ def cmd_lattice_decomp(args):
     components = [c for _, c in lat.lattice_primary_decomposition(rho, I.names)]
     _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
                                       for k, c in enumerate(components)])
-    _oracle_check(args, I, components, lambda *gens: orc.intersect_all(gens, I.n))
+    _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
 def cmd_toric(args):

@@ -14,7 +14,7 @@ search, which reports an explicit completeness flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cellular import is_cellular
 from .engine import (BinomialIdeal, Term, colon_monomial, eliminate,
@@ -53,13 +53,13 @@ def _is_lattice_ideal(I):
     return ideal_equals(saturate_vars(I, range(I.n)), I)
 
 
-@dataclass(eq=False)
 class Congruence:
     """View of the relation ~ induced by a binomial ideal on N^n."""
 
-    ideal: BinomialIdeal
-    order: object
-    maximal: bool
+    def __init__(self, ideal, order, maximal):
+        self.ideal = ideal
+        self.order = order
+        self.maximal = maximal
 
 
 def congruence(I, order=None):
@@ -97,12 +97,7 @@ def _is_nil(c, u):
                for i in range(n))
 
 
-@dataclass(frozen=True)
-class ElementFlags:
-    nil: bool
-    nilpotent: bool
-    cancellable: bool
-    partly_cancellable: bool
+ElementFlags = namedtuple("ElementFlags", "nil nilpotent cancellable partly_cancellable")
 
 
 def classify_element(c, u):
@@ -137,13 +132,8 @@ def classify_element(c, u):
     return ElementFlags(nil, nilpotent, cancellable, partly)
 
 
-@dataclass(frozen=True)
-class CongruenceFlags:
-    cancellative: bool
-    prime: bool
-    primary: bool
-    mesoprimary: bool
-    toric: bool
+CongruenceFlags = namedtuple("CongruenceFlags",
+                             "cancellative prime primary mesoprimary toric")
 
 
 def classify_congruence(c):
@@ -221,14 +211,13 @@ def maximal_ideal(J, bound=None):
     return current, False
 
 
-@dataclass(frozen=True)
-class QuotientTable:
+class QuotientTable(namedtuple("QuotientTable", "classes table")):
     """Finite quotient monoid: class representatives and an addition table
     of representative indices.  Row and column 0 belong to the class of 0;
-    the NIL row, when present, is constant."""
+    the NIL row, when present, is constant.  ``classes`` holds exponents,
+    possibly the NIL tag; table[i][j] is the index of classes[i] + classes[j]."""
 
-    classes: tuple  # ClassIds: exponents, possibly the NIL tag
-    table: tuple    # table[i][j] = index of classes[i] + classes[j]
+    __slots__ = ()
 
     def has_nil(self):
         return NIL in self.classes

@@ -13,33 +13,28 @@ equal coefficients cancel the element, unequal ones leave a monomial.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InputError, NonBinomialOperationError, PurePartError
 from .orders import (e_add, e_deg, e_divides, e_lcm, e_sub, elim, grevlex,
-                     zero, GT, LT, MonomialOrder)
-from .scalars import Scalar, ONE
+                     zero, GT, LT)
+from .scalars import ONE
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: Scalar
-    exponent: tuple
+Term = namedtuple("Term", "coeff exponent")
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(namedtuple("Binomial", "lead trail coeff")):
     """X^lead - coeff * X^trail, or the monic monomial X^lead when trail is None."""
 
-    lead: tuple
-    trail: tuple = None
-    coeff: Scalar = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.trail is None) != (self.coeff is None):
+    def __new__(cls, lead, trail=None, coeff=None):
+        if (trail is None) != (coeff is None):
             raise InputError("trail and coeff must be present together")
-        if self.trail is not None and self.trail == self.lead:
+        if trail is not None and trail == lead:
             raise InputError("lead and trail exponents coincide")
+        return tuple.__new__(cls, (lead, trail, coeff))
 
     @property
     def is_monomial(self):
@@ -75,12 +70,10 @@ def oriented(b, order):
     return Binomial(b.trail, b.lead, b.coeff.inv())
 
 
-@dataclass(frozen=True)
-class ReducedGB:
+class ReducedGB(namedtuple("ReducedGB", "order elements")):
     """Reduced Groebner basis: monic leads, interreduced, sorted by lead."""
 
-    order: MonomialOrder
-    elements: tuple
+    __slots__ = ()
 
     def is_zero(self):
         return not self.elements
@@ -92,26 +85,25 @@ class ReducedGB:
         return tuple(b for b in self.elements if b.is_monomial)
 
 
-@dataclass(eq=False)
 class BinomialIdeal:
     """A binomial ideal given by generators, with per-order GB memoization.
 
     Values are immutable apart from the GB cache, which is an idempotent
     write-once-per-order memo: duplicate computation is harmless because
-    reduced Groebner bases are unique.
+    reduced Groebner bases are unique.  Equality is identity.
     """
 
-    names: tuple
-    gens: tuple
-    _gb: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.names = tuple(self.names)
-        self.gens = tuple(g for g in self.gens if g is not None)
+    def __init__(self, names, gens):
+        self.names = tuple(names)
+        self.gens = tuple(g for g in gens if g is not None)
+        self._gb = {}
         for g in self.gens:
             if len(g.lead) != self.n:
                 raise InputError("generator dimension %d, ring has %d variables"
                                  % (len(g.lead), self.n))
+
+    def __repr__(self):
+        return "BinomialIdeal(names=%r, gens=%r)" % (self.names, self.gens)
 
     @property
     def n(self):

@@ -8,7 +8,7 @@ row-style Hermite normal form, so equality is plain tuple comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .engine import BinomialIdeal, binomial, monomial, saturate_vars
@@ -143,11 +143,8 @@ def kernel_basis(A):
     return [T[i] for i in range(rank, len(cols))]
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    U: tuple
-    D: tuple
-    V: tuple
+class SmithForm(namedtuple("SmithForm", "U D V")):
+    __slots__ = ()
 
     def diagonal(self):
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0)))
@@ -229,12 +226,10 @@ def smith_normal_form(A):
 # ---------------------------------------------------------------------------
 # lattices and partial characters
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "n basis")):
     """Sublattice of Z^n with an HNF-canonical basis (equality = basis equality)."""
 
-    n: int
-    basis: tuple
+    __slots__ = ()
 
     @classmethod
     def from_vectors(cls, n, vectors):
@@ -299,12 +294,10 @@ def quotient_index(L, M):
     return abs(det(C)) if C else 1
 
 
-@dataclass(frozen=True)
-class PartialCharacter:
+class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
     """A group homomorphism rho : L -> k*, one Scalar per HNF basis vector."""
 
-    lattice: Lattice
-    values: tuple
+    __slots__ = ()
 
     @classmethod
     def trivial(cls, lattice):

@@ -12,7 +12,7 @@ decomposition of its delta part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cellular import as_cellular
 from .engine import (BinomialIdeal, colon_monomial, eliminate, ideal_equals,
@@ -22,13 +22,10 @@ from .lattices import (PartialCharacter, character_of, is_saturated,
                        lattice_ideal, lattice_primary_decomposition)
 
 
-@dataclass(frozen=True)
-class Mesoprime:
-    """delta and a partial character on a lattice inside Z^delta."""
+class Mesoprime(namedtuple("Mesoprime", "names delta character")):
+    """delta (a frozenset) and a partial character on a lattice inside Z^delta."""
 
-    names: tuple
-    delta: frozenset
-    character: PartialCharacter
+    __slots__ = ()
 
     def ideal(self):
         """Materialize as I_L(rho) + <X_j : j not in delta>."""

@@ -8,7 +8,7 @@ tuple comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError
 
@@ -40,12 +40,13 @@ def zero(n):
     return (0,) * n
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    kind: str                      # "lex" | "grevlex" | "elim"
-    perm: tuple = None             # variable priority, most significant first
-    block: tuple = None            # elim: sorted indices eliminated first
-    inner: "MonomialOrder" = None  # elim: order used on the non-block part
+class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",
+                               defaults=(None, None, None))):
+    """``kind`` is "lex", "grevlex" or "elim"; ``perm`` the variable priority,
+    most significant first; for elim, ``block`` holds the sorted indices
+    eliminated first and ``inner`` orders the non-block part."""
+
+    __slots__ = ()
 
     def _priority(self, n):
         if self.perm is None:
@@ -59,15 +60,14 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(u[i] for i in self._priority(len(u)))
         if self.kind == "grevlex":
-            pri = list(self._priority(len(u)))
-            return (sum(u), tuple(-u[i] for i in reversed(pri)))
+            return (sum(u), tuple(-u[i] for i in reversed(self._priority(len(u)))))
         if self.kind == "elim":
-            blk = set(self.block)
-            masked_in = tuple(x if i in blk else 0 for i, x in enumerate(u))
-            masked_out = tuple(0 if i in blk else x for i, x in enumerate(u))
-            bdeg = sum(masked_in)
-            btie = tuple(-u[i] for i in reversed(self.block))
-            return (bdeg, btie, self.inner.key(masked_out))
+            outside = list(u)
+            for i in self.block:
+                outside[i] = 0
+            return (sum(u[i] for i in self.block),
+                    tuple(-u[i] for i in reversed(self.block)),
+                    self.inner.key(tuple(outside)))
         raise InputError("unknown order kind %r" % (self.kind,))
 
     def cmp(self, u, v):

@@ -19,7 +19,6 @@ printed output always re-parses).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Binomial, BinomialIdeal, binomial
@@ -199,13 +198,13 @@ def parse_order(spec, names):
     return lex(perm) if kind == "lex" else grevlex(perm)
 
 
-@dataclass
 class Session:
     """Parsed input: a ring plus named ideals and matrices."""
 
-    names: tuple = ()
-    ideals: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
+    def __init__(self):
+        self.names = ()
+        self.ideals = {}
+        self.matrices = {}
 
     def only_ideal(self, name=None):
         if name is not None:

@@ -15,24 +15,108 @@ unique factorization, so equality is a plain field-by-field comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from math import gcd
+
+from .errors import InputError
+
+
+# Trial division takes the prime factors below _TRIAL.  Miller-Rabin with
+# the 13 prime bases up to 41 is a proof of primality below _MR_EXACT
+# (Sorenson & Webster, Math. Comp. 86, 2017).  Pollard rho splits the rest
+# under a budget counted in evaluations of its map, not in seconds.
+_TRIAL = 1 << 10
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+_RHO_STEPS = 1 << 18
+_RHO_BATCH = 128
 
 
 def factor_positive(m):
-    """Prime factorization of a positive integer as a dict prime -> exponent."""
+    """Prime factorization of a positive integer as a dict prime -> exponent.
+
+    Raises InputError when a factor resists Pollard rho within the step
+    budget, or a prime factor is too large for Miller-Rabin to prove it
+    prime: either way the factorization, and so equality of scalars, could
+    not be exact.
+    """
     if m <= 0:
         raise ValueError("expected a positive integer, got %r" % (m,))
     out = {}
     d = 2
-    while d * d <= m:
+    while d < _TRIAL and d * d <= m:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    pending, steps = ([m] if m > 1 else []), _RHO_STEPS
+    while pending:
+        m = pending.pop()
+        # no factor of m is below _TRIAL
+        if m < _TRIAL * _TRIAL or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f, steps = _rho_factor(m, steps)
+            pending += [f, m // f]
     return out
+
+
+def _is_prime(m):
+    """Miller-Rabin for an odd m > 41 with no factor below _TRIAL; a proof
+    below _MR_EXACT, above it a passing m raises InputError."""
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _MR_EXACT:
+        raise InputError("cannot prove %d prime: coefficient factors must "
+                         "stay below %d" % (m, _MR_EXACT))
+    return True
+
+
+def _rho_factor(m, steps):
+    """(a proper factor of the odd composite m, steps left) by Brent's
+    variant of Pollard rho; raises InputError once ``steps`` is spent."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += _RHO_BATCH
+            steps -= 2 * r  # at most 2r evaluations of the map this round
+            if steps < 0:
+                raise InputError("cannot split the coefficient factor %d within "
+                                 "%d Pollard rho steps" % (m, _RHO_STEPS))
+            r *= 2
+        if g == m:
+            # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g, steps
 
 
 def _merge_primes(a, b):
@@ -61,27 +145,26 @@ def _merge_primes(a, b):
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(namedtuple("Scalar", "torsion primes")):
     """e^(2*pi*i*torsion) * prod(p**e for p, e in primes); never zero.
 
     ``torsion`` is a reduced rational in [0, 1); ``primes`` is a sorted
     tuple of (prime, nonzero rational exponent) pairs.
     """
 
-    torsion: Fraction = Fraction(0)
-    primes: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.torsion < 1):
-            raise ValueError("torsion %s outside [0, 1)" % (self.torsion,))
+    def __new__(cls, torsion=Fraction(0), primes=()):
+        if not (0 <= torsion < 1):
+            raise ValueError("torsion %s outside [0, 1)" % (torsion,))
         last = 1
-        for p, e in self.primes:
+        for p, e in primes:
             if p <= last:
                 raise ValueError("primes must be sorted and distinct")
             if e == 0:
                 raise ValueError("zero exponent stored for prime %d" % p)
             last = p
+        return tuple.__new__(cls, (torsion, primes))
 
     @classmethod
     def one(cls):

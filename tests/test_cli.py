@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,20 @@ class TestPredicatesAndExitCodes:
         code, out, _ = run(capsys, ["nf", "--term", "2*X^3",
                                     session_file(UM)])
         assert code == 0 and out.strip() == "2*X"
+
+    def test_large_prime_coefficient(self, capsys, session_file):
+        text = "ring X Y\nideal I\nX - 999999999999999989*Y\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["gb", session_file(text)])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == "X - 999999999999999989*Y\n"
+
+    def test_unfactorable_coefficient_is_exit_2(self, capsys, session_file):
+        # two 20-digit prime factors, out of Pollard rho's reach
+        text = "ring X Y\nideal I\nX - %d*Y\n" % ((2 ** 64 - 59) * (2 ** 64 - 83))
+        code, out, err = run(capsys, ["gb", session_file(text)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot split the coefficient factor")
 
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["gb", "/nonexistent/input.txt"])

@@ -1,13 +1,15 @@
 import pytest
 
 from binomials import (Scalar, as_cellular, associated_mesoprimes, binomial,
-                       cellular_radical, eliminate, colon_monomial, ideal,
+                       cellular_decompose, cellular_radical, eliminate, colon_monomial, ideal,
                        ideal_contains, ideal_equals, is_cellular, is_mesoprime,
                        is_mesoprimary, is_prime, mesoprime,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
 from binomials.errors import InputError, NotMesoprimaryError, UnitIdealError
 from binomials import oracle as orc
+
+from gen import rand_ideal, rng
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -233,3 +235,31 @@ class TestStructuralProperties:
                 assert is_mesoprimary(I)[0]
             if is_mesoprimary(I)[0]:
                 assert is_cellular(I) is not None
+
+
+@pytest.mark.parametrize("n, seed", [(2, 41), (3, 43)])
+def test_random_decompositions_intersect_back(n, seed):
+    # on seeded random rational ideals the cellular components intersect
+    # back to I, and the primary components of each mesoprimary cellular
+    # component intersect back to that component, by the rational oracle
+    r = rng(seed)
+    done = checked = 0
+    while done < 15:
+        I = rand_ideal(r, n=n, maxdeg=4)
+        if I.is_unit() or I.is_zero():
+            continue
+        done += 1
+        components = [c.ideal for c in cellular_decompose(I)]
+        gens = [orc.from_binomial_ideal(C) for C in components]
+        assert orc.ideal_equal(orc.intersect_all(gens, n), orc.from_binomial_ideal(I))
+        for C in components:
+            if not is_mesoprimary(C)[0]:
+                continue
+            try:
+                gens = [orc.from_binomial_ideal(P)
+                        for P in mesoprimary_primary_decomposition(C)]
+            except ValueError:
+                continue  # a component has a root of unity outside Q
+            checked += 1
+            assert orc.ideal_equal(orc.intersect_all(gens, n), orc.from_binomial_ideal(C))
+    assert checked >= 10

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,3 +54,32 @@ class TestAdmissibility:
         c = order.cmp(u, v)
         assert c == -order.cmp(v, u)
         assert (c == EQ) == (u == v)
+
+
+def _reference_key(order, u):
+    # the key as first written: sets and masked copies rebuilt on every call
+    if order.kind == "lex":
+        pri = range(len(u)) if order.perm is None else order.perm
+        return tuple(u[i] for i in pri)
+    if order.kind == "grevlex":
+        pri = list(range(len(u)) if order.perm is None else order.perm)
+        return (sum(u), tuple(-u[i] for i in reversed(pri)))
+    blk = set(order.block)
+    masked_in = tuple(x if i in blk else 0 for i, x in enumerate(u))
+    masked_out = tuple(0 if i in blk else x for i, x in enumerate(u))
+    btie = tuple(-u[i] for i in reversed(order.block))
+    return (sum(masked_in), btie, _reference_key(order.inner, masked_out))
+
+
+KEY_ORDERS = [lex(), grevlex(), lex((3, 1, 0, 2)), grevlex((2, 0, 3, 1)),
+              elim([0]), elim([3, 1]), elim([0, 2], lex()),
+              elim([1], grevlex((3, 2, 1, 0))), elim([2, 3], elim([0]))]
+
+
+@pytest.mark.parametrize("order", KEY_ORDERS,
+                         ids=lambda o: o.kind + str(o.perm or o.block or ""))
+def test_key_matches_reference(order):
+    r = random.Random(5)
+    for _ in range(300):
+        u = tuple(r.randint(0, 7) for _ in range(4))
+        assert order.key(u) == _reference_key(order, u)

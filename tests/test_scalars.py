@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from binomials import Scalar
+from binomials.errors import InputError
 from binomials.scalars import MINUS_ONE, ONE, factor_positive
 
 from gen import rng
@@ -184,3 +186,61 @@ class TestFastPaths:
             assert a.negate().negate() == a
         assert MINUS_ONE.negate().is_one()
         assert ONE.negate() == MINUS_ONE
+
+
+def _trial_division(m):
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+# primes beyond trial division: Pollard rho splits products with one of
+# HUGE and any of MEDIUM well within its step budget
+MEDIUM = (65537, 1000003, 1000000007, 2147483647)
+HUGE = (4294967291, 999999999999999989, 2305843009213693951, 2 ** 64 - 59)
+
+
+class TestFactoring:
+    def test_matches_trial_division(self):
+        r = rng(11)
+        numbers = list(range(1, 3000)) + [r.randrange(1, 10 ** 8) for _ in range(100)]
+        for m in numbers:
+            assert factor_positive(m) == _trial_division(m)
+
+    def test_products_of_known_primes(self):
+        r = rng(12)
+        for _ in range(40):
+            want = {p: r.randint(1, 3) for p in r.sample((2, 3, 5, 1021), 2)}
+            want.update({p: r.randint(1, 2) for p in r.sample(MEDIUM, r.randint(0, 2))})
+            want.update({p: 1 for p in r.sample(HUGE, r.randint(0, 1))})
+            m = 1
+            for p, e in want.items():
+                m *= p ** e
+            assert factor_positive(m) == want
+
+    def test_strong_pseudoprimes_split(self):
+        # strong pseudoprime to the bases 2..23, with no factor below 1024
+        assert factor_positive(3825123056546413051) == {
+            149491: 1, 747451: 1, 34233211: 1}
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert factor_positive(999999999999999989) == {999999999999999989: 1}
+        assert time.perf_counter() - start < 2
+
+    def test_refusals(self):
+        # two 20-digit prime factors: rho would need about 10^10 steps
+        with pytest.raises(InputError, match="Pollard rho"):
+            factor_positive((2 ** 64 - 59) * (2 ** 64 - 83))
+        # a prime past the range where Miller-Rabin is a proof
+        with pytest.raises(InputError, match="cannot prove"):
+            factor_positive(2 ** 89 - 1)
+        # the least strong pseudoprime to all 13 bases must not pass as prime
+        with pytest.raises(InputError):
+            factor_positive(3317044064679887385961981)

@@ -2,17 +2,52 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import binomials
 
 PACKAGE = pathlib.Path(binomials.__file__).parent
 
 
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements; invariants must raise explicitly
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, "assert statements in %s" % ", ".join(found)
+
+
+def test_no_dataclasses_import():
+    # importing dataclasses, and building each class with it, costs every
+    # CLI process tens of milliseconds at start; records are namedtuples
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "dataclasses imported in %s" % ", ".join(found)
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # the modules `import binomials.cli` adds to a bare interpreter's own
+    code = ("import sys; before = set(sys.modules); import binomials.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(PACKAGE.parent),
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "binomials.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "binomials.oracle"}
