@@ -29,7 +29,7 @@ from .errors import InputError
 _TRIAL = 1 << 10
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
-_RHO_STEPS = 1 << 18
+_RHO_STEPS = 1 << 20
 _RHO_BATCH = 128
 
 
