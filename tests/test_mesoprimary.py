@@ -1,8 +1,9 @@
 import pytest
 
 from binomials import (Scalar, as_cellular, associated_mesoprimes, binomial,
-                       cellular_decompose, cellular_radical, eliminate, colon_monomial, ideal,
-                       ideal_contains, ideal_equals, is_cellular, is_mesoprime,
+                       cellular_decompose, cellular_radical, eliminate,
+                       colon_monomial, ideal, ideal_contains, ideal_equals,
+                       is_cellular, is_mesoprime,
                        is_mesoprimary, is_prime, mesoprime,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
