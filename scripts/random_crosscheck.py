@@ -6,19 +6,26 @@ compute its reduced Groebner basis with the binomial engine, and ask the
 independent rational Buchberger whether the two generate the same ideal.
 Also exercises colon, elimination and saturation against their oracle
 counterparts, including the exponent at which the colon chain of one
-variable stops growing.
+variable stops growing.  Every other trial draws a positively graded ideal
+(``rand_graded_ideal`` from tests/gen.py), whose colons and saturations take
+the engine's revlex path instead of the elimination chain.
 
-    python3 scripts/random_crosscheck.py --trials 200 --seed 7
+    PYTHONPATH=src python3 scripts/random_crosscheck.py --trials 200 --seed 7
 """
 
 import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
 from binomials import colon_monomial, eliminate, saturate_vars, saturation
 from binomials import oracle as orc
+from binomials.engine import positive_grading
 from binomials.orders import elim
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from gen import rand_graded_ideal  # noqa: E402
 
 
 def rand_exponent(r, n, maxdeg):
@@ -60,8 +67,13 @@ def main():
 
     r = random.Random(args.seed)
     start = time.monotonic()
+    graded = 0
     for trial in range(args.trials):
-        I = rand_ideal(r, args.vars, args.maxdeg)
+        if trial % 2:
+            I = rand_graded_ideal(r, args.vars, maxdeg=args.maxdeg)
+        else:
+            I = rand_ideal(r, args.vars, args.maxdeg)
+        graded += positive_grading(I) is not None
         raw = orc.from_binomial_ideal(I)
 
         if not orc.ideal_equal(raw, orc.rational_gb(raw)):
@@ -84,10 +96,21 @@ def main():
             print("FAIL eliminate at trial %d" % trial)
             return 1
 
-        S = saturate_vars(I, range(args.vars))
-        if not orc.ideal_equal(orc.from_binomial_ideal(saturate_vars(S, range(args.vars))),
-                               orc.from_binomial_ideal(S)):
-            print("FAIL saturation fixed point at trial %d" % trial)
+        # S = I : m^infinity for m = X_1 ... X_n, because I <= S, S : m = S,
+        # and m^k g lies in I for every generator g of S and some k
+        S = orc.from_binomial_ideal(saturate_vars(I, range(args.vars)))
+        m = orc.poly([((1,) * args.vars, 1)])
+        gb_I, gb_S = orc.rational_gb(raw), orc.rational_gb(S)
+        within = []
+        for g in S:
+            for _ in range(4 * args.maxdeg + 1):
+                if orc.member(g, gb_I):
+                    break
+                g = orc.p_mul(g, m)
+            within.append(orc.member(g, gb_I))
+        if not (all(orc.member(f, gb_S) for f in raw) and all(within)
+                and orc.ideal_equal(orc.rational_colon_poly(S, m, args.vars), S)):
+            print("FAIL saturate_vars at trial %d: %r" % (trial, I.gens))
             return 1
 
         i = r.randrange(args.vars)
@@ -102,8 +125,8 @@ def main():
             return 1
 
     elapsed = time.monotonic() - start
-    print("ok: %d trials in %.1fs (%d vars, degree <= %d, seed %d)"
-          % (args.trials, elapsed, args.vars, args.maxdeg, args.seed))
+    print("ok: %d trials (%d positively graded) in %.1fs (%d vars, degree <= %d, seed %d)"
+          % (args.trials, graded, elapsed, args.vars, args.maxdeg, args.seed))
     return 0
 
 

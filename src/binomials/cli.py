@@ -298,7 +298,7 @@ def cmd_meso_primary_decomp(args):
 def cmd_lattice_decomp(args):
     I = _get_ideal(args)
     rho = lat.character_of(I)
-    if not eng.ideal_equals(lat.lattice_ideal(rho, I.names), I):
+    if not cg._is_lattice_ideal(I):
         raise Refusal("ideal is not a lattice ideal; lattice decomposition "
                       "needs a pure variable-saturated ideal")
     components = [c for _, c in lat.lattice_primary_decomposition(rho, I.names)]

@@ -8,6 +8,14 @@ S-polynomials of binomials are binomials and reduction rewrites one term
 into one term.  The single additive event is a term collision (two surviving
 terms with the same exponent), which only needs a coefficient equality test:
 equal coefficients cancel the element, unequal ones leave a monomial.
+
+Colons I : X^u and saturations I : (X^u)^infinity take one of two paths.
+When ``positive_grading`` finds a weight w >= 1 for which every generator
+is homogeneous, the colon by X_i^k divides X_i^k out of the reduced GB
+under w-graded revlex with X_i last (Bayer-Stillman), and the saturation
+exponent is read off the same GB.  Otherwise, and for a saturation by a
+monomial in more than one variable, the colon eliminates an auxiliary
+variable and the saturation runs the colon chain until it stops growing.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from .scalars import ONE
 
 
 Term = namedtuple("Term", "coeff exponent")
+
+_UNKNOWN = object()
 
 
 class Binomial(namedtuple("Binomial", "lead trail coeff")):
@@ -97,6 +107,7 @@ class BinomialIdeal:
         self.names = tuple(names)
         self.gens = tuple(g for g in gens if g is not None)
         self._gb = {}
+        self._weights = _UNKNOWN      # the grading, once _grading asks
         for g in self.gens:
             if len(g.lead) != self.n:
                 raise InputError("generator dimension %d, ring has %d variables"
@@ -335,13 +346,31 @@ def _aux_eliminate(names, gens_ext):
     return project_ideal(kept, range(n))
 
 
-def colon_monomial(I, u):
-    """The ideal quotient (I : X^u), via T*I + (1-T)<X^u> and elimination."""
+def _check_exponent(I, u):
     u = tuple(u)
     if len(u) != I.n:
         raise InputError("monomial dimension %d, ring has %d variables" % (len(u), I.n))
+    return u
+
+
+def colon_monomial(I, u):
+    """The ideal quotient (I : X^u): one variable at a time off a revlex GB
+    when I is positively graded, else by elimination."""
+    u = _check_exponent(I, u)
     if all(x == 0 for x in u):
         return I
+    w = _grading(I)
+    if w is None:
+        return _colon_eliminate(I, u)
+    for i, k in enumerate(u):
+        if k:
+            gb = I.groebner(_revlex_last(I.n, i, w))
+            I = _graded_ideal(I, gb, _divide_out(gb, i, k), w)
+    return I
+
+
+def _colon_eliminate(I, u):
+    """I : X^u via T*I + (1-T)<X^u> and elimination; any binomial ideal."""
     gens = [_lift(g, 1, 1) for g in I.gens]          # T*g
     gens.append(binomial(u + (0,), u + (1,)))        # (1-T)*X^u
     inter = _aux_eliminate(I.names, gens)            # I n <X^u>
@@ -367,16 +396,31 @@ def colon(I, divisor):
 
 
 def saturation(I, u):
-    """(d, I : (X^u)^infinity) from the colon chain I, I : X^u, I : X^(2u), ...
-
-    d is the least exponent with I : X^(d*u) = I : X^((d+1)*u); from there
-    the chain is constant, so the saturation is I : X^(d*u).  d = 0 exactly
-    when X^u is a nonzerodivisor, and a unit saturation makes d the least
-    exponent with X^(d*u) in I.
+    """(d, I : (X^u)^infinity), d the least exponent with
+    I : X^(d*u) = I : X^((d+1)*u); from there the colon chain is constant,
+    so the saturation is I : X^(d*u).  d = 0 exactly when X^u is a
+    nonzerodivisor, and a unit saturation makes d the least exponent with
+    X^(d*u) in I.  A positively graded I and a u of one variable read the
+    whole chain off one revlex GB; everything else runs the colon chain.
     """
-    u = tuple(u)
-    if len(u) != I.n:
-        raise InputError("monomial dimension %d, ring has %d variables" % (len(u), I.n))
+    u = _check_exponent(I, u)
+    support = [i for i, x in enumerate(u) if x]
+    w = _grading(I) if len(support) == 1 else None
+    if w is None:
+        return _saturation_chain(I, u)
+    i = support[0]
+    gb = I.groebner(_revlex_last(I.n, i, w))
+    # the chain of X_i stops at the largest X_i-degree t of a lead: for that
+    # element g, g / X_i^t lies in I : X_i^t, but not in I : X_i^(t-1),
+    # since the lead of g / X_i would be reducible by another lead of gb
+    top = max((g.lead[i] for g in gb.elements), default=0)
+    if top == 0:
+        return 0, I
+    return -(-top // u[i]), _graded_ideal(I, gb, _divide_out(gb, i, top), w)
+
+
+def _saturation_chain(I, u):
+    """saturation(I, u) from the colon chain I, I : X^u, I : X^(2u), ..."""
     d, current = 0, I
     while any(u):
         step = colon_monomial(current, u)
@@ -389,7 +433,74 @@ def saturation(I, u):
 def saturate_vars(I, sigma):
     """I : (prod_{i in sigma} X_i)^infinity."""
     sigma = set(sigma)
-    return saturation(I, tuple(1 if i in sigma else 0 for i in range(I.n)))[1]
+    if _grading(I) is None:
+        return saturation(I, tuple(1 if i in sigma else 0 for i in range(I.n)))[1]
+    for i in sorted(sigma):
+        I = saturation(I, tuple(1 if j == i else 0 for j in range(I.n)))[1]
+    return I
+
+
+# ---------------------------------------------------------------------------
+# the graded path: Bayer-Stillman revlex colons (Sturmfels, "Groebner Bases
+# and Convex Polytopes", Lemma 12.1)
+
+def positive_grading(I):
+    """An integer w >= 1 with w.lead = w.trail for every two-term generator
+    of I, or None when there is none; all ones when that grading works."""
+    diffs = [e_sub(g.lead, g.trail) for g in I.gens if g.trail is not None]
+    if all(sum(v) == 0 for v in diffs):
+        return (1,) * I.n
+    from math import gcd
+    from . import lattices
+    kernel = lattices.kernel_basis(diffs)
+    # a variable that every kernel vector misses has weight 0 in each w
+    if not kernel or any(not any(v[j] for v in kernel) for j in range(I.n)):
+        return None
+    y = lattices.positive_witness(kernel)
+    if y is None:
+        return None
+    w = [sum(a * v[j] for a, v in zip(y, kernel)) for j in range(I.n)]
+    return tuple(x // gcd(*w) for x in w)
+
+
+def _grading(I):
+    """positive_grading(I), computed once per ideal."""
+    if I._weights is _UNKNOWN:
+        I._weights = positive_grading(I)
+    return I._weights
+
+
+def _revlex_last(n, i, w):
+    """w-graded revlex with X_i last; plain grevlex() when that is the same."""
+    if i == n - 1 and all(x == 1 for x in w):
+        return grevlex()
+    return grevlex(tuple(j for j in range(n) if j != i) + (i,), w)
+
+
+def _divide_out(gb, i, k):
+    """The reduced GB of I : X_i^k from the reduced GB of a w-homogeneous I
+    under w-graded revlex with X_i last: every term of such an element g is
+    divisible by X_i^v, v the X_i-degree of its lead, so the elements
+    g / X_i^min(k, v) form a GB of the colon."""
+    out = []
+    for g in gb.elements:
+        m = min(k, g.lead[i])
+        if m:
+            shift = tuple(m if j == i else 0 for j in range(len(g.lead)))
+            trail = None if g.trail is None else e_sub(g.trail, shift)
+            g = Binomial(e_sub(g.lead, shift), trail, g.coeff)
+        out.append(g)
+    return _interreduce(out, gb.order)
+
+
+def _graded_ideal(I, gb, elements, w):
+    """The ideal with reduced GB ``elements`` under gb.order; I when unchanged."""
+    if elements == gb.elements:
+        return I
+    J = BinomialIdeal(I.names, elements)
+    J._gb[gb.order] = ReducedGB(gb.order, elements)
+    J._weights = w
+    return J
 
 
 def intersect_monomial(I, M):

@@ -8,6 +8,7 @@ row-style Hermite normal form, so equality is plain tuple comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -549,9 +550,7 @@ def positive_witness(A):
     if not feasible:
         return None
     w = _fm_point(stages, d)
-    scale = 1
-    for x in w:
-        scale = scale * x.denominator // __import__("math").gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in w))
     return [int(x * scale) for x in w]
 
 

@@ -24,8 +24,9 @@ from .errors import InputError
 
 # Trial division takes the prime factors below _TRIAL.  Miller-Rabin with
 # the 13 prime bases up to 41 is a proof of primality below _MR_EXACT
-# (Sorenson & Webster, Math. Comp. 86, 2017).  Pollard rho splits the rest
-# under a budget counted in evaluations of its map, not in seconds.
+# (Sorenson & Webster, Math. Comp. 86, 2017).  A perfect power splits by
+# its integer root, and Pollard rho splits the rest under a budget counted
+# in evaluations of its map, not in seconds.
 _TRIAL = 1 << 10
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
@@ -56,10 +57,30 @@ def factor_positive(m):
         # no factor of m is below _TRIAL
         if m < _TRIAL * _TRIAL or _is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            pending += [root] * k
         else:
             f, steps = _rho_factor(m, steps)
             pending += [f, m // f]
     return out
+
+
+def _perfect_power(m):
+    """(r, k) with m = r^k and k > 1 when there is one, else (m, 1); m has
+    no factor below _TRIAL, so k stays below m.bit_length() / 10."""
+    for k in range(2, m.bit_length() // 10 + 1):
+        # Newton's iteration for the integer k-th root, from above
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r ** k == m:
+            return r, k
+    return m, 1
 
 
 def _is_prime(m):

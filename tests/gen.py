@@ -58,6 +58,46 @@ def rand_ideal(r, n=3, size=None, maxdeg=6, rational=True, allow_monomial=True,
     return BinomialIdeal(names, tuple(gens))
 
 
+def graded_slice(w, degree):
+    """Every exponent u with w . u == degree."""
+    if not w:
+        return [()] if degree == 0 else []
+    return [(k,) + rest for k in range(degree // w[0] + 1)
+            for rest in graded_slice(w[1:], degree - k * w[0])]
+
+
+def rand_graded_scalar(r, rational=True):
+    s = rand_rational_scalar(r)
+    if rational:
+        return s
+    kind = r.random()
+    if kind < 0.35:
+        m = r.choice([3, 4, 6])
+        s = s * Scalar.zeta(m, r.randrange(1, m))
+    elif kind < 0.7:
+        s = s * Scalar.from_prime_powers(
+            0, {r.choice(SMALL_PRIMES): Fraction(r.choice([1, -1]), r.choice([2, 3]))})
+    return s
+
+
+def rand_graded_ideal(r, n=3, size=None, maxdeg=6, rational=True):
+    """A binomial ideal homogeneous for a positive weight (all ones about a
+    third of the time): both terms of every generator share one w-degree."""
+    w = (1,) * n if r.random() < 0.3 else tuple(r.randint(1, 3) for _ in range(n))
+    gens = []
+    for _ in range(size or r.randint(1, 3)):
+        while True:
+            monomials = graded_slice(w, r.randint(1, maxdeg))
+            if monomials and (len(monomials) > 1 or r.random() < 0.2):
+                break
+        if len(monomials) == 1 or r.random() < 0.2:
+            gens.append(monomial(r.choice(monomials)))
+        else:
+            lead, trail = r.sample(monomials, 2)
+            gens.append(binomial(lead, trail, rand_graded_scalar(r, rational)))
+    return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
+
+
 def rand_matrix(r, max_rows=6, max_cols=6, bound=20):
     rows = r.randint(1, max_rows)
     cols = r.randint(1, max_cols)

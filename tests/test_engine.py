@@ -8,13 +8,15 @@ from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial, colon,
                        intersect, intersect_monomial, lex, monomial,
                        normal_form, project_ideal, pure_part, saturate_vars,
                        saturation)
-from binomials.engine import _nf_exponent
+from binomials import engine
+from binomials.engine import (_colon_eliminate, _nf_exponent, _saturation_chain,
+                              positive_grading)
 from binomials.orders import e_add, e_divides, e_lcm, e_sub
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
 from binomials import oracle as orc
 
-from gen import rand_exponent, rand_ideal, rng
+from gen import rand_exponent, rand_graded_ideal, rand_ideal, rng
 
 XY = ("X", "Y")
 ONE = Scalar.one()
@@ -105,7 +107,6 @@ class TestNormalForm:
 
     def test_confluence_under_shuffled_reducers(self):
         # the result must not depend on the order reducers are tried in
-        from binomials.engine import _nf_exponent
         r = rng(111)
         for _ in range(150):
             I = rand_ideal(r)
@@ -299,6 +300,98 @@ class TestSaturation:
     def test_rejects_wrong_dimension(self, um_ideal):
         with pytest.raises(InputError):
             saturation(um_ideal, (1, 0, 0))
+
+
+def ungraded(monkeypatch, fn, *args):
+    """fn(*args) with every ideal taken as ungraded: the colon chain over
+    colons by elimination, as before the graded path existed."""
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_grading", lambda I: None)
+        return fn(*args)
+
+
+def fresh(I):
+    # the same generators without the cached bases and grading
+    return BinomialIdeal(I.names, I.gens)
+
+
+class TestGradedPath:
+    def test_grading_edge_cases(self):
+        X, XYZ = ("X",), ("X", "Y", "Z")
+        assert positive_grading(ideal(XY, [monomial((2, 1)), monomial((0, 3))])) == (1, 1)
+        assert positive_grading(ideal(XY, [])) == (1, 1)
+        assert positive_grading(ideal(XY, [b2((2, 0), (0, 3))])) == (3, 2)
+        assert positive_grading(ideal(XYZ, [b2((1, 1, 0), (0, 0, 1))])) == (1, 1, 2)
+        # X^2*Y - X: the only kernel direction (1, -1) has no positive multiple
+        assert positive_grading(ideal(XY, [b2((2, 1), (1, 0))])) is None
+        # X*Y - Y: every kernel vector misses X (a zero column)
+        assert positive_grading(ideal(XY, [b2((1, 1), (0, 1))])) is None
+        # X - 1 and <X - Y^2, Y - X^2>: no kernel at all
+        assert positive_grading(ideal(X, [b2((1,), (0,))])) is None
+        assert positive_grading(ideal(XY, [b2((1, 0), (0, 2)), b2((0, 1), (2, 0))])) is None
+
+    @pytest.mark.parametrize("I", [
+        ideal(("X",), [b2((1,), (0,))]),
+        ideal(XY, [b2((2, 1), (1, 0))]),
+        ideal(XY, [b2((2, 0), (0, 0)), b2((1, 1), (0, 1)), monomial((0, 2))]),
+    ], ids=["X-1", "X^2Y-X", "unmixed"])
+    def test_ungraded_ideals_take_the_fallback(self, I, monkeypatch):
+        calls = []
+        for name in ("_saturation_chain", "_colon_eliminate"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        for i in range(I.n):
+            saturation(I, unit_power(I.n, i, 1))
+            assert calls[0] == "_saturation_chain" and "_colon_eliminate" in calls
+            calls.clear()
+            colon_monomial(I, unit_power(I.n, i, 2))
+            assert calls == ["_colon_eliminate"]
+            calls.clear()
+        assert all(order == grevlex() or order.kind == "elim" for order in I._gb)
+
+    def test_graded_ideals_skip_the_chain(self, monkeypatch):
+        monkeypatch.setattr(engine, "_saturation_chain", None)
+        monkeypatch.setattr(engine, "_colon_eliminate", None)
+        r = rng(700)
+        for _ in range(10):
+            I = rand_graded_ideal(r, rational=False)
+            saturate_vars(I, range(I.n))
+            colon_monomial(I, rand_exponent(r, I.n, 3))
+
+    def test_both_paths_agree(self, monkeypatch):
+        r = rng(701)
+        for trial in range(48):
+            I = rand_graded_ideal(r, rational=trial % 2 == 0)
+            assert positive_grading(I) is not None
+            for i in range(I.n):
+                for k in (1, 2):
+                    u = unit_power(I.n, i, k)
+                    d, sat = saturation(I, u)
+                    d_old, sat_old = ungraded(monkeypatch, _saturation_chain, fresh(I), u)
+                    assert (d, sat.groebner().elements) == (d_old, sat_old.groebner().elements)
+            u = rand_exponent(r, I.n, 4)
+            assert (colon_monomial(I, u).groebner().elements
+                    == _colon_eliminate(fresh(I), u).groebner().elements)
+            assert (saturate_vars(I, range(I.n)).groebner().elements
+                    == ungraded(monkeypatch, saturate_vars, fresh(I), range(I.n))
+                    .groebner().elements)
+
+    def test_rational_against_oracle(self):
+        r = rng(702)
+        for _ in range(16):
+            check_saturation_per_variable(rand_graded_ideal(r, maxdeg=5), oracle=True)
+
+    def test_colon_by_powers_of_one_variable(self):
+        # I : X^k for every k up to past the saturation, one GB for the lot
+        r = rng(703)
+        for _ in range(12):
+            I = rand_graded_ideal(r, maxdeg=5)
+            gens = orc.from_binomial_ideal(I)
+            for k in range(4):
+                u = unit_power(I.n, 0, k)
+                assert orc.ideal_equal(orc.from_binomial_ideal(colon_monomial(I, u)),
+                                       orc.rational_colon_poly(gens, orc.poly([(u, 1)]), I.n))
 
 
 class TestIntersectMonomial:

@@ -234,6 +234,15 @@ class TestFactoring:
         assert factor_positive(999999999999999989) == {999999999999999989: 1}
         assert time.perf_counter() - start < 2
 
+    def test_perfect_powers_split_before_rho(self):
+        # rho alone spends its budget on the square of a 13-digit prime
+        p = 10 ** 12 + 39
+        start = time.perf_counter()
+        assert factor_positive(p ** 2) == {p: 2}
+        assert time.perf_counter() - start < 2
+        assert factor_positive(p ** 3 * 1031 ** 5) == {p: 3, 1031: 5}
+        assert factor_positive((1031 * 1033) ** 6) == {1031: 6, 1033: 6}
+
     def test_refusals(self):
         # two 20-digit prime factors: rho would need about 10^10 steps
         with pytest.raises(InputError, match="Pollard rho"):
