@@ -10,6 +10,12 @@ variable stops growing.  Every other trial draws a positively graded ideal
 (``rand_graded_ideal`` from tests/gen.py), whose colons and saturations take
 the engine's revlex path instead of the elimination chain.
 
+Each trial also draws a rational ideal with a finite quotient monoid
+(``rand_artinian_ideal``) from a second seeded stream and samples entries of
+its ``quotient_table``: the oracle's normal form of X^(a+b), reduced by a
+rational Groebner basis of the raw generators, must be a scalar times
+X^classes[table[a][b]], or 0 when that entry is the nil class.
+
     PYTHONPATH=src python3 scripts/random_crosscheck.py --trials 200 --seed 7
 """
 
@@ -19,13 +25,14 @@ import sys
 import time
 from pathlib import Path
 
-from binomials import colon_monomial, eliminate, saturate_vars, saturation
+from binomials import (NIL, colon_monomial, congruence, eliminate, quotient_table,
+                       saturate_vars, saturation)
 from binomials import oracle as orc
 from binomials.engine import positive_grading
-from binomials.orders import elim
+from binomials.orders import e_add, elim, grevlex
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from gen import rand_graded_ideal  # noqa: E402
+from gen import rand_artinian_ideal, rand_graded_ideal  # noqa: E402
 
 
 def rand_exponent(r, n, maxdeg):
@@ -57,6 +64,25 @@ def rand_ideal(r, n, maxdeg):
     return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
 
 
+def table_entries_agree(r, I, samples=8):
+    """Sample entries of the quotient table of I and check each against the
+    oracle's normal form; the oracle reduces by its own Groebner basis of
+    the generators as given, not by the engine's basis."""
+    qt = quotient_table(congruence(I), 1000)
+    gb = orc.rational_gb([orc.poly([(g.lead, 1)] if g.trail is None else
+                                   [(g.lead, 1), (g.trail, -g.coeff.as_fraction())])
+                          for g in I.gens])
+    real = [j for j, cls in enumerate(qt.classes) if cls is not NIL]
+    for _ in range(samples):
+        a, b = r.choice(real), r.choice(real)
+        nf = orc.p_reduce(orc.poly([(e_add(qt.classes[a], qt.classes[b]), 1)]),
+                          gb, grevlex())
+        c = qt.classes[qt.table[a][b]]
+        if list(nf) != ([] if c is NIL else [c]):
+            return False
+    return True
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=200)
@@ -66,6 +92,7 @@ def main():
     args = ap.parse_args()
 
     r = random.Random(args.seed)
+    r_table = random.Random("table %d" % args.seed)
     start = time.monotonic()
     graded = 0
     for trial in range(args.trials):
@@ -122,6 +149,13 @@ def main():
         if stops != [False] * (d > 0) + [True, True]:
             print("FAIL saturation exponent %d of variable %d at trial %d: %r"
                   % (d, i, trial, I.gens))
+            return 1
+
+        A = rand_artinian_ideal(r_table)
+        while A.is_unit():
+            A = rand_artinian_ideal(r_table)
+        if not table_entries_agree(r_table, A):
+            print("FAIL quotient table at trial %d: %r" % (trial, A.gens))
             return 1
 
     elapsed = time.monotonic() - start

@@ -51,6 +51,14 @@ def _get_matrix(args, session=None):
     return session.only_matrix(args.matrix)
 
 
+def _at_least_one(args, *flags):
+    """Refuse a budget or bound flag below 1 as an input error."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InputError("--%s must be at least 1, got %d" % (flag, value))
+
+
 def _order(args, names):
     return parse_order(args.order, names) if args.order else None
 
@@ -204,6 +212,7 @@ def cmd_pure_part(args):
 
 
 def cmd_maximal(args):
+    _at_least_one(args, "bound")
     I = _get_ideal(args)
     out, complete = cg.maximal_ideal(I, args.bound)
     _emit_ideal(out, args, extra={"complete": complete})
@@ -370,6 +379,7 @@ def cmd_snf(args):
 
 
 def cmd_congruence(args):
+    _at_least_one(args, "max", "bound")
     I = _get_ideal(args)
     keys = ("cancellative", "prime", "primary", "mesoprimary", "toric")
     if args.action == "classify":

@@ -225,18 +225,24 @@ class QuotientTable(namedtuple("QuotientTable", "classes table")):
 
 def quotient_table(c, max_classes):
     """Breadth-first closure of the quotient monoid from [0]; raises a
-    budget error (carrying progress) past ``max_classes`` classes."""
+    budget error (carrying progress) past ``max_classes`` classes.
+
+    One normal form per class and generator: step[k][i] is the index of
+    [classes[k] + e_i] (NIL steps to itself), and class j > 0 was first
+    reached as classes[k] + e_i with k < j.  A congruence is compatible with
+    addition, so table[a][0] = a and table[a][j] = step[table[a][k]][i]."""
     n = c.ideal.n
     generators = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     start = class_id(c, zero(n))
     classes = [start]
     index = {start: 0}
-    frontier = [start]
-    while frontier:
-        cls = frontier.pop(0)
+    step, parent = [], []
+    for k, cls in enumerate(classes):  # also visits the classes appended below
         if cls is NIL:
+            step.append((k,) * n)
             continue
-        for g in generators:
+        row = []
+        for i, g in enumerate(generators):
             nxt = class_id(c, e_add(cls, g))
             if nxt not in index:
                 if len(classes) >= max_classes:
@@ -245,17 +251,14 @@ def quotient_table(c, max_classes):
                         % (max_classes, classes), classes=classes)
                 index[nxt] = len(classes)
                 classes.append(nxt)
-                frontier.append(nxt)
-    table = []
-    for a in classes:
-        row = []
-        for b in classes:
-            if a is NIL or b is NIL:
-                row.append(index[NIL])
-            else:
-                row.append(index[class_id(c, e_add(a, b))])
-        table.append(tuple(row))
-    return QuotientTable(tuple(classes), tuple(table))
+                parent.append((k, i))
+            row.append(index[nxt])
+        step.append(row)
+    table = [[a] for a in range(len(classes))]
+    for row in table:
+        for k, i in parent:
+            row.append(step[row[k]][i])
+    return QuotientTable(tuple(classes), tuple(map(tuple, table)))
 
 
 def rees_ideal(exponents, names):

@@ -98,6 +98,27 @@ def rand_graded_ideal(r, n=3, size=None, maxdeg=6, rational=True):
     return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
 
 
+def rand_artinian_ideal(r, rational=True):
+    """A binomial ideal in 2-4 variables whose quotient monoid is finite: for
+    every variable a pure power X_i^d or X_i^d - c*X_i^e with e < d (a
+    monomial makes a nil class, a binomial a cyclic part), plus up to two
+    random binomials.  Coefficients are rational, or also roots of unity and
+    prime powers."""
+    n = r.randint(2, 4)
+    gens = []
+    for i in range(n):
+        d = r.randint(2, 4) if n == 2 else r.randint(1, 3)
+        power = tuple(d if j == i else 0 for j in range(n))
+        if r.random() < 0.4:
+            gens.append(monomial(power))
+        else:
+            e = r.randrange(d)
+            gens.append(binomial(power, tuple(e if j == i else 0 for j in range(n)),
+                                 rand_graded_scalar(r, rational)))
+    gens += [rand_binomial(r, n, 4, rational) for _ in range(r.randint(0, 2))]
+    return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
+
+
 def rand_matrix(r, max_rows=6, max_cols=6, bound=20):
     rows = r.randint(1, max_rows)
     cols = r.randint(1, max_cols)

@@ -294,6 +294,20 @@ class TestCongruenceCommand:
                                     session_file(text), "--max", "10"])
         assert code == 1 and "10" in err
 
+    @pytest.mark.parametrize("command, option", [
+        (["congruence", "table"], ["--max", "0"]),
+        (["congruence", "table"], ["--max", "-3"]),
+        (["congruence", "classify"], ["--bound", "0"]),
+        (["congruence", "classify"], ["--bound", "-1"]),
+        (["maximal"], ["--bound", "0"]),
+        (["maximal"], ["--bound", "-1"]),
+    ])
+    def test_budget_below_one_is_exit_2(self, capsys, session_file, command, option):
+        # a pure ideal, so classify would run the bounded nil search
+        code, out, err = run(capsys, command + [session_file(CELLULAR)] + option)
+        assert code == 2 and out == ""
+        assert err == "error: %s must be at least 1, got %s\n" % tuple(option)
+
     def test_related(self, capsys, session_file):
         code, out, _ = run(capsys, ["congruence", "related",
                                     session_file(NILQ), "X", "Y"])

@@ -1,17 +1,18 @@
 import pytest
 
-from binomials import (NIL, Scalar, binomial, cancellative_intersect, class_id,
-                       classify_congruence, classify_element, congruence,
-                       ideal, ideal_equals, maximal_ideal, monomial,
-                       quotient_table, rees_ideal, related, table_json,
-                       table_text)
+from binomials import (NIL, QuotientTable, Scalar, binomial,
+                       cancellative_intersect, class_id, classify_congruence,
+                       classify_element, congruence, ideal, ideal_equals,
+                       maximal_ideal, monomial, quotient_table, rees_ideal,
+                       related, table_json, table_text)
 from binomials.errors import (BudgetExceededError, InputError,
                               NonMaximalCongruenceError, NotCancellativeError,
                               UnitIdealError)
+from binomials import congruences
 from binomials import oracle as orc
 from binomials.orders import e_add
 
-from gen import rand_exponent, rand_ideal, rng
+from gen import rand_artinian_ideal, rand_exponent, rand_ideal, rng
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -203,6 +204,54 @@ class TestMaximalIdeal:
                                             monomial((0, 1))]))
 
 
+def _pairwise_table(c, max_classes):
+    """Reference: the same breadth-first search, then a fresh normal form
+    of a + b for every pair of classes (k^2 of them)."""
+    n = c.ideal.n
+    generators = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    start = class_id(c, (0,) * n)
+    classes, index, frontier = [start], {start: 0}, [start]
+    while frontier:
+        cls = frontier.pop(0)
+        if cls is NIL:
+            continue
+        for g in generators:
+            nxt = class_id(c, e_add(cls, g))
+            if nxt not in index:
+                if len(classes) >= max_classes:
+                    raise BudgetExceededError("budget", classes=classes)
+                index[nxt] = len(classes)
+                classes.append(nxt)
+                frontier.append(nxt)
+    table = tuple(tuple(index[NIL] if a is NIL or b is NIL
+                        else index[class_id(c, e_add(a, b))] for b in classes)
+                  for a in classes)
+    return QuotientTable(tuple(classes), table)
+
+
+def _outcome(build, c, max_classes):
+    """The table, or the classes found when the budget ran out."""
+    try:
+        return build(c, max_classes)
+    except BudgetExceededError as err:
+        return err.classes
+
+
+@pytest.fixture(scope="module")
+def artinian():
+    """c_nilpotent, c_z2 and 40 seeded random ideals with finite quotients in
+    2-4 variables; every third has rational coefficients only, the others
+    also roots of unity and prime powers."""
+    cases = [c_over([binomial((1, 0), (0, 1)), monomial((0, 2))]),
+             c_over([binomial((1, 0), (0, 1)), binomial((0, 2), (0, 0))])]
+    r = rng(2024)
+    while len(cases) < 42:
+        I = rand_artinian_ideal(r, rational=len(cases) % 3 == 0)
+        if not I.is_unit():
+            cases.append(congruence(I))
+    return cases
+
+
 class TestQuotientTable:
     def test_three_classes(self, c_nilpotent):
         qt = quotient_table(c_nilpotent, 10)
@@ -226,6 +275,27 @@ class TestQuotientTable:
         with pytest.raises(BudgetExceededError) as err:
             quotient_table(c, 10)
         assert len(err.value.classes) == 10
+
+    def test_matches_pairwise_normal_forms(self, artinian):
+        nil_kinds = set()
+        for c in artinian:
+            qt = quotient_table(c, 1000)
+            assert qt == _pairwise_table(c, 1000), c.ideal.gens
+            nil_kinds.add(qt.has_nil())
+            for budget in (1, 2, 5, 10):
+                assert (_outcome(quotient_table, c, budget)
+                        == _outcome(_pairwise_table, c, budget)), (c.ideal.gens, budget)
+        assert nil_kinds == {True, False}
+
+    def test_one_normal_form_per_class_and_generator(self, artinian, monkeypatch):
+        calls = []
+        counted = congruences.class_id
+        monkeypatch.setattr(congruences, "class_id",
+                            lambda c, u: calls.append(u) or counted(c, u))
+        for c in artinian:
+            del calls[:]
+            qt = quotient_table(c, 1000)
+            assert len(calls) <= len(qt.classes) * c.ideal.n + 1, c.ideal.gens
 
     def test_text_rendering(self, c_nilpotent):
         text = table_text(quotient_table(c_nilpotent, 10), XY)
