@@ -89,11 +89,11 @@ def related(c, u, v):
 
 def _is_nil(c, u):
     """Absorbing test: [u] != [0] and u + e_i ~ u for every generator."""
-    u = tuple(u)
-    if class_id(c, u) == class_id(c, zero(c.ideal.n)):
+    u, n = tuple(u), c.ideal.n
+    own = class_id(c, u)
+    if own == class_id(c, zero(n)):
         return False
-    n = c.ideal.n
-    return all(related(c, e_add(u, tuple(1 if j == i else 0 for j in range(n))), u)
+    return all(class_id(c, e_add(u, tuple(1 if j == i else 0 for j in range(n)))) == own
                for i in range(n))
 
 

@@ -9,13 +9,16 @@ into one term.  The single additive event is a term collision (two surviving
 terms with the same exponent), which only needs a coefficient equality test:
 equal coefficients cancel the element, unequal ones leave a monomial.
 
-Colons I : X^u and saturations I : (X^u)^infinity take one of two paths.
-When ``positive_grading`` finds a weight w >= 1 for which every generator
-is homogeneous, the colon by X_i^k divides X_i^k out of the reduced GB
-under w-graded revlex with X_i last (Bayer-Stillman), and the saturation
-exponent is read off the same GB.  Otherwise, and for a saturation by a
-monomial in more than one variable, the colon eliminates an auxiliary
-variable and the saturation runs the colon chain until it stops growing.
+Colons I : X^u and saturations I : (X^u)^infinity take one path.  I is
+used as it is when every generator is homogeneous; otherwise it is
+homogenized in one more variable _h, from its reduced grevlex GB.  The
+colon by X_i^k divides X_i^k out of the reduced GB under grevlex with X_i
+last (Bayer-Stillman), the saturation exponent is the largest X_i-degree
+of a lead of the same GB, and _h = 1 maps the result back.  That map is
+one-to-one on homogeneous ideals that _h is a nonzerodivisor on, a class
+that every colon by X_i stays in, so the colon chain of I stops at the
+same exponent as that of its homogenization.  A saturation by a monomial
+in several variables runs the colon chain.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from .scalars import ONE
 
 
 Term = namedtuple("Term", "coeff exponent")
-
-_UNKNOWN = object()
-
 
 class Binomial(namedtuple("Binomial", "lead trail coeff")):
     """X^lead - coeff * X^trail, or the monic monomial X^lead when trail is None."""
@@ -107,7 +107,6 @@ class BinomialIdeal:
         self.names = tuple(names)
         self.gens = tuple(g for g in gens if g is not None)
         self._gb = {}
-        self._weights = _UNKNOWN      # the grading, once _grading asks
         for g in self.gens:
             if len(g.lead) != self.n:
                 raise InputError("generator dimension %d, ring has %d variables"
@@ -354,35 +353,14 @@ def _check_exponent(I, u):
 
 
 def colon_monomial(I, u):
-    """The ideal quotient (I : X^u): one variable at a time off a revlex GB
-    when I is positively graded, else by elimination."""
+    """The ideal quotient (I : X^u), one variable at a time off revlex GBs
+    of the homogenized ideal."""
     u = _check_exponent(I, u)
-    if all(x == 0 for x in u):
-        return I
-    w = _grading(I)
-    if w is None:
-        return _colon_eliminate(I, u)
+    H0 = H = _homogenize(I)
     for i, k in enumerate(u):
         if k:
-            gb = I.groebner(_revlex_last(I.n, i, w))
-            I = _graded_ideal(I, gb, _divide_out(gb, i, k), w)
-    return I
-
-
-def _colon_eliminate(I, u):
-    """I : X^u via T*I + (1-T)<X^u> and elimination; any binomial ideal."""
-    gens = [_lift(g, 1, 1) for g in I.gens]          # T*g
-    gens.append(binomial(u + (0,), u + (1,)))        # (1-T)*X^u
-    inter = _aux_eliminate(I.names, gens)            # I n <X^u>
-    quotient = []
-    for b in inter.gens:
-        lead, trail = e_sub(b.lead, u), None
-        if b.trail is not None:
-            trail = e_sub(b.trail, u)
-        if min(lead) < 0 or (trail is not None and min(trail) < 0):
-            raise AssertionError("element of I n <X^u> not divisible by X^u")
-        quotient.append(binomial(lead, trail, b.coeff))
-    return BinomialIdeal(I.names, tuple(quotient))
+            H = _colon_var(H, i, k)[1]
+    return _dehomogenize(I, H0, H)
 
 
 def colon(I, divisor):
@@ -400,29 +378,19 @@ def saturation(I, u):
     I : X^(d*u) = I : X^((d+1)*u); from there the colon chain is constant,
     so the saturation is I : X^(d*u).  d = 0 exactly when X^u is a
     nonzerodivisor, and a unit saturation makes d the least exponent with
-    X^(d*u) in I.  A positively graded I and a u of one variable read the
-    whole chain off one revlex GB; everything else runs the colon chain.
+    X^(d*u) in I.  For a u of one variable X_i the whole chain is read off
+    one revlex GB of the homogenized ideal; a u of several variables runs
+    the colon chain.
     """
     u = _check_exponent(I, u)
     support = [i for i, x in enumerate(u) if x]
-    w = _grading(I) if len(support) == 1 else None
-    if w is None:
-        return _saturation_chain(I, u)
-    i = support[0]
-    gb = I.groebner(_revlex_last(I.n, i, w))
-    # the chain of X_i stops at the largest X_i-degree t of a lead: for that
-    # element g, g / X_i^t lies in I : X_i^t, but not in I : X_i^(t-1),
-    # since the lead of g / X_i would be reducible by another lead of gb
-    top = max((g.lead[i] for g in gb.elements), default=0)
-    if top == 0:
-        return 0, I
-    return -(-top // u[i]), _graded_ideal(I, gb, _divide_out(gb, i, top), w)
-
-
-def _saturation_chain(I, u):
-    """saturation(I, u) from the colon chain I, I : X^u, I : X^(2u), ..."""
+    if len(support) == 1:
+        i = support[0]
+        H0 = _homogenize(I)
+        top, H = _colon_var(H0, i, None)
+        return -(-top // u[i]), _dehomogenize(I, H0, H)
     d, current = 0, I
-    while any(u):
+    while support:
         step = colon_monomial(current, u)
         if ideal_equals(step, current):
             break
@@ -431,55 +399,69 @@ def _saturation_chain(I, u):
 
 
 def saturate_vars(I, sigma):
-    """I : (prod_{i in sigma} X_i)^infinity."""
-    sigma = set(sigma)
-    if _grading(I) is None:
-        return saturation(I, tuple(1 if i in sigma else 0 for i in range(I.n)))[1]
-    for i in sorted(sigma):
-        I = saturation(I, tuple(1 if j == i else 0 for j in range(I.n)))[1]
-    return I
+    """I : (prod_{i in sigma} X_i)^infinity, one variable at a time."""
+    H0 = H = _homogenize(I)
+    for i in sorted(set(sigma)):
+        H = _colon_var(H, i, None)[1]
+    return _dehomogenize(I, H0, H)
 
 
 # ---------------------------------------------------------------------------
-# the graded path: Bayer-Stillman revlex colons (Sturmfels, "Groebner Bases
-# and Convex Polytopes", Lemma 12.1)
+# Bayer-Stillman revlex colons (Sturmfels, "Groebner Bases and Convex
+# Polytopes", Lemma 12.1) on the homogenization (Cox-Little-O'Shea,
+# "Ideals, Varieties, and Algorithms", Ch. 8 Sec. 4)
 
-def positive_grading(I):
-    """An integer w >= 1 with w.lead = w.trail for every two-term generator
-    of I, or None when there is none; all ones when that grading works."""
-    diffs = [e_sub(g.lead, g.trail) for g in I.gens if g.trail is not None]
-    if all(sum(v) == 0 for v in diffs):
-        return (1,) * I.n
-    from math import gcd
-    from . import lattices
-    kernel = lattices.kernel_basis(diffs)
-    # a variable that every kernel vector misses has weight 0 in each w
-    if not kernel or any(not any(v[j] for v in kernel) for j in range(I.n)):
-        return None
-    y = lattices.positive_witness(kernel)
-    if y is None:
-        return None
-    w = [sum(a * v[j] for a, v in zip(y, kernel)) for j in range(I.n)]
-    return tuple(x // gcd(*w) for x in w)
+def _homogenize(I):
+    """I when every generator is homogeneous; else I^h in one more variable
+    _h, generated by the homogenized elements of the reduced grevlex GB of
+    I (homogenizing the generators alone can give a smaller ideal)."""
+    if all(g.trail is None or e_deg(g.lead) == e_deg(g.trail) for g in I.gens):
+        return I
+    gens = tuple(_lift(g, 0, 0 if g.trail is None else e_deg(g.lead) - e_deg(g.trail))
+                 for g in I.groebner().elements)
+    return BinomialIdeal(I.names + ("_h",), gens)
 
 
-def _grading(I):
-    """positive_grading(I), computed once per ideal."""
-    if I._weights is _UNKNOWN:
-        I._weights = positive_grading(I)
-    return I._weights
+def _dehomogenize(I, H0, H):
+    """H at _h = 1, in the ring of I; I itself when H is still H0, the
+    ideal _homogenize(I) returned."""
+    if H is H0:
+        return I
+    if H.n == I.n:
+        return H
+    return BinomialIdeal(I.names, tuple(
+        binomial(g.lead[:-1], None if g.trail is None else g.trail[:-1], g.coeff)
+        for g in H.gens))
 
 
-def _revlex_last(n, i, w):
-    """w-graded revlex with X_i last; plain grevlex() when that is the same."""
-    if i == n - 1 and all(x == 1 for x in w):
+def _colon_var(H, i, k):
+    """(t, H : X_i^k) for a homogeneous H, with k = t when k is None: t is
+    the largest X_i-degree of a lead of the reduced GB of H under revlex
+    with X_i last, and H : X_i^t is the saturation.  The colon is H itself
+    when t = 0 and a new ideal, its reduced GB cached, otherwise."""
+    gb = H.groebner(_revlex_last(H.n, i))
+    # the chain of X_i stops at t: for the element g with lead X_i-degree t,
+    # g / X_i^t lies in H : X_i^t, but not in H : X_i^(t-1), since the lead
+    # of g / X_i would be reducible by another lead of gb
+    top = max((g.lead[i] for g in gb.elements), default=0)
+    if not top:
+        return 0, H
+    elements = _divide_out(gb, i, top if k is None else k)
+    J = BinomialIdeal(H.names, elements)
+    J._gb[gb.order] = ReducedGB(gb.order, elements)
+    return top, J
+
+
+def _revlex_last(n, i):
+    """grevlex with X_i last; plain grevlex() when that is the same."""
+    if i == n - 1:
         return grevlex()
-    return grevlex(tuple(j for j in range(n) if j != i) + (i,), w)
+    return grevlex(tuple(j for j in range(n) if j != i) + (i,))
 
 
 def _divide_out(gb, i, k):
-    """The reduced GB of I : X_i^k from the reduced GB of a w-homogeneous I
-    under w-graded revlex with X_i last: every term of such an element g is
+    """The reduced GB of H : X_i^k from the reduced GB of a homogeneous H
+    under revlex with X_i last: every term of such an element g is
     divisible by X_i^v, v the X_i-degree of its lead, so the elements
     g / X_i^min(k, v) form a GB of the colon."""
     out = []
@@ -491,16 +473,6 @@ def _divide_out(gb, i, k):
             g = Binomial(e_sub(g.lead, shift), trail, g.coeff)
         out.append(g)
     return _interreduce(out, gb.order)
-
-
-def _graded_ideal(I, gb, elements, w):
-    """The ideal with reduced GB ``elements`` under gb.order; I when unchanged."""
-    if elements == gb.elements:
-        return I
-    J = BinomialIdeal(I.names, elements)
-    J._gb[gb.order] = ReducedGB(gb.order, elements)
-    J._weights = w
-    return J
 
 
 def intersect_monomial(I, M):

@@ -40,13 +40,11 @@ def zero(n):
     return (0,) * n
 
 
-class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner weights",
-                               defaults=(None, None, None, None))):
+class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",
+                               defaults=(None, None, None))):
     """``kind`` is "lex", "grevlex" or "elim"; ``perm`` the variable priority,
     most significant first; for elim, ``block`` holds the sorted indices
-    eliminated first and ``inner`` orders the non-block part.  A grevlex
-    order with ``weights`` w (all >= 1) compares w.u before the reverse
-    lexicographic tie-break; None means all ones."""
+    eliminated first and ``inner`` orders the non-block part."""
 
     __slots__ = ()
 
@@ -62,9 +60,7 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner weights",
         if self.kind == "lex":
             return tuple(u[i] for i in self._priority(len(u)))
         if self.kind == "grevlex":
-            w = self.weights
-            degree = sum(u) if w is None else sum(a * x for a, x in zip(w, u))
-            return (degree, tuple(-u[i] for i in reversed(self._priority(len(u)))))
+            return (sum(u), tuple(-u[i] for i in reversed(self._priority(len(u)))))
         if self.kind == "elim":
             outside = list(u)
             for i in self.block:
@@ -90,11 +86,8 @@ def lex(perm=None):
     return MonomialOrder("lex", tuple(perm) if perm is not None else None)
 
 
-def grevlex(perm=None, weights=None):
-    if weights is not None and min(weights, default=1) < 1:
-        raise InputError("grevlex weights must be positive, got %r" % (weights,))
-    return MonomialOrder("grevlex", tuple(perm) if perm is not None else None,
-                         weights=tuple(weights) if weights is not None else None)
+def grevlex(perm=None):
+    return MonomialOrder("grevlex", tuple(perm) if perm is not None else None)
 
 
 def elim(block, inner=None):

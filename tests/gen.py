@@ -80,10 +80,12 @@ def rand_graded_scalar(r, rational=True):
     return s
 
 
-def rand_graded_ideal(r, n=3, size=None, maxdeg=6, rational=True):
-    """A binomial ideal homogeneous for a positive weight (all ones about a
-    third of the time): both terms of every generator share one w-degree."""
-    w = (1,) * n if r.random() < 0.3 else tuple(r.randint(1, 3) for _ in range(n))
+def rand_graded_ideal(r, n=3, size=None, maxdeg=6, rational=True, w=None):
+    """A binomial ideal homogeneous for a positive weight w (when not given,
+    all ones about a third of the time): both terms of every generator
+    share one w-degree."""
+    if w is None:
+        w = (1,) * n if r.random() < 0.3 else tuple(r.randint(1, 3) for _ in range(n))
     gens = []
     for _ in range(size or r.randint(1, 3)):
         while True:

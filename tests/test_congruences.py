@@ -196,6 +196,28 @@ class TestMaximalIdeal:
             v = rand_exponent(r, 2, 8)
             assert related(c1, u, v) == related(c2, u, v)
 
+    def test_nil_test_takes_n_plus_two_normal_forms(self, monkeypatch):
+        # [u] and [0] once each, then [u + e_i] per variable
+        calls, per_test = [], []
+        counted, is_nil = congruences.class_id, congruences._is_nil
+        monkeypatch.setattr(congruences, "class_id",
+                            lambda c, u: calls.append(u) or counted(c, u))
+
+        def tracked(c, u):
+            before = len(calls)
+            out = is_nil(c, u)
+            per_test.append(len(calls) - before)
+            return out
+        monkeypatch.setattr(congruences, "_is_nil", tracked)
+        I = ideal(XYZ, [binomial((4, 2, 0), (0, 0, 6)), binomial((3, 2, 0), (0, 0, 5)),
+                        binomial((2, 0, 0), (0, 1, 1))])
+        maximal_ideal(I)
+        assert per_test and max(per_test) <= I.n + 2
+        # a found nil runs every test: <X - Y, Y^3 - Y^2> has the nil Y^2
+        del per_test[:]
+        maximal_ideal(ideal(XY, [binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))]), 4)
+        assert max(per_test) == 2 + 2
+
     def test_recovers_coordinate_ideal(self):
         # <X-Y, X-X^2> induces the congruence of the monomial ideal <X, Y>
         I = ideal(XY, [binomial((1, 0), (0, 1)), binomial((1, 0), (2, 0))])

@@ -9,8 +9,7 @@ from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial, colon,
                        normal_form, project_ideal, pure_part, saturate_vars,
                        saturation)
 from binomials import engine
-from binomials.engine import (_colon_eliminate, _nf_exponent, _saturation_chain,
-                              positive_grading)
+from binomials.engine import _aux_eliminate, _lift, _nf_exponent
 from binomials.orders import e_add, e_divides, e_lcm, e_sub
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
@@ -302,91 +301,126 @@ class TestSaturation:
             saturation(um_ideal, (1, 0, 0))
 
 
-def ungraded(monkeypatch, fn, *args):
-    """fn(*args) with every ideal taken as ungraded: the colon chain over
-    colons by elimination, as before the graded path existed."""
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_grading", lambda I: None)
-        return fn(*args)
+# References that share no code with the revlex path: I : X^u from
+# T*I + (1-T)*<X^u> by eliminating T, and the colon chain over that colon.
+
+def reference_colon(I, u):
+    gens = [_lift(g, 1, 1) for g in I.gens]          # T*g
+    gens.append(binomial(u + (0,), u + (1,)))        # (1-T)*X^u
+    inter = _aux_eliminate(I.names, gens)            # I n <X^u>
+    quotient = []
+    for b in inter.gens:
+        lead, trail = e_sub(b.lead, u), None if b.trail is None else e_sub(b.trail, u)
+        assert min(lead) >= 0 and (trail is None or min(trail) >= 0)
+        quotient.append(binomial(lead, trail, b.coeff))
+    return BinomialIdeal(I.names, tuple(quotient))
 
 
-def fresh(I):
-    # the same generators without the cached bases and grading
-    return BinomialIdeal(I.names, I.gens)
+def reference_saturation(I, u):
+    d, current = 0, I
+    while any(u):
+        step = reference_colon(current, u)
+        if ideal_equals(step, current):
+            break
+        d, current = d + 1, step
+    return d, current
 
 
-class TestGradedPath:
-    def test_grading_edge_cases(self):
-        X, XYZ = ("X",), ("X", "Y", "Z")
-        assert positive_grading(ideal(XY, [monomial((2, 1)), monomial((0, 3))])) == (1, 1)
-        assert positive_grading(ideal(XY, [])) == (1, 1)
-        assert positive_grading(ideal(XY, [b2((2, 0), (0, 3))])) == (3, 2)
-        assert positive_grading(ideal(XYZ, [b2((1, 1, 0), (0, 0, 1))])) == (1, 1, 2)
-        # X^2*Y - X: the only kernel direction (1, -1) has no positive multiple
-        assert positive_grading(ideal(XY, [b2((2, 1), (1, 0))])) is None
-        # X*Y - Y: every kernel vector misses X (a zero column)
-        assert positive_grading(ideal(XY, [b2((1, 1), (0, 1))])) is None
-        # X - 1 and <X - Y^2, Y - X^2>: no kernel at all
-        assert positive_grading(ideal(X, [b2((1,), (0,))])) is None
-        assert positive_grading(ideal(XY, [b2((1, 0), (0, 2)), b2((0, 1), (2, 0))])) is None
+# ideals without a positive grading, homogeneous ones, and ones homogeneous
+# only for a weight other than all ones (those go through I^h too)
+KINDS = {
+    "ungraded": lambda r, rational: rand_ideal(r, rational=rational),
+    "all-ones": lambda r, rational: rand_graded_ideal(r, rational=rational, w=(1, 1, 1)),
+    "weighted": lambda r, rational: rand_graded_ideal(
+        r, rational=rational, w=tuple(r.randint(1, 3) for _ in range(3))),
+}
+
+
+def elements(I):
+    return I.groebner().elements
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    """The order of every GB computed while the test runs."""
+    seen = []
+    real = engine._reduced_basis
+    monkeypatch.setattr(engine, "_reduced_basis",
+                        lambda gens, order: seen.append(order) or real(gens, order))
+    return seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestOnePath:
+    """Every colon and saturation reads a revlex GB of the ideal or of its
+    homogenization, and agrees with the elimination references."""
+
+    def test_matches_elimination_chain(self, kind):
+        r = rng(701)
+        for trial in range(40):
+            I = KINDS[kind](r, trial % 2 == 0)
+            for i in range(I.n):
+                for k in (1, 2):
+                    u = unit_power(I.n, i, k)
+                    d, sat = saturation(I, u)
+                    d_ref, sat_ref = reference_saturation(I, u)
+                    assert (d, elements(sat)) == (d_ref, elements(sat_ref)), (I, u)
+            u = rand_exponent(r, I.n, 4)
+            assert elements(colon_monomial(I, u)) == elements(reference_colon(I, u)), (I, u)
+            u = tuple(x + 1 for x in rand_exponent(r, I.n, 2))
+            d, sat = saturation(I, u)
+            d_ref, sat_ref = reference_saturation(I, u)
+            assert (d, elements(sat)) == (d_ref, elements(sat_ref)), (I, u)
+            assert (elements(saturate_vars(I, range(I.n)))
+                    == elements(reference_saturation(I, (1,) * I.n)[1])), I
+
+    def test_rational_against_oracle(self, kind):
+        r = rng(702)
+        for _ in range(8):
+            check_saturation_per_variable(KINDS[kind](r, True), oracle=True)
+
+    def test_random_ideals_use_no_elimination_order(self, kind, orders):
+        r = rng(700)
+        for _ in range(10):
+            I = KINDS[kind](r, False)
+            saturate_vars(I, range(I.n))
+            saturation(I, tuple(x + 1 for x in rand_exponent(r, I.n, 2)))
+            colon_monomial(I, rand_exponent(r, I.n, 3))
+        assert orders and all(order.kind == "grevlex" for order in orders)
+
+
+class TestOnePathCases:
+    """Fixed ideals: ungraded ones, and the case that needs the basis
+    homogenized rather than the generators."""
 
     @pytest.mark.parametrize("I", [
         ideal(("X",), [b2((1,), (0,))]),
         ideal(XY, [b2((2, 1), (1, 0))]),
         ideal(XY, [b2((2, 0), (0, 0)), b2((1, 1), (0, 1)), monomial((0, 2))]),
-    ], ids=["X-1", "X^2Y-X", "unmixed"])
-    def test_ungraded_ideals_take_the_fallback(self, I, monkeypatch):
-        calls = []
-        for name in ("_saturation_chain", "_colon_eliminate"):
-            real = getattr(engine, name)
-            monkeypatch.setattr(engine, name, lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
+        ideal(XY, [b2((1, 1), (0, 0), Scalar.zeta(3, 1)), b2((2, 0), (0, 1))]),
+    ], ids=["X-1", "X^2Y-X", "unmixed", "XY-zeta3"])
+    def test_no_elimination_order(self, I, orders):
         for i in range(I.n):
             saturation(I, unit_power(I.n, i, 1))
-            assert calls[0] == "_saturation_chain" and "_colon_eliminate" in calls
-            calls.clear()
             colon_monomial(I, unit_power(I.n, i, 2))
-            assert calls == ["_colon_eliminate"]
-            calls.clear()
-        assert all(order == grevlex() or order.kind == "elim" for order in I._gb)
+        saturation(I, (1,) * I.n)
+        saturate_vars(I, range(I.n))
+        assert orders and all(order.kind == "grevlex" for order in orders)
 
-    def test_graded_ideals_skip_the_chain(self, monkeypatch):
-        monkeypatch.setattr(engine, "_saturation_chain", None)
-        monkeypatch.setattr(engine, "_colon_eliminate", None)
-        r = rng(700)
-        for _ in range(10):
-            I = rand_graded_ideal(r, rational=False)
-            saturate_vars(I, range(I.n))
-            colon_monomial(I, rand_exponent(r, I.n, 3))
-
-    def test_both_paths_agree(self, monkeypatch):
-        r = rng(701)
-        for trial in range(48):
-            I = rand_graded_ideal(r, rational=trial % 2 == 0)
-            assert positive_grading(I) is not None
-            for i in range(I.n):
-                for k in (1, 2):
-                    u = unit_power(I.n, i, k)
-                    d, sat = saturation(I, u)
-                    d_old, sat_old = ungraded(monkeypatch, _saturation_chain, fresh(I), u)
-                    assert (d, sat.groebner().elements) == (d_old, sat_old.groebner().elements)
-            u = rand_exponent(r, I.n, 4)
-            assert (colon_monomial(I, u).groebner().elements
-                    == _colon_eliminate(fresh(I), u).groebner().elements)
-            assert (saturate_vars(I, range(I.n)).groebner().elements
-                    == ungraded(monkeypatch, saturate_vars, fresh(I), range(I.n))
-                    .groebner().elements)
-
-    def test_rational_against_oracle(self):
-        r = rng(702)
-        for _ in range(16):
-            check_saturation_per_variable(rand_graded_ideal(r, maxdeg=5), oracle=True)
+    def test_homogenizes_the_basis_not_the_generators(self):
+        # <X^2 - Y, X^2 - 1> holds Y - 1 and X^2 - 1, so X is a
+        # nonzerodivisor; the homogenized generators X^2 - YH, X^2 - H^2
+        # alone give the smaller ideal on which X is a zerodivisor (d = 2)
+        I = ideal(XY, [b2((2, 0), (0, 1)), b2((2, 0), (0, 0))])
+        assert saturation(I, (1, 0)) == (0, I)
+        assert saturation(I, (0, 1)) == (0, I)
+        assert colon_monomial(I, (3, 1)) is I
 
     def test_colon_by_powers_of_one_variable(self):
         # I : X^k for every k up to past the saturation, one GB for the lot
         r = rng(703)
-        for _ in range(12):
-            I = rand_graded_ideal(r, maxdeg=5)
+        for trial in range(12):
+            I = rand_graded_ideal(r, maxdeg=5) if trial % 2 else rand_ideal(r, maxdeg=4)
             gens = orc.from_binomial_ideal(I)
             for k in range(4):
                 u = unit_power(I.n, 0, k)

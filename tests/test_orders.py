@@ -83,37 +83,3 @@ def test_key_matches_reference(order):
     for _ in range(300):
         u = tuple(r.randint(0, 7) for _ in range(4))
         assert order.key(u) == _reference_key(order, u)
-
-
-@pytest.mark.parametrize("perm", [None, (1, 2, 0, 3), (3, 2, 1, 0)])
-def test_all_ones_weights_order_like_grevlex(perm):
-    plain, weighted = grevlex(perm), grevlex(perm, (1, 1, 1, 1))
-    assert weighted.weights == (1, 1, 1, 1) and plain.weights is None
-    r = random.Random(6)
-    for _ in range(300):
-        u, v = (tuple(r.randint(0, 5) for _ in range(4)) for _ in range(2))
-        assert weighted.key(u) == plain.key(u)
-        assert weighted.cmp(u, v) == plain.cmp(u, v)
-
-
-def test_weighted_grevlex_is_admissible():
-    r = random.Random(8)
-    for _ in range(40):
-        perm = list(range(4))
-        r.shuffle(perm)
-        order = grevlex(perm, [r.randint(1, 4) for _ in range(4)])
-        for _ in range(40):
-            u, v, w = (tuple(r.randint(0, 6) for _ in range(4)) for _ in range(3))
-            c = order.cmp(u, v)
-            assert c == order.cmp(e_add(u, w), e_add(v, w))
-            assert c == -order.cmp(v, u) and (c == EQ) == (u == v)
-            assert order.cmp(zero(4), u) != GT
-            # the weighted degree decides first, the reverse lex order ties
-            du, dv = (sum(a * x for a, x in zip(order.weights, e)) for e in (u, v))
-            if du != dv:
-                assert c == (GT if du > dv else LT)
-
-
-def test_weights_must_be_positive():
-    with pytest.raises(InputError):
-        grevlex(None, (1, 0, 2))

@@ -51,3 +51,21 @@ def test_cli_import_loads_no_heavy_modules():
     loaded = set(out.split())
     assert "binomials.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "binomials.oracle"}
+
+
+def test_engine_does_not_import_lattices():
+    # lattices builds on engine; the dependency runs one way only, so no
+    # import of it anywhere in engine.py, inside a function included
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + ["%s.%s" % (module, alias.name) for alias in node.names]
+        else:
+            continue
+        if any("lattices" in name.split(".") for name in names):
+            found.append(node.lineno)
+    assert not found, "engine.py imports lattices at lines %s" % found
