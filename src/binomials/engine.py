@@ -356,6 +356,8 @@ def colon_monomial(I, u):
     """The ideal quotient (I : X^u), one variable at a time off revlex GBs
     of the homogenized ideal."""
     u = _check_exponent(I, u)
+    if not any(u):
+        return I
     H0 = H = _homogenize(I)
     for i, k in enumerate(u):
         if k:
@@ -400,8 +402,11 @@ def saturation(I, u):
 
 def saturate_vars(I, sigma):
     """I : (prod_{i in sigma} X_i)^infinity, one variable at a time."""
+    sigma = sorted(set(sigma))
+    if not sigma:
+        return I
     H0 = H = _homogenize(I)
-    for i in sorted(set(sigma)):
+    for i in sigma:
         H = _colon_var(H, i, None)[1]
     return _dehomogenize(I, H0, H)
 

@@ -381,14 +381,42 @@ def _basis_binomial(v, value):
     return binomial(plus, minus, value)
 
 
+def _degree_vector(basis, n):
+    """An integer w >= 1 with w.b = 0 for every b in basis, all ones when
+    that works; None when there is none."""
+    if all(sum(b) == 0 for b in basis):
+        return (1,) * n
+    kernel = kernel_basis(basis)
+    # a coordinate that every kernel vector misses is 0 in each such w
+    if not kernel or any(not any(v[j] for v in kernel) for j in range(n)):
+        return None
+    y = positive_witness(kernel)
+    return y and tuple(sum(a * v[j] for a, v in zip(y, kernel)) for j in range(n))
+
+
 def lattice_ideal(rho, names):
-    """I_L(rho) = <X^(b+) - rho(b) X^(b-) : b basis> saturated at all variables."""
+    """I_L(rho) = <X^(b+) - rho(b) X^(b-) : b basis> saturated at all
+    variables.  With a degree vector w >= 1 of L (w.b = 0 on L) it saturates
+    the image under X_i -> X_i^(w_i), which is homogeneous, so the engine
+    adds no homogenizing variable.  The map is flat, so it commutes with the
+    saturation, and a reduced basis of the image is the image of a reduced
+    basis: the exponents divide back by w."""
     names = tuple(names)
     if len(names) != rho.lattice.n:
         raise InputError("ring has %d variables, lattice ambient is %d"
                          % (len(names), rho.lattice.n))
-    gens = tuple(_basis_binomial(v, s) for v, s in zip(rho.lattice.basis, rho.values))
-    return saturate_vars(BinomialIdeal(names, gens), range(len(names)))
+    n, basis = len(names), rho.lattice.basis
+    w = _degree_vector(basis, n) or (1,) * n
+    gens = tuple(_basis_binomial([x * y for x, y in zip(v, w)], s)
+                 for v, s in zip(basis, rho.values))
+    sat = saturate_vars(BinomialIdeal(names, gens), range(n))
+    if all(x == 1 for x in w):
+        return sat
+
+    def divide(e):
+        return e and tuple(x // y for x, y in zip(e, w))
+    return BinomialIdeal(names, tuple(binomial(divide(g.lead), divide(g.trail), g.coeff)
+                                      for g in sat.gens))
 
 
 def character_of(I):

@@ -84,7 +84,7 @@ def _mesoprimes(component):
     """(mesoprime of I : X^u, u) for each standard monomial u, in order."""
     I = component.ideal
     for u in _standard_monomials(component):
-        quotient = colon_monomial(I, u) if any(u) else I
+        quotient = colon_monomial(I, u)
         yield Mesoprime(I.names, component.delta,
                         _delta_character(quotient, component.delta)), u
 

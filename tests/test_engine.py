@@ -416,6 +416,13 @@ class TestOnePathCases:
         assert saturation(I, (0, 1)) == (0, I)
         assert colon_monomial(I, (3, 1)) is I
 
+    def test_zero_exponent_computes_nothing(self, orders):
+        I = ideal(XY, [b2((2, 1), (1, 0))])
+        assert colon_monomial(I, (0, 0)) is I
+        assert saturation(I, (0, 0)) == (0, I)
+        assert saturate_vars(I, ()) is I
+        assert not orders
+
     def test_colon_by_powers_of_one_variable(self):
         # I : X^k for every k up to past the saturation, one GB for the lot
         r = rng(703)

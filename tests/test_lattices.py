@@ -12,7 +12,10 @@ from binomials import (Lattice, PartialCharacter, Scalar, binomial,
                        toric_ideal)
 from binomials.errors import (ExtensionRankError, InconsistentCharacterError,
                               InputError, NotPositiveError, NotPureError)
-from binomials.lattices import det, hnf, invert_unimodular, mat_mul, transpose
+from binomials import engine
+from binomials.engine import saturate_vars
+from binomials.lattices import (_basis_binomial, _degree_vector, det, hnf,
+                                invert_unimodular, mat_mul, transpose)
 from binomials import oracle as orc
 
 from gen import rand_lattice_vectors, rand_matrix, rng
@@ -127,6 +130,62 @@ class TestLatticeIdeal:
         I = lattice_ideal(rho, XY)
         assert ideal_equals(I, ideal(XY, [binomial((1, 0), (0, 1),
                                                    Scalar.minus_one())]))
+
+
+class TestDegreeVector:
+    """lattice_ideal saturates the image under X_i -> X_i^(w_i) when L has
+    a degree vector w >= 1, and the homogenized basis ideal otherwise."""
+
+    @pytest.mark.parametrize("basis, w", [
+        ((), (1, 1)),
+        (((1, -1),), (1, 1)),
+        (((2, -3),), (3, 2)),
+        (((3, 5, -4), (1, -2, 0)), (8, 4, 11)),
+        (((1, 0),), None),                     # the kernel misses X
+        (((1, 1),), None),                     # no positive point
+        (((1, 0), (0, 1)), None),              # empty kernel
+    ])
+    def test_degree_vector(self, basis, w):
+        assert _degree_vector(basis, len(basis[0]) if basis else 2) == w
+
+    def test_matches_homogenized_saturation(self):
+        r = rng(1213)
+        weighted = done = 0
+        while done < 60:
+            n = r.randint(2, 4)
+            vecs = rand_lattice_vectors(r, n, bound=3)
+            values = [Scalar.from_rational(r.choice([1, 1, 2, -1, -3])) for _ in vecs]
+            try:
+                rho = PartialCharacter.from_generators(n, vecs, values)
+            except InconsistentCharacterError:
+                continue
+            names = tuple("XYZW"[:n])
+            w = _degree_vector(rho.lattice.basis, n)
+            assert w is None or (min(w) >= 1 and not any(
+                sum(a * b for a, b in zip(w, v)) for v in rho.lattice.basis)), (rho, w)
+            weighted += w is not None and set(w) != {1}
+            basis_ideal = ideal(names, [_basis_binomial(v, s) for v, s in
+                                        zip(rho.lattice.basis, rho.values)])
+            expected = saturate_vars(basis_ideal, range(n)).groebner().elements
+            assert lattice_ideal(rho, names).groebner().elements == expected, rho
+            done += 1
+        assert weighted >= 10
+
+    @pytest.mark.parametrize("degrees", ["3 5 7 10", "3 8 9 10", "4 5 6 7"])
+    def test_toric_needs_no_homogenizing_variable(self, degrees, monkeypatch):
+        built = []
+        real = engine._homogenize
+        monkeypatch.setattr(engine, "_homogenize",
+                            lambda I: built.append(real(I).n - I.n) or real(I))
+        A = [[int(x) for x in degrees.split()]]
+        names = tuple("abcd")
+        I = toric_ideal(A, names)
+        assert built and not any(built)
+        monkeypatch.setattr(engine, "_homogenize", real)
+        kernel = Lattice.from_vectors(4, kernel_basis(A))
+        basis_ideal = ideal(names, [_basis_binomial(v, ONE) for v in kernel.basis])
+        assert (I.groebner().elements
+                == saturate_vars(basis_ideal, range(4)).groebner().elements)
 
 
 class TestCharacterOf:
