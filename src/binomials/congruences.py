@@ -2,7 +2,7 @@
 
 Two exponents are related when some nonzero multiple of one monomial minus
 the other lies in the ideal; the class of an exponent is its normal-form
-exponent under a fixed order, or the distinguished NIL tag when the
+exponent under grevlex, or the distinguished NIL tag when the
 monomial itself lies in the ideal.  NIL is the monoid's absorbing element.
 
 Classification of elements and congruences is only sound on a maximal
@@ -24,7 +24,7 @@ from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import character_of, is_saturated, lattice_ideal, lattice_intersect
 from .mesoprimary import is_mesoprime, is_mesoprimary
-from .orders import e_add, e_deg, grevlex, zero
+from .orders import e_add, e_deg, zero
 from .parsing import monomial_str
 from .scalars import ONE
 
@@ -56,21 +56,19 @@ def _is_lattice_ideal(I):
 class Congruence:
     """View of the relation ~ induced by a binomial ideal on N^n."""
 
-    def __init__(self, ideal, order, maximal):
+    def __init__(self, ideal, maximal):
         self.ideal = ideal
-        self.order = order
         self.maximal = maximal
 
 
-def congruence(I, order=None):
+def congruence(I):
     """Congruence view of I; the maximality flag is set when I is known to
     contain its nil monomials (monomials present, or lattice ideal)."""
     if I.is_unit():
         raise UnitIdealError("the unit ideal induces no congruence")
-    order = order or grevlex()
-    gb = I.groebner(order)
+    gb = I.groebner()
     maximal = any(b.is_monomial for b in gb.elements) or _is_lattice_ideal(I)
-    return Congruence(I, order, maximal)
+    return Congruence(I, maximal)
 
 
 def class_id(c, u):
@@ -79,7 +77,7 @@ def class_id(c, u):
     if len(u) != c.ideal.n:
         raise InputError("exponent dimension %d, ring has %d variables"
                          % (len(u), c.ideal.n))
-    nf = normal_form(Term(ONE, u), c.ideal.groebner(c.order))
+    nf = normal_form(Term(ONE, u), c.ideal.groebner())
     return NIL if nf is None else nf.exponent
 
 
@@ -192,7 +190,7 @@ def maximal_ideal(J, bound=None):
         bound = 2 * maxdeg + J.n
     current = J
     while True:
-        c = Congruence(current, grevlex(), False)
+        c = Congruence(current, False)
         nils = []
         for degree in range(1, bound + 1):
             for u in _total_degree_exponents(J.n, degree):
@@ -223,6 +221,12 @@ class QuotientTable(namedtuple("QuotientTable", "classes table")):
         return NIL in self.classes
 
 
+def _first(classes, shown=8):
+    """The first ``shown`` classes as a list text, ending ", ..." if cut."""
+    return "[%s%s]" % (", ".join(map(repr, classes[:shown])),
+                       ", ..." if len(classes) > shown else "")
+
+
 def quotient_table(c, max_classes):
     """Breadth-first closure of the quotient monoid from [0]; raises a
     budget error (carrying progress) past ``max_classes`` classes.
@@ -247,8 +251,8 @@ def quotient_table(c, max_classes):
             if nxt not in index:
                 if len(classes) >= max_classes:
                     raise BudgetExceededError(
-                        "quotient exceeded %d classes; found %r so far"
-                        % (max_classes, classes), classes=classes)
+                        "quotient exceeded %d classes; found %d so far: %s"
+                        % (max_classes, len(classes), _first(classes)), classes=classes)
                 index[nxt] = len(classes)
                 classes.append(nxt)
                 parent.append((k, i))
@@ -303,7 +307,7 @@ def cancellative_intersect(c1, c2):
     L = lattice_intersect(L1, L2)
     from .lattices import PartialCharacter
     I = lattice_ideal(PartialCharacter.trivial(L), c1.ideal.names)
-    return Congruence(I, c1.order, True)
+    return Congruence(I, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Integer lattices, partial characters, and lattice/toric ideals.
 
-All linear algebra is exact over Python's arbitrary-precision integers
-(Fractions where division is needed); lattices are canonicalized by a
-row-style Hermite normal form, so equality is plain tuple comparison.
+All linear algebra is exact over Python's arbitrary-precision integers.
+One row-style Hermite normal form answers the integer-matrix questions:
+it canonicalizes lattices (equality is plain tuple comparison), gives
+kernels, inverses of unimodular matrices and indices.  The Smith form gives
+saturations and character extensions.  Positivity of a degree matrix is one
+Fourier-Motzkin search for a positive functional; only its back-substitution
+(``_fm_point``) uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import BinomialIdeal, binomial, monomial, saturate_vars
+from .engine import BinomialIdeal, binomial, saturate_vars, scalar_power
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
-from .scalars import Scalar, ONE
+from .scalars import ONE
 
 
 # ---------------------------------------------------------------------------
@@ -33,50 +37,6 @@ def mat_mul(A, B):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
-
-
-def det(A):
-    """Determinant by fraction-free elimination on a copy."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            factor = M[r][c] / M[c][c]
-            for j in range(c, n):
-                M[r][j] -= factor * M[c][j]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= M[i][i]
-    if out.denominator != 1:
-        raise AssertionError("determinant of an integer matrix is not an integer")
-    return int(out)
-
-
-def invert_unimodular(V):
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(V)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(V)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if M[r][c] != 0)
-        M[c], M[pivot] = M[pivot], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                factor = M[r][c]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[c])]
-    out = [[x for x in row[n:]] for row in M]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise AssertionError("inverse is not integral; the matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 def _hnf_rows(vectors, with_transform):
@@ -144,6 +104,15 @@ def kernel_basis(A):
     return [T[i] for i in range(rank, len(cols))]
 
 
+def invert_unimodular(V):
+    """Inverse of an integer matrix with determinant +-1: its HNF is the
+    identity, so the HNF transform T has T * V = I."""
+    rows, T, _ = _hnf_rows(V, True)
+    if rows != [tuple(row) for row in identity(len(V))]:
+        raise AssertionError("the matrix is not unimodular")
+    return [list(row) for row in T]
+
+
 class SmithForm(namedtuple("SmithForm", "U D V")):
     __slots__ = ()
 
@@ -195,24 +164,17 @@ def smith_normal_form(A):
         _, pi, pj = min(entries)
         row_swap(t, pi)
         col_swap(t, pj)
-        while True:
-            cleared = True
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    row_comb(i, t, D[i][t] // D[t][t])
-                    cleared = cleared and D[i][t] == 0
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    col_comb(j, t, D[t][j] // D[t][t])
-                    cleared = cleared and D[t][j] == 0
-            if cleared and all(D[i][t] == 0 for i in range(t + 1, m)):
-                break
-            # a remainder became the new, strictly smaller pivot
-            entries = [(abs(D[i][j]), i, j) for i in range(t, m)
-                       for j in range(t, n) if D[i][j] != 0]
-            _, pi, pj = min(entries)
-            row_swap(t, pi)
-            col_swap(t, pj)
+        cleared = True
+        for i in range(t + 1, m):
+            if D[i][t] != 0:
+                row_comb(i, t, D[i][t] // D[t][t])
+                cleared = cleared and D[i][t] == 0
+        for j in range(t + 1, n):
+            if D[t][j] != 0:
+                col_comb(j, t, D[t][j] // D[t][t])
+                cleared = cleared and D[t][j] == 0
+        if not cleared:
+            continue  # a remainder becomes the new, strictly smaller pivot
         offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
                          if D[i][j] % D[t][t] != 0), None)
         if offender is not None:
@@ -269,20 +231,14 @@ def lattice_intersect(L1, L2):
     if not L1.basis or not L2.basis:
         return Lattice.from_vectors(L1.n, [])
     stacked = [list(v) for v in L1.basis] + [[-x for x in v] for v in L2.basis]
-    rows, T, rank = _hnf_rows(stacked, True)
     r1 = len(L1.basis)
-    vectors = []
-    for i in range(rank, len(stacked)):
-        coeffs = T[i][:r1]
-        vec = [0] * L1.n
-        for c, b in zip(coeffs, L1.basis):
-            vec = [a + c * x for a, x in zip(vec, b)]
-        vectors.append(vec)
-    return Lattice.from_vectors(L1.n, vectors)
+    coeffs = [k[:r1] for k in kernel_basis(transpose(stacked))]
+    return Lattice.from_vectors(L1.n, mat_mul(coeffs, stacked[:r1]))
 
 
 def quotient_index(L, M):
-    """|M / L| for L within M of equal rank."""
+    """|M / L| for L within M of equal rank: |det C| for the coefficients C
+    of L over M, the product of the HNF pivots of C."""
     if L.rank != M.rank:
         raise ExtensionRankError("quotient is infinite: ranks %d vs %d"
                                  % (L.rank, M.rank))
@@ -292,7 +248,7 @@ def quotient_index(L, M):
         if coeffs is None:
             raise InputError("lattice is not contained in the target lattice")
         C.append(coeffs)
-    return abs(det(C)) if C else 1
+    return math.prod(row[i] for i, row in enumerate(_hnf_rows(C, False)[0]))
 
 
 class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
@@ -309,13 +265,8 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
         """Canonicalize generator/value pairs; verifies consistency."""
         vectors = [tuple(v) for v in vectors]
         rows, T, rank = _hnf_rows(vectors, True) if vectors else ((), None, 0)
-        basis_values = []
-        for i in range(rank):
-            val = ONE
-            for c, s in zip(T[i], values):
-                val = val * s ** c
-            basis_values.append(val)
-        char = cls(Lattice(n, tuple(rows[:rank])), tuple(basis_values))
+        basis_values = tuple(scalar_power(values, T[i]) for i in range(rank))
+        char = cls(Lattice(n, tuple(rows[:rank])), basis_values)
         for v, s in zip(vectors, values):
             got = char(v)
             if got != s:
@@ -328,10 +279,7 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
         coeffs = self.lattice.express(v)
         if coeffs is None:
             raise InputError("vector %r is outside the character's lattice" % (v,))
-        out = ONE
-        for c, s in zip(coeffs, self.values):
-            out = out * s ** c
-        return out
+        return scalar_power(self.values, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +403,7 @@ def extend_character(rho, M):
     diag = S.diagonal()
     Vinv = invert_unimodular([list(row) for row in S.V])
     m_rows = mat_mul(Vinv, [list(v) for v in M.basis])
-    target = []
-    for i in range(r):
-        val = ONE
-        for c, s in zip(S.U[i], rho.values):
-            val = val * s ** c
-        target.append(val)
+    target = [scalar_power(rho.values, S.U[i]) for i in range(r)]
     out = []
     for branches in itertools.product(*(range(d) for d in diag)):
         values = [target[i].root(diag[i], branches[i]) for i in range(r)]
@@ -554,18 +497,9 @@ def _fm_point(stages, nvars):
 
 def is_positive(A):
     """True when the only nonnegative rational vector in ker(A) is zero,
-    i.e. all fibers of the degree map are finite."""
-    _validate_columns(A)
-    n = len(A[0])
-    constraints = []
-    for row in A:
-        constraints.append((tuple(row), 0))
-        constraints.append((tuple(-x for x in row), 0))
-    for i in range(n):
-        constraints.append((tuple(-int(i == j) for j in range(n)), 0))
-    constraints.append(((-1,) * n, -1))
-    feasible, _ = _fm_feasible(constraints, n)
-    return not feasible
+    i.e. all fibers of the degree map are finite.  By Gordan's alternative
+    that holds exactly when some w has w . a_j > 0 on every column a_j."""
+    return positive_witness(A) is not None
 
 
 def positive_witness(A):
@@ -589,11 +523,9 @@ def fibers(A, target):
     if len(target) != len(A):
         raise InputError("target has dimension %d, matrix has %d rows"
                          % (len(target), len(A)))
-    if not is_positive(A):
-        raise NotPositiveError("degree matrix is not positive; fibers may be infinite")
     w = positive_witness(A)
     if w is None:
-        raise AssertionError("positive matrix without a positive witness")
+        raise NotPositiveError("degree matrix is not positive; fibers may be infinite")
     cols = transpose(A)
     weights = [sum(wi * x for wi, x in zip(w, col)) for col in cols]
     if any(wt < 1 for wt in weights):

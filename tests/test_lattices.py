@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from binomials.errors import (ExtensionRankError, InconsistentCharacterError,
                               InputError, NotPositiveError, NotPureError)
 from binomials import engine
 from binomials.engine import saturate_vars
-from binomials.lattices import (_basis_binomial, _degree_vector, det, hnf,
-                                invert_unimodular, mat_mul, transpose)
+from binomials.lattices import (_basis_binomial, _degree_vector, hnf, identity,
+                                invert_unimodular, mat_mul, positive_witness,
+                                transpose)
 from binomials import oracle as orc
 
 from gen import rand_lattice_vectors, rand_matrix, rng
@@ -50,8 +52,9 @@ class TestSmithNormalForm:
         S = smith_normal_form(A)
         U, D, V = [list(map(list, M)) for M in (S.U, S.D, S.V)]
         assert mat_mul(mat_mul(U, A), V) == D
-        assert abs(det(U)) == 1
-        assert abs(det(V)) == 1
+        # an integer matrix is unimodular exactly when its inverse is integral
+        assert mat_mul(invert_unimodular(U), U) == identity(len(U))
+        assert mat_mul(invert_unimodular(V), V) == identity(len(V))
         diag = [d for d in S.diagonal() if d != 0]
         assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
         assert all(d > 0 for d in diag)
@@ -60,6 +63,14 @@ class TestSmithNormalForm:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
+
+
+def _cofactor_det(A):
+    """Determinant by cofactor expansion along the first row."""
+    if not A:
+        return 1
+    return sum((-1) ** j * A[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)))
 
 
 class TestHermite:
@@ -76,6 +87,35 @@ class TestHermite:
     def test_unimodular_inverse(self):
         V = [[1, 1], [0, 1]]
         assert mat_mul(invert_unimodular(V), V) == [[1, 0], [0, 1]]
+
+    def test_inverse_of_smith_factors(self):
+        r = rng(1919)
+        for _ in range(150):
+            S = smith_normal_form(rand_matrix(r, 5, 5, 9))
+            for X in (S.U, S.V):
+                X = [list(row) for row in X]
+                inverse = invert_unimodular(X)
+                assert mat_mul(inverse, X) == identity(len(X))
+                assert mat_mul(X, inverse) == identity(len(X))
+
+    def test_non_unimodular_rejected(self):
+        for V in ([[2, 0], [0, 1]], [[1, 1], [1, 1]]):
+            with pytest.raises(AssertionError):
+                invert_unimodular(V)
+
+    def test_quotient_index_is_abs_det(self):
+        r = rng(1818)
+        checked = 0
+        while checked < 300:
+            n = r.randint(1, 4)
+            M = Lattice.from_vectors(n, rand_lattice_vectors(r, n))
+            k = M.rank
+            C = [[r.randint(-5, 5) for _ in range(k)] for _ in range(k)]
+            if k == 0 or _cofactor_det(C) == 0:
+                continue
+            L = Lattice.from_vectors(n, mat_mul(C, [list(b) for b in M.basis]))
+            assert quotient_index(L, M) == abs(_cofactor_det(C))
+            checked += 1
 
 
 class TestSaturations:
@@ -475,28 +515,41 @@ class TestPositivity:
         with pytest.raises(InputError):
             is_positive([[1, 0], [1, 0]])
 
+    @staticmethod
+    def _check_against_box(A, box):
+        """A nonnegative kernel vector in {0..box-1}^n refutes positivity; a
+        positive answer is certified by w . a_j >= 1 on every column a_j.
+        Returns (positive, found a kernel vector), or None for a rejected A."""
+        try:
+            positive = is_positive(A)
+        except InputError:
+            return None
+        n = len(A[0])
+        in_box = any(any(u) and all(sum(a * x for a, x in zip(row, u)) == 0 for row in A)
+                     for u in itertools.product(range(box), repeat=n))
+        if in_box:
+            assert not positive
+        if positive:
+            w = positive_witness(A)
+            assert all(sum(wi * a for wi, a in zip(w, col)) >= 1 for col in zip(*A))
+        return positive, in_box
+
     def test_against_bounded_search(self):
         r = rng(1616)
         for _ in range(150):
-            A = rand_matrix(r, 2, 3, 4)
-            try:
-                positive = is_positive(A)
-            except InputError:
-                continue
-            witness = None
-            cols = list(zip(*A))
-            n = len(cols)
-            import itertools
-            for u in itertools.product(range(4), repeat=n):
-                if any(u) and all(
-                        sum(c[i] * u[i] for i in range(n)) == 0
-                        for c in A):
-                    witness = u
-                    break
-            if witness is not None:
-                assert not positive
-            if positive:
-                assert witness is None
+            self._check_against_box(rand_matrix(r, 2, 3, 4), 4)
+        seen = set()
+        for cols in (5, 6):
+            for _ in range(60):
+                A = [[r.randint(-4, 4) for _ in range(cols)] for _ in range(3)]
+                seen.add(self._check_against_box(A, 3))
+        # both answers, and kernel vectors in the box, occur among the 3-row cases
+        assert {(True, False), (False, True)} <= seen
+        # Fourier-Motzkin over the 6 column variables blows up on these; the
+        # search for w runs over the 3 row variables
+        for A in ([[-2, 9, -6, 1, -9, -9], [-9, 8, -9, 3, -3, 4], [-9, 7, -2, 5, 6, 8]],
+                  [[-9, -3, 8, 8, -2, 3], [7, 2, 9, 2, 5, -1], [8, -9, 3, 7, -5, 7]]):
+            assert self._check_against_box(A, 3) == (True, False)
 
 
 class TestFibers:
@@ -525,7 +578,6 @@ class TestFibers:
                 continue
             target = [r.randint(0, 8) for _ in range(len(A))]
             got = fibers(A, target)
-            import itertools
             n = len(A[0])
             brute = sorted(
                 u for u in itertools.product(range(9), repeat=n)
