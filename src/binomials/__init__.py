@@ -10,7 +10,8 @@ from .engine import (Binomial, BinomialIdeal, ReducedGB, Term, binomial,
                      intersect_monomial, pure_part)
 from .lattices import (Lattice, PartialCharacter, SmithForm, smith_normal_form,
                        hnf, kernel_basis, saturations, is_saturated,
-                       lattice_ideal, character_of, extend_character,
+                       lattice_ideal, character_of, is_lattice_ideal,
+                       extend_character,
                        lattice_primary_decomposition, lattice_intersect,
                        toric_ideal, is_positive, fibers, quotient_index)
 from .cellular import (CellularComponent, cellular_component, is_cellular,

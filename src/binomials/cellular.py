@@ -15,6 +15,7 @@ from .engine import (BinomialIdeal, ideal_contains, ideal_equals,
                      ideal_member, ideal_sum, monomial, saturate_vars,
                      saturation)
 from .errors import InputError, UnitIdealError
+from .orders import unit
 
 
 class CellularComponent(namedtuple("CellularComponent", "delta ideal nilpotency")):
@@ -33,14 +34,9 @@ def cellular_component(I, delta, nilpotency):
     if not ideal_equals(saturate_vars(I, delta), I):
         raise InputError("ideal is not saturated at its delta variables")
     for i, d in nilpotency:
-        power = tuple(d if j == i else 0 for j in range(I.n))
-        if not ideal_member(monomial(power), I):
+        if not ideal_member(monomial(unit(I.n, i, d)), I):
             raise InputError("X_%d^%d is not in the ideal" % (i, d))
     return CellularComponent(delta, I, nilpotency)
-
-
-def _unit_var(n, i, power=1):
-    return tuple(power if j == i else 0 for j in range(n))
 
 
 def _classify(I):
@@ -50,7 +46,7 @@ def _classify(I):
     that is not nilpotent, split as I = (I : X_i^d) n (I + <X_i^d>)."""
     delta, nilpotency = set(), {}
     for i in range(I.n):
-        d, sat = saturation(I, _unit_var(I.n, i))
+        d, sat = saturation(I, unit(I.n, i))
         if d == 0:
             delta.add(i)
         elif sat.is_unit():
@@ -95,7 +91,7 @@ def cellular_decompose(I, prune_components=False):
             out.append(component)
             continue
         i, d, left = offender
-        power = monomial(_unit_var(J.n, i, d))
+        power = monomial(unit(J.n, i, d))
         right = ideal_sum(J, BinomialIdeal(J.names, (power,)))
         if ideal_equals(left, J):
             raise AssertionError("colon branch did not grow")

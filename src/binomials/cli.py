@@ -19,7 +19,7 @@ from . import lattices as lat
 from . import mesoprimary as meso
 from .cellular import as_cellular, cellular_decompose, is_cellular
 from .errors import InputError, NotMesoprimaryError, Refusal
-from .orders import elim as elim_order
+from .orders import elim as elim_order, unit
 from .parsing import (binomial_json, check_names, ideal_text, monomial_str,
                       parse_binomial, parse_input, parse_matrix_literal,
                       parse_order, parse_scalar, parse_single_term)
@@ -205,9 +205,8 @@ def cmd_pure_part(args):
     out = eng.pure_part(I, lambdas)
     _emit_ideal(out, args)
     # the augmentation ideal <X_i - lambda_i>
-    unit = [tuple(1 if j == i else 0 for j in range(I.n)) for i in range(I.n)]
-    aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(e, (0,) * I.n, lam)
-                                           for e, lam in zip(unit, lambdas)))
+    aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(unit(I.n, i), (0,) * I.n, lam)
+                                           for i, lam in enumerate(lambdas)))
     _oracle_check(args, out, [I, aug], lambda orc, g, a: orc.rational_intersect(g, a, I.n))
 
 
@@ -307,7 +306,7 @@ def cmd_meso_primary_decomp(args):
 def cmd_lattice_decomp(args):
     I = _get_ideal(args)
     rho = lat.character_of(I)
-    if not cg._is_lattice_ideal(I):
+    if not lat.is_lattice_ideal(I):
         raise Refusal("ideal is not a lattice ideal; lattice decomposition "
                       "needs a pure variable-saturated ideal")
     components = [c for _, c in lat.lattice_primary_decomposition(rho, I.names)]

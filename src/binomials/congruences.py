@@ -19,12 +19,13 @@ from collections import namedtuple
 from .cellular import is_cellular
 from .engine import (BinomialIdeal, Term, colon_monomial, eliminate,
                      ideal_equals, ideal_member, ideal_sum, monomial,
-                     normal_form, saturate_vars, saturation)
+                     normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
-from .lattices import character_of, is_saturated, lattice_ideal, lattice_intersect
+from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
+                       is_saturated, lattice_ideal, lattice_intersect)
 from .mesoprimary import is_mesoprime, is_mesoprimary
-from .orders import e_add, e_deg, zero
+from .orders import e_add, e_deg, unit, zero
 from .parsing import monomial_str
 from .scalars import ONE
 
@@ -46,13 +47,6 @@ class _Nil:
 NIL = _Nil()
 
 
-def _is_lattice_ideal(I):
-    gb = I.groebner()
-    if any(b.is_monomial for b in gb.elements):
-        return False
-    return ideal_equals(saturate_vars(I, range(I.n)), I)
-
-
 class Congruence:
     """View of the relation ~ induced by a binomial ideal on N^n."""
 
@@ -67,7 +61,7 @@ def congruence(I):
     if I.is_unit():
         raise UnitIdealError("the unit ideal induces no congruence")
     gb = I.groebner()
-    maximal = any(b.is_monomial for b in gb.elements) or _is_lattice_ideal(I)
+    maximal = any(b.is_monomial for b in gb.elements) or is_lattice_ideal(I)
     return Congruence(I, maximal)
 
 
@@ -91,8 +85,7 @@ def _is_nil(c, u):
     own = class_id(c, u)
     if own == class_id(c, zero(n)):
         return False
-    return all(class_id(c, e_add(u, tuple(1 if j == i else 0 for j in range(n)))) == own
-               for i in range(n))
+    return all(class_id(c, e_add(u, unit(n, i))) == own for i in range(n))
 
 
 ElementFlags = namedtuple("ElementFlags", "nil nilpotent cancellable partly_cancellable")
@@ -112,9 +105,11 @@ def classify_element(c, u):
     u = tuple(u)
     I = c.ideal
     nil = _is_nil(c, u)
-    d, sat = saturation(I, u)
-    nilpotent = any(u) and sat.is_unit()
-    cancellable = d == 0
+    quotient = colon_monomial(I, u)
+    # X^u is nilpotent when I : (X^u)^infinity, the saturation at the
+    # support of u, is the unit ideal
+    nilpotent = any(u) and saturate_vars(I, [i for i, x in enumerate(u) if x]).is_unit()
+    cancellable = ideal_equals(quotient, I)
     if cancellable or nil:
         # nil sums are all the absorbing class, so the defining implication
         # a + b = a + c != nil => b = c holds vacuously
@@ -125,8 +120,7 @@ def classify_element(c, u):
             raise NotPrimaryError(
                 "partly-cancellable test needs a primary congruence "
                 "(cellular ideal)")
-        partly = ideal_equals(eliminate(colon_monomial(I, u), delta),
-                              eliminate(I, delta))
+        partly = ideal_equals(eliminate(quotient, delta), eliminate(I, delta))
     return ElementFlags(nil, nilpotent, cancellable, partly)
 
 
@@ -144,7 +138,7 @@ def classify_congruence(c):
     meso = is_mesoprime(I)
     ok, witness = is_mesoprimary(I)
     flags = CongruenceFlags(
-        cancellative=_is_lattice_ideal(I),
+        cancellative=meso is not None and len(meso.delta) == I.n,  # lattice ideal
         prime=meso is not None,
         primary=ok or witness is not None,  # cellular
         mesoprimary=ok,
@@ -182,7 +176,7 @@ def maximal_ideal(J, bound=None):
     gb = J.groebner()
     if any(b.is_monomial for b in gb.elements):
         return J, True
-    if _is_lattice_ideal(J):
+    if is_lattice_ideal(J):
         return J, True
     if bound is None:
         maxdeg = max((max(e_deg(b.lead), e_deg(b.trail)) for b in gb.elements),
@@ -236,7 +230,7 @@ def quotient_table(c, max_classes):
     reached as classes[k] + e_i with k < j.  A congruence is compatible with
     addition, so table[a][0] = a and table[a][j] = step[table[a][k]][i]."""
     n = c.ideal.n
-    generators = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    generators = [unit(n, i) for i in range(n)]
     start = class_id(c, zero(n))
     classes = [start]
     index = {start: 0}
@@ -296,7 +290,7 @@ def cancellative_intersect(c1, c2):
     """The intersection congruence of two cancellative congruences: the
     congruence of the lattice-intersection ideal."""
     for c in (c1, c2):
-        if not _is_lattice_ideal(c.ideal):
+        if not is_lattice_ideal(c.ideal):
             raise NotCancellativeError(
                 "congruence intersection is only constructed for "
                 "cancellative congruences (lattice ideals)")
@@ -305,7 +299,6 @@ def cancellative_intersect(c1, c2):
     L1 = character_of(c1.ideal).lattice
     L2 = character_of(c2.ideal).lattice
     L = lattice_intersect(L1, L2)
-    from .lattices import PartialCharacter
     I = lattice_ideal(PartialCharacter.trivial(L), c1.ideal.names)
     return Congruence(I, True)
 

@@ -17,8 +17,8 @@ last (Bayer-Stillman), the saturation exponent is the largest X_i-degree
 of a lead of the same GB, and _h = 1 maps the result back.  That map is
 one-to-one on homogeneous ideals that _h is a nonzerodivisor on, a class
 that every colon by X_i stays in, so the colon chain of I stops at the
-same exponent as that of its homogenization.  A saturation by a monomial
-in several variables runs the colon chain.
+same exponent as that of its homogenization.  A saturation at several
+variables takes them one at a time (``saturate_vars``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from .errors import InputError, NonBinomialOperationError, PurePartError
 from .orders import (e_add, e_deg, e_divides, e_lcm, e_sub, elim, grevlex,
-                     zero, GT, LT)
+                     unit, zero, GT, LT)
 from .scalars import ONE
 
 
@@ -376,28 +376,25 @@ def colon(I, divisor):
 
 
 def saturation(I, u):
-    """(d, I : (X^u)^infinity), d the least exponent with
+    """(d, I : (X^u)^infinity) for X^u = X_i^k, d the least exponent with
     I : X^(d*u) = I : X^((d+1)*u); from there the colon chain is constant,
     so the saturation is I : X^(d*u).  d = 0 exactly when X^u is a
     nonzerodivisor, and a unit saturation makes d the least exponent with
-    X^(d*u) in I.  For a u of one variable X_i the whole chain is read off
-    one revlex GB of the homogenized ideal; a u of several variables runs
-    the colon chain.
+    X^(d*u) in I.  The whole chain is read off one revlex GB of the
+    homogenized ideal.  u = 0 gives (0, I); a u of several variables is
+    refused (``saturate_vars`` saturates at a set of variables).
     """
     u = _check_exponent(I, u)
     support = [i for i, x in enumerate(u) if x]
-    if len(support) == 1:
-        i = support[0]
-        H0 = _homogenize(I)
-        top, H = _colon_var(H0, i, None)
-        return -(-top // u[i]), _dehomogenize(I, H0, H)
-    d, current = 0, I
-    while support:
-        step = colon_monomial(current, u)
-        if ideal_equals(step, current):
-            break
-        d, current = d + 1, step
-    return d, current
+    if not support:
+        return 0, I
+    if len(support) > 1:
+        raise InputError("saturation takes a power of one variable; got %d "
+                         "variables" % len(support))
+    i = support[0]
+    H0 = _homogenize(I)
+    top, H = _colon_var(H0, i, None)
+    return -(-top // u[i]), _dehomogenize(I, H0, H)
 
 
 def saturate_vars(I, sigma):
@@ -473,7 +470,7 @@ def _divide_out(gb, i, k):
     for g in gb.elements:
         m = min(k, g.lead[i])
         if m:
-            shift = tuple(m if j == i else 0 for j in range(len(g.lead)))
+            shift = unit(len(g.lead), i, m)
             trail = None if g.trail is None else e_sub(g.trail, shift)
             g = Binomial(e_sub(g.lead, shift), trail, g.coeff)
         out.append(g)
@@ -536,8 +533,7 @@ def pure_part(I, lambdas):
                 "X^%r - %s X^%r" % (b.lead, b.coeff, b.trail))
     gens = [_lift(b) for b in pure]                              # A
     for i, lam in enumerate(lambdas):                            # T*(X_i - lam_i)
-        e_i = tuple(1 if j == i else 0 for j in range(I.n))
-        gens.append(binomial(e_i + (1,), zero(I.n) + (1,), lam))
+        gens.append(binomial(unit(I.n, i) + (1,), zero(I.n) + (1,), lam))
     for m in mono:                                               # (1-T)*X^m
         gens.append(binomial(m.lead + (0,), m.lead + (1,)))
     return _aux_eliminate(I.names, gens)

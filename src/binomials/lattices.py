@@ -16,9 +16,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import BinomialIdeal, binomial, saturate_vars, scalar_power
+from .engine import (BinomialIdeal, binomial, ideal_equals, saturate_vars,
+                     scalar_power)
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
+from .orders import e_sub
 from .scalars import ONE
 
 
@@ -368,17 +370,25 @@ def lattice_ideal(rho, names):
 
 
 def character_of(I):
-    """The unique rho with I : (prod X_i)^infty = I_L(rho), for pure I."""
-    gb = I.groebner()
-    if any(b.is_monomial for b in gb.elements):
-        raise NotPureError("ideal contains a monomial; no lattice character exists")
-    sat = saturate_vars(I, range(I.n))
-    elements = sat.groebner().elements
+    """The unique rho with I : (prod X_i)^infty = I_L(rho), for pure I.
+
+    L is spanned by the exponent differences of any binomial basis of I,
+    with rho(a - b) = c on each X^a - c X^b (Eisenbud-Sturmfels, Cor. 2.5),
+    so the reduced basis is read as it is.  A reduced basis without a
+    monomial means I holds no monomial, so the saturation is proper and
+    the values are consistent."""
+    elements = I.groebner().elements
     if any(b.is_monomial for b in elements):
-        raise NotPureError("saturation produced a monomial; ideal is not pure")
-    vectors = [tuple(a - b for a, b in zip(e.lead, e.trail)) for e in elements]
-    values = [e.coeff for e in elements]
-    return PartialCharacter.from_generators(I.n, vectors, values)
+        raise NotPureError("ideal contains a monomial; no lattice character exists")
+    vectors = [e_sub(e.lead, e.trail) for e in elements]
+    return PartialCharacter.from_generators(I.n, vectors, [e.coeff for e in elements])
+
+
+def is_lattice_ideal(I):
+    """True when I is pure and saturated at every variable, I = I_L(rho)."""
+    if any(b.is_monomial for b in I.groebner().elements):
+        return False
+    return ideal_equals(saturate_vars(I, range(I.n)), I)
 
 
 def extend_character(rho, M):

@@ -16,10 +16,11 @@ from collections import namedtuple
 
 from .cellular import as_cellular
 from .engine import (BinomialIdeal, colon_monomial, eliminate, ideal_equals,
-                     ideal_member, ideal_sum, monomial, saturate_vars)
+                     ideal_member, ideal_sum, monomial)
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
-from .lattices import (PartialCharacter, character_of, is_saturated,
+from .lattices import (Lattice, PartialCharacter, character_of, is_saturated,
                        lattice_ideal, lattice_primary_decomposition)
+from .orders import unit
 
 
 class Mesoprime(namedtuple("Mesoprime", "names delta character")):
@@ -30,7 +31,7 @@ class Mesoprime(namedtuple("Mesoprime", "names delta character")):
     def ideal(self):
         """Materialize as I_L(rho) + <X_j : j not in delta>."""
         base = lattice_ideal(self.character, self.names)
-        extra = [monomial(tuple(1 if j == i else 0 for j in range(len(self.names))))
+        extra = [monomial(unit(len(self.names), i))
                  for i in sorted(set(range(len(self.names))) - self.delta)]
         return ideal_sum(base, BinomialIdeal(self.names, tuple(extra)))
 
@@ -50,8 +51,7 @@ def mesoprime(names, delta, character):
     m = Mesoprime(tuple(names), delta, character)
     I = m.ideal()
     for i in sorted(delta):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        if not ideal_equals(colon_monomial(I, e_i), I):
+        if not ideal_equals(colon_monomial(I, unit(n, i)), I):
             raise InputError("variable %d is a zerodivisor; not mesoprime" % i)
     return m
 
@@ -59,10 +59,8 @@ def mesoprime(names, delta, character):
 def _delta_character(I, delta):
     """Character of the delta part (I n k[delta vars]) of a cellular ideal."""
     if not delta:
-        from .lattices import Lattice
-        return PartialCharacter.trivial(Lattice.from_vectors(I.n, []))
-    part = eliminate(I, delta)
-    return character_of(part)
+        return PartialCharacter.trivial(Lattice(I.n, ()))
+    return character_of(eliminate(I, delta))
 
 
 def _standard_monomials(component):
@@ -124,23 +122,18 @@ def is_mesoprimary(I):
 
 
 def is_mesoprime(I):
-    """The Mesoprime structure when I = I_L(rho) + p_deltac, else None."""
-    gb = I.groebner()
-    if gb.is_unit():
+    """The Mesoprime structure when I = I_L(rho) + p_deltac, else None.
+
+    A delta-mesoprime is a delta-cellular ideal that holds its nilpotent
+    variables: then I = (I n k[delta vars]) + <X_j : j not in delta>, and
+    the delta part, saturated at its variables and free of monomials, is a
+    lattice ideal, so I equals its cellular radical."""
+    if I.is_unit():
         return None
-    n = I.n
-    delta = set(range(n))
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        if ideal_member(monomial(e_i), I):
-            delta.discard(i)
-    part = eliminate(I, delta) if delta else BinomialIdeal(I.names, ())
-    if any(b.is_monomial for b in part.groebner().elements):
+    component = as_cellular(I)
+    if component is None or any(d != 1 for _, d in component.nilpotency):
         return None
-    if not ideal_equals(saturate_vars(part, range(n)), part):
-        return None
-    candidate = Mesoprime(I.names, frozenset(delta), character_of(part))
-    return candidate if ideal_equals(candidate.ideal(), I) else None
+    return cellular_radical(component)
 
 
 def is_prime(I):

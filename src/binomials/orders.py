@@ -40,6 +40,11 @@ def zero(n):
     return (0,) * n
 
 
+def unit(n, i, k=1):
+    """The exponent of X_i^k in n variables."""
+    return tuple(k if j == i else 0 for j in range(n))
+
+
 class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",
                                defaults=(None, None, None))):
     """``kind`` is "lex", "grevlex" or "elim"; ``perm`` the variable priority,

@@ -263,9 +263,6 @@ class Scalar(namedtuple("Scalar", "torsion primes")):
     def is_one(self):
         return self.torsion == 0 and not self.primes
 
-    def is_minus_one(self):
-        return self.torsion == Fraction(1, 2) and not self.primes
-
     def is_rational(self):
         return (self.torsion in (Fraction(0), Fraction(1, 2))
                 and all(e.denominator == 1 for _, e in self.primes))

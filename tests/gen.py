@@ -121,6 +121,20 @@ def rand_artinian_ideal(r, rational=True):
     return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
 
 
+def rand_mixed_ideal(r, n=3, maxdeg=4):
+    """One of the ideals above, its kind drawn at random: ungraded with
+    rational or root-of-unity coefficients, graded with roots of unity and
+    prime powers, or Artinian with either."""
+    kind = r.randrange(4)
+    if kind == 0:
+        return rand_ideal(r, n, maxdeg=maxdeg, rational=r.random() < 0.5)
+    if kind == 1:
+        return rand_graded_ideal(r, n, maxdeg=maxdeg, rational=False)
+    if kind == 2:
+        return rand_artinian_ideal(r, rational=r.random() < 0.5)
+    return rand_ideal(r, n, maxdeg=maxdeg, rational=False, allow_monomial=False)
+
+
 def rand_matrix(r, max_rows=6, max_cols=6, bound=20):
     rows = r.randint(1, max_rows)
     cols = r.randint(1, max_cols)

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial, colon,
-                       colon_monomial, elim, eliminate, grevlex, ideal,
-                       ideal_contains, ideal_equals, ideal_member, ideal_sum,
-                       intersect, intersect_monomial, lex, monomial,
+from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial,
+                       cellular_decompose, classify_element, colon,
+                       colon_monomial, congruence, elim, eliminate, grevlex,
+                       ideal, ideal_contains, ideal_equals, ideal_member,
+                       ideal_sum, intersect, intersect_monomial, lex, monomial,
                        normal_form, project_ideal, pure_part, saturate_vars,
                        saturation)
 from binomials import engine
 from binomials.engine import _aux_eliminate, _lift, _nf_exponent
-from binomials.orders import e_add, e_divides, e_lcm, e_sub
+from binomials.orders import e_add, e_divides, e_lcm, e_sub, unit
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
 from binomials import oracle as orc
@@ -232,30 +233,26 @@ class TestSaturate:
             assert ideal_contains(S, I)
 
 
-def unit_power(n, i, k):
-    return tuple(k if j == i else 0 for j in range(n))
-
-
 def check_saturation_per_variable(I, oracle):
     """The exponent and ideal that saturation(I, e_i) returns, per variable."""
     for i in range(I.n):
-        d, sat = saturation(I, unit_power(I.n, i, 1))
-        assert (d == 0) == ideal_equals(colon_monomial(I, unit_power(I.n, i, 1)), I)
+        d, sat = saturation(I, unit(I.n, i, 1))
+        assert (d == 0) == ideal_equals(colon_monomial(I, unit(I.n, i, 1)), I)
         assert ideal_equals(sat, saturate_vars(I, [i]))
-        assert ideal_equals(sat, colon_monomial(I, unit_power(I.n, i, d)))
+        assert ideal_equals(sat, colon_monomial(I, unit(I.n, i, d)))
         if sat.is_unit() and not I.is_unit():
             # the chain stops exactly at the nilpotency exponent of X_i
-            assert ideal_member(monomial(unit_power(I.n, i, d)), I)
-            assert not ideal_member(monomial(unit_power(I.n, i, d - 1)), I)
+            assert ideal_member(monomial(unit(I.n, i, d)), I)
+            assert not ideal_member(monomial(unit(I.n, i, d - 1)), I)
         if oracle:
             gens = orc.from_binomial_ideal(I)
             got = orc.from_binomial_ideal(sat)
             for k in (d, d + 1):
                 assert orc.ideal_equal(orc.rational_colon_poly(
-                    gens, orc.poly([(unit_power(I.n, i, k), 1)]), I.n), got)
+                    gens, orc.poly([(unit(I.n, i, k), 1)]), I.n), got)
             if d:
                 assert not orc.ideal_equal(orc.rational_colon_poly(
-                    gens, orc.poly([(unit_power(I.n, i, d - 1), 1)]), I.n), got)
+                    gens, orc.poly([(unit(I.n, i, d - 1), 1)]), I.n), got)
 
 
 class TestSaturation:
@@ -284,13 +281,14 @@ class TestSaturation:
             check_saturation_per_variable(rand_ideal(r, rational=False), oracle=False)
 
     def test_by_a_monomial(self):
-        # I : (X^u)^infinity is the saturation at the support of u
+        # I : (X^u)^infinity, the end of the colon chain of X^u, is the
+        # saturation at the support of u
         r = rng(608)
         for _ in range(20):
             I = rand_ideal(r)
             u = rand_exponent(r, 3, 3)
-            d, sat = saturation(I, u)
-            assert ideal_equals(sat, saturate_vars(I, [i for i, x in enumerate(u) if x]))
+            d, sat = reference_saturation(I, u)
+            assert elements(saturate_vars(I, support(u))) == elements(sat), (I, u)
             assert (d == 0) == ideal_equals(colon_monomial(I, u), I)
 
     def test_zero_exponent(self, um_ideal):
@@ -299,6 +297,34 @@ class TestSaturation:
     def test_rejects_wrong_dimension(self, um_ideal):
         with pytest.raises(InputError):
             saturation(um_ideal, (1, 0, 0))
+
+    def test_rejects_several_variables(self, um_ideal):
+        with pytest.raises(InputError):
+            saturation(um_ideal, (1, 1))
+        with pytest.raises(InputError):
+            saturation(um_ideal, (2, 3))
+
+    def test_classify_element_matches_the_chain(self):
+        # X^u is cancellable when its colon chain stops at once and
+        # nilpotent when the chain ends at the unit ideal; cellular
+        # components give maximal congruences that classify every element,
+        # and each of their variables is one or the other
+        r = rng(609)
+        seen = set()
+        for trial in range(30):
+            I = rand_ideal(r, maxdeg=4, rational=trial % 2 == 0)
+            if I.is_unit():
+                continue
+            for component in cellular_decompose(I):
+                c = congruence(component.ideal)
+                for _ in range(4):
+                    u = rand_exponent(r, I.n, 3)
+                    flags = classify_element(c, u)
+                    d, sat = reference_saturation(component.ideal, u)
+                    assert flags.cancellable == (d == 0), (component.ideal, u)
+                    assert flags.nilpotent == (any(u) and sat.is_unit()), (component.ideal, u)
+                    seen.add((flags.cancellable, flags.nilpotent))
+        assert seen == {(True, False), (False, True)}
 
 
 # References that share no code with the revlex path: I : X^u from
@@ -340,6 +366,10 @@ def elements(I):
     return I.groebner().elements
 
 
+def support(u):
+    return [i for i, x in enumerate(u) if x]
+
+
 @pytest.fixture
 def orders(monkeypatch):
     """The order of every GB computed while the test runs."""
@@ -361,16 +391,15 @@ class TestOnePath:
             I = KINDS[kind](r, trial % 2 == 0)
             for i in range(I.n):
                 for k in (1, 2):
-                    u = unit_power(I.n, i, k)
+                    u = unit(I.n, i, k)
                     d, sat = saturation(I, u)
                     d_ref, sat_ref = reference_saturation(I, u)
                     assert (d, elements(sat)) == (d_ref, elements(sat_ref)), (I, u)
             u = rand_exponent(r, I.n, 4)
             assert elements(colon_monomial(I, u)) == elements(reference_colon(I, u)), (I, u)
-            u = tuple(x + 1 for x in rand_exponent(r, I.n, 2))
-            d, sat = saturation(I, u)
-            d_ref, sat_ref = reference_saturation(I, u)
-            assert (d, elements(sat)) == (d_ref, elements(sat_ref)), (I, u)
+            u = rand_exponent(r, I.n, 4)
+            assert (elements(saturate_vars(I, support(u)))
+                    == elements(reference_saturation(I, u)[1])), (I, u)
             assert (elements(saturate_vars(I, range(I.n)))
                     == elements(reference_saturation(I, (1,) * I.n)[1])), I
 
@@ -384,7 +413,8 @@ class TestOnePath:
         for _ in range(10):
             I = KINDS[kind](r, False)
             saturate_vars(I, range(I.n))
-            saturation(I, tuple(x + 1 for x in rand_exponent(r, I.n, 2)))
+            saturate_vars(I, support(rand_exponent(r, I.n, 2)))
+            saturation(I, unit(I.n, r.randrange(I.n), r.randint(1, 3)))
             colon_monomial(I, rand_exponent(r, I.n, 3))
         assert orders and all(order.kind == "grevlex" for order in orders)
 
@@ -401,9 +431,9 @@ class TestOnePathCases:
     ], ids=["X-1", "X^2Y-X", "unmixed", "XY-zeta3"])
     def test_no_elimination_order(self, I, orders):
         for i in range(I.n):
-            saturation(I, unit_power(I.n, i, 1))
-            colon_monomial(I, unit_power(I.n, i, 2))
-        saturation(I, (1,) * I.n)
+            saturation(I, unit(I.n, i, 1))
+            colon_monomial(I, unit(I.n, i, 2))
+        colon_monomial(I, (1,) * I.n)
         saturate_vars(I, range(I.n))
         assert orders and all(order.kind == "grevlex" for order in orders)
 
@@ -430,7 +460,7 @@ class TestOnePathCases:
             I = rand_graded_ideal(r, maxdeg=5) if trial % 2 else rand_ideal(r, maxdeg=4)
             gens = orc.from_binomial_ideal(I)
             for k in range(4):
-                u = unit_power(I.n, 0, k)
+                u = unit(I.n, 0, k)
                 assert orc.ideal_equal(orc.from_binomial_ideal(colon_monomial(I, u)),
                                        orc.rational_colon_poly(gens, orc.poly([(u, 1)]), I.n))
 

@@ -20,7 +20,7 @@ from binomials.lattices import (_basis_binomial, _degree_vector, hnf, identity,
                                 transpose)
 from binomials import oracle as orc
 
-from gen import rand_lattice_vectors, rand_matrix, rng
+from gen import rand_lattice_vectors, rand_matrix, rand_mixed_ideal, rng
 
 XY = ("X", "Y")
 ONE = Scalar.one()
@@ -248,6 +248,28 @@ class TestCharacterOf:
     def test_monomial_rejected(self):
         with pytest.raises(NotPureError):
             character_of(ideal(XY, [monomial((1, 0))]))
+
+    def test_against_the_saturation(self):
+        # on pure ideals, saturated or not, the character read off the
+        # reduced basis is the one read off I : (X_1 ... X_n)^infinity;
+        # coefficients are rational, roots of unity and prime powers
+        r = rng(1818)
+        pure = unsaturated = 0
+        for _ in range(300):
+            I = rand_mixed_ideal(r)
+            if any(b.is_monomial for b in I.groebner().elements):
+                with pytest.raises(NotPureError):
+                    character_of(I)
+                continue
+            sat = saturate_vars(I, range(I.n))
+            elements = sat.groebner().elements
+            want = PartialCharacter.from_generators(
+                I.n, [tuple(a - b for a, b in zip(e.lead, e.trail)) for e in elements],
+                [e.coeff for e in elements])
+            assert character_of(I) == want, I
+            pure += 1
+            unsaturated += not ideal_equals(sat, I)
+        assert pure >= 80 and unsaturated >= 40, (pure, unsaturated)
 
     def test_round_trip(self):
         r = rng(1212)

@@ -1,16 +1,18 @@
 import pytest
 
-from binomials import (Scalar, as_cellular, associated_mesoprimes, binomial,
-                       cellular_decompose, cellular_radical, eliminate,
+from binomials import (BinomialIdeal, Mesoprime, Scalar, as_cellular,
+                       associated_mesoprimes, binomial, cellular_decompose,
+                       cellular_radical, character_of, eliminate,
                        colon_monomial, ideal, ideal_contains, ideal_equals,
-                       is_cellular, is_mesoprime,
+                       ideal_member, ideal_sum, is_cellular, is_mesoprime,
                        is_mesoprimary, is_prime, mesoprime,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
 from binomials.errors import InputError, NotMesoprimaryError, UnitIdealError
+from binomials.orders import unit
 from binomials import oracle as orc
 
-from gen import rand_ideal, rng
+from gen import rand_ideal, rand_mixed_ideal, rng
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -106,6 +108,37 @@ class TestIsMesoprime:
         L = Lattice.from_vectors(2, [(1, 1)])  # not inside Z^{delta}
         with pytest.raises(InputError):
             mesoprime(XY, {0}, PartialCharacter.trivial(L))
+
+    def test_against_the_definition(self):
+        # random ideals with rational, root-of-unity and prime-power
+        # coefficients, half of them with some X_j or X_j^2 added so that
+        # mesoprimes and nilpotency exponents of 2 both occur often
+        r = rng(1717)
+        found = {True: 0, False: 0}
+        for _ in range(300):
+            I = rand_mixed_ideal(r)
+            if r.random() < 0.5:
+                extra = [monomial(unit(I.n, i, r.choice((1, 1, 2))))
+                         for i in range(I.n) if r.random() < 0.4]
+                I = ideal_sum(I, BinomialIdeal(I.names, tuple(extra)))
+            m = is_mesoprime(I)
+            assert m == reference_is_mesoprime(I), I
+            found[m is not None] += 1
+        assert min(found.values()) >= 80, found
+
+
+def reference_is_mesoprime(I):
+    """The definition: delta is the variables outside I, and I equals
+    I_L(rho) + <X_j : j not in delta> for rho the character of its delta
+    part."""
+    if I.is_unit():
+        return None
+    delta = frozenset(i for i in range(I.n) if not ideal_member(monomial(unit(I.n, i)), I))
+    part = eliminate(I, delta)
+    if any(b.is_monomial for b in part.groebner().elements):
+        return None
+    candidate = Mesoprime(I.names, delta, character_of(part))
+    return candidate if ideal_equals(candidate.ideal(), I) else None
 
 
 class TestIsPrime:
