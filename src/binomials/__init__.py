@@ -22,8 +22,8 @@ from .mesoprimary import (Mesoprime, mesoprime, associated_mesoprimes,
 from .congruences import (NIL, Congruence, congruence, class_id, related,
                           classify_element, classify_congruence, maximal_ideal,
                           QuotientTable, quotient_table, rees_ideal,
-                          cancellative_intersect, intersection_related,
-                          table_text, table_json)
+                          cancellative_intersect, intersection_related)
+from .parsing import table_text, table_json
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

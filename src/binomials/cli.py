@@ -9,7 +9,6 @@ precondition), 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -20,19 +19,23 @@ from . import mesoprimary as meso
 from .cellular import as_cellular, cellular_decompose, is_cellular
 from .errors import InputError, NotMesoprimaryError, Refusal
 from .orders import elim as elim_order, unit
-from .parsing import (binomial_json, check_names, ideal_text, monomial_str,
-                      parse_binomial, parse_input, parse_matrix_literal,
-                      parse_order, parse_scalar, parse_single_term)
+from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
+                      monomial_str, parse_binomial, parse_input,
+                      parse_matrix_literal, parse_order, parse_scalar,
+                      parse_single_term, table_json, table_text)
 
 
 def _read_session(args):
-    if args.file and args.file != "-":
-        with open(args.file) as handle:
-            text = handle.read()
-    elif not sys.stdin.isatty():
-        text = sys.stdin.read()
-    else:
-        raise InputError("no input: pass a file or pipe a session on stdin")
+    try:
+        if args.file and args.file != "-":
+            with open(args.file) as handle:
+                text = handle.read()
+        elif not sys.stdin.isatty():
+            text = sys.stdin.read()
+        else:
+            raise InputError("no input: pass a file or pipe a session on stdin")
+    except UnicodeDecodeError as exc:
+        raise InputError("input is not text: %s" % exc) from None
     return parse_input(text)
 
 
@@ -48,7 +51,7 @@ def _get_matrix(args, session=None):
     if _is_matrix_literal(args.matrix):
         return parse_matrix_literal(args.matrix)
     session = session or _read_session(args)
-    return session.only_matrix(args.matrix)
+    return session.named("matrix", args.matrix)
 
 
 def _at_least_one(args, *flags):
@@ -63,50 +66,53 @@ def _order(args, names):
     return parse_order(args.order, names) if args.order else None
 
 
+def _listed(spec):
+    """The entries of a comma- or space-separated flag value."""
+    return spec.replace(",", " ").split()
+
+
 def _keep_indices(spec, names):
-    listed = [s.strip() for s in spec.replace(",", " ").split()]
-    out = []
-    for s in listed:
+    for s in _listed(spec):
         if s not in names:
             raise InputError("unknown variable %r" % s)
-        out.append(names.index(s))
-    return sorted(set(out))
+    return sorted({names.index(s) for s in _listed(spec)})
 
 
 def _var_list(names, indices):
     return ",".join(names[i] for i in sorted(indices))
 
 
-def _emit_ideal(I, args, order=None, extra=None):
+def _emit(args, payload, lines):
+    """Print a result: with --json, ``payload()`` as one line of JSON with
+    sorted keys, otherwise each of ``lines()``.  Both are functions, so only
+    the form printed is built; json is imported only when it is used."""
     if args.json:
-        gb = I.groebner(order)
-        payload = {
-            "ring": list(I.names),
-            "generators": [binomial_json(b, I.names) for b in
-                           sorted(gb.elements, key=lambda b: gb.order.key(b.lead),
-                                  reverse=True)],
-        }
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload, sort_keys=True))
+        import json
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in ideal_text(I, order):
+        for line in lines():
             print(line)
+
+
+def _indented(blocks):
+    """Text lines of ``(header, lines)`` blocks, each line indented."""
+    for header, lines in blocks:
+        yield header
+        for line in lines:
+            yield "  " + line
+
+
+def _emit_ideal(args, I, order=None):
+    _emit(args, lambda: ideal_json(I, order), lambda: ideal_text(I, order))
 
 
 def _emit_parts(args, key, parts):
     """Print ``(header, ideal, extra JSON fields)`` parts: each header and its
     indented basis, or with --json one object listing the parts under ``key``."""
-    if args.json:
-        payload = [dict(extra, generators=[binomial_json(b, J.names)
-                                           for b in J.groebner().elements])
-                   for _, J, extra in parts]
-        print(json.dumps({key: payload}, sort_keys=True))
-    else:
-        for header, J, _ in parts:
-            print(header)
-            for line in ideal_text(J):
-                print("  " + line)
+    _emit(args, lambda: {key: [dict(extra, generators=[binomial_json(b, J.names)
+                                                       for b in J.groebner().elements])
+                               for _, J, extra in parts]},
+          lambda: _indented((header, ideal_text(J)) for header, J, _ in parts))
 
 
 def _oracle_check(args, target, sources, construct):
@@ -136,7 +142,7 @@ def _oracle_check(args, target, sources, construct):
 def cmd_gb(args):
     I = _get_ideal(args)
     order = _order(args, I.names)
-    _emit_ideal(I, args, order)
+    _emit_ideal(args, I, order)
     result = eng.BinomialIdeal(I.names, I.groebner(order).elements)
     _oracle_check(args, result, [I], lambda orc, g: g)
 
@@ -145,19 +151,13 @@ def cmd_nf(args):
     I = _get_ideal(args)
     order = _order(args, I.names)
     coeff, exponent = parse_single_term(args.term, I.names)
-    gb = I.groebner(order)
-    nf = eng.normal_form(eng.Term(coeff, exponent), gb)
-    if args.json:
-        print(json.dumps({"zero": nf is None,
-                          "term": None if nf is None else {
-                              "coeff": str(nf.coeff),
-                              "exponent": list(nf.exponent)}}, sort_keys=True))
-    else:
-        if nf is None:
-            print("0")
-        else:
-            c = "" if nf.coeff.is_one() else "%s*" % (nf.coeff,)
-            print("%s%s" % (c, monomial_str(nf.exponent, I.names)))
+    nf = eng.normal_form(eng.Term(coeff, exponent), I.groebner(order))
+    if nf is None:
+        return _emit(args, lambda: {"zero": True, "term": None}, lambda: ["0"])
+    c = "" if nf.coeff.is_one() else "%s*" % (nf.coeff,)
+    _emit(args, lambda: {"zero": False, "term": {"coeff": str(nf.coeff),
+                                                 "exponent": nf.exponent}},
+          lambda: [c + monomial_str(nf.exponent, I.names)])
 
 
 def cmd_eliminate(args):
@@ -166,7 +166,7 @@ def cmd_eliminate(args):
     if not keep:
         raise InputError("--keep must name at least one variable")
     out = eng.eliminate(I, keep)
-    _emit_ideal(out, args)
+    _emit_ideal(args, out)
     block = [i for i in range(I.n) if i not in keep]
 
     def kept(orc, gens):
@@ -179,7 +179,7 @@ def cmd_colon(args):
     I = _get_ideal(args)
     b = parse_binomial(args.monomial, I.names)
     out = eng.colon(I, b)
-    _emit_ideal(out, args)
+    _emit_ideal(args, out)
     _oracle_check(args, out, [I, eng.BinomialIdeal(I.names, (b,))],
                   lambda orc, g, f: orc.rational_colon_poly(g, f[0], I.n))
 
@@ -187,14 +187,14 @@ def cmd_colon(args):
 def cmd_saturate(args):
     I = _get_ideal(args)
     sigma = _keep_indices(args.vars, I.names)
-    _emit_ideal(eng.saturate_vars(I, sigma), args)
+    _emit_ideal(args, eng.saturate_vars(I, sigma))
 
 
 def cmd_intersect_monomial(args):
     session = _read_session(args)
     I, M = session.only_ideal(args.ideal), session.only_ideal(args.with_ideal)
     out = eng.intersect(I, M)
-    _emit_ideal(out, args)
+    _emit_ideal(args, out)
     _oracle_check(args, out, [I, M], lambda orc, g, m: orc.rational_intersect(g, m, I.n))
 
 
@@ -203,7 +203,7 @@ def cmd_pure_part(args):
     lambdas = [parse_scalar(chunk.strip() or "1")
                for chunk in args.lambdas.split(",")]
     out = eng.pure_part(I, lambdas)
-    _emit_ideal(out, args)
+    _emit_ideal(args, out)
     # the augmentation ideal <X_i - lambda_i>
     aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(unit(I.n, i), (0,) * I.n, lam)
                                            for i, lam in enumerate(lambdas)))
@@ -214,9 +214,8 @@ def cmd_maximal(args):
     _at_least_one(args, "bound")
     I = _get_ideal(args)
     out, complete = cg.maximal_ideal(I, args.bound)
-    _emit_ideal(out, args, extra={"complete": complete})
-    if not args.json:
-        print("complete: %s" % ("yes" if complete else "unknown"))
+    _emit(args, lambda: dict(ideal_json(out), complete=complete),
+          lambda: ideal_text(out) + ["complete: %s" % ("yes" if complete else "unknown")])
 
 
 def cmd_cellular(args):
@@ -249,10 +248,8 @@ def cmd_is_cellular(args):
     if delta is None:
         raise Refusal("ideal is not cellular: some variable is a "
                       "non-nilpotent zerodivisor")
-    if args.json:
-        print(json.dumps({"cellular": True, "delta": sorted(delta)}))
-    else:
-        print("cellular: delta = {%s}" % _var_list(I.names, delta))
+    _emit(args, lambda: {"cellular": True, "delta": sorted(delta)},
+          lambda: ["cellular: delta = {%s}" % _var_list(I.names, delta)])
 
 
 def cmd_is_mesoprimary(args):
@@ -263,7 +260,7 @@ def cmd_is_mesoprimary(args):
                   "witness %s" % monomial_str(witness, I.names))
         raise NotMesoprimaryError("ideal is not mesoprimary (%s)" % detail,
                                   witness=witness)
-    print(json.dumps({"mesoprimary": True}) if args.json else "mesoprimary")
+    _emit(args, lambda: {"mesoprimary": True}, lambda: ["mesoprimary"])
 
 
 def cmd_is_mesoprime(args):
@@ -272,19 +269,16 @@ def cmd_is_mesoprime(args):
     if m is None:
         raise Refusal("ideal is not mesoprime: it is not of the form "
                       "lattice part plus complement variables")
-    if args.json:
-        print(json.dumps({"mesoprime": True, "delta": sorted(m.delta),
-                          "lattice": [list(v) for v in m.character.lattice.basis]},
-                         sort_keys=True))
-    else:
-        print("mesoprime: delta = {%s}" % _var_list(I.names, m.delta))
+    _emit(args, lambda: {"mesoprime": True, "delta": sorted(m.delta),
+                         "lattice": m.character.lattice.basis},
+          lambda: ["mesoprime: delta = {%s}" % _var_list(I.names, m.delta)])
 
 
 def cmd_is_prime(args):
     I = _get_ideal(args)
     if not meso.is_prime(I):
         raise Refusal("ideal is not prime: not a mesoprime with saturated lattice")
-    print(json.dumps({"prime": True}) if args.json else "prime")
+    _emit(args, lambda: {"prime": True}, lambda: ["prime"])
 
 
 def cmd_radical(args):
@@ -292,7 +286,7 @@ def cmd_radical(args):
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("radical is computed for cellular ideals; decompose first")
-    _emit_ideal(meso.cellular_radical(comp).ideal(), args)
+    _emit_ideal(args, meso.cellular_radical(comp).ideal())
 
 
 def cmd_meso_primary_decomp(args):
@@ -328,53 +322,42 @@ def cmd_toric(args):
             pass
     A = _get_matrix(args, session)
     if args.vars:
-        names = check_names(tuple(args.vars.replace(",", " ").split()))
+        names = check_names(tuple(_listed(args.vars)))
     else:
         names = session and session.names
     if not names:
         names = tuple("X%d" % (i + 1) for i in range(len(A[0])))
     I = lat.toric_ideal(A, names)
-    _emit_ideal(I, args)
+    _emit_ideal(args, I)
 
 
 def cmd_is_positive(args):
     A = _get_matrix(args)
     positive = lat.is_positive(A)
-    if args.json:
-        print(json.dumps({"positive": positive}))
-    else:
-        print("positive" if positive else "not positive")
+    _emit(args, lambda: {"positive": positive},
+          lambda: ["positive" if positive else "not positive"])
     return 0 if positive else 1
 
 
 def cmd_fibers(args):
     A = _get_matrix(args)
     target = []
-    for entry in args.target.replace(",", " ").split():
+    for entry in _listed(args.target):
         try:
             target.append(int(entry))
         except ValueError:
             raise InputError("--target entry %r is not an integer" % entry) from None
     out = lat.fibers(A, target)
-    if args.json:
-        print(json.dumps({"fibers": [list(u) for u in out]}))
-    else:
-        for u in out:
-            print(" ".join(str(x) for x in u))
+    _emit(args, lambda: {"fibers": out},
+          lambda: (" ".join(map(str, u)) for u in out))
 
 
 def cmd_snf(args):
     A = _get_matrix(args)
     form = lat.smith_normal_form(A)
-    if args.json:
-        print(json.dumps({"U": [list(r) for r in form.U],
-                          "D": [list(r) for r in form.D],
-                          "V": [list(r) for r in form.V]}, sort_keys=True))
-    else:
-        for tag, M in (("U", form.U), ("D", form.D), ("V", form.V)):
-            print("%s:" % tag)
-            for row in M:
-                print("  " + " ".join(str(x) for x in row))
+    _emit(args, form._asdict,
+          lambda: _indented(("%s:" % tag, [" ".join(map(str, row)) for row in M])
+                            for tag, M in zip(form._fields, form)))
 
 
 def cmd_congruence(args):
@@ -389,12 +372,9 @@ def cmd_congruence(args):
             print("note: congruence maximalized (completeness %s)"
                   % ("certified" if complete else "unknown"), file=sys.stderr)
         flags = cg.classify_congruence(c)
-        if args.json:
-            print(json.dumps({k: getattr(flags, k) for k in keys},
-                             sort_keys=True))
-        else:
-            for k in keys:
-                print("%s: %s" % (k, "yes" if getattr(flags, k) else "no"))
+        _emit(args, lambda: {k: getattr(flags, k) for k in keys},
+              lambda: ["%s: %s" % (k, "yes" if getattr(flags, k) else "no")
+                       for k in keys])
     elif args.action == "related":
         if not args.u or not args.v:
             raise InputError("related needs two monomial arguments")
@@ -406,15 +386,13 @@ def cmd_congruence(args):
                 raise InputError("related expects monomial arguments")
             exps.append(b.lead)
         ok = cg.related(c, *exps)
-        print(json.dumps({"related": ok}) if args.json else
-              ("related" if ok else "not related"))
+        _emit(args, lambda: {"related": ok},
+              lambda: ["related" if ok else "not related"])
     elif args.action == "table":
         c = cg.congruence(I)
         qt = cg.quotient_table(c, args.max)
-        if args.json:
-            print(json.dumps(cg.table_json(qt, I.names), sort_keys=True))
-        else:
-            print(cg.table_text(qt, I.names))
+        _emit(args, lambda: table_json(qt, I.names),
+              lambda: [table_text(qt, I.names)])
 
 
 # ---------------------------------------------------------------------------

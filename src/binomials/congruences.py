@@ -26,7 +26,6 @@ from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
                        is_saturated, lattice_ideal, lattice_intersect)
 from .mesoprimary import is_mesoprime, is_mesoprimary
 from .orders import e_add, e_deg, unit, zero
-from .parsing import monomial_str
 from .scalars import ONE
 
 
@@ -301,30 +300,3 @@ def cancellative_intersect(c1, c2):
     L = lattice_intersect(L1, L2)
     I = lattice_ideal(PartialCharacter.trivial(L), c1.ideal.names)
     return Congruence(I, True)
-
-
-# ---------------------------------------------------------------------------
-# table rendering
-
-def _class_label(cls, names):
-    if cls is NIL:
-        return "inf"
-    return monomial_str(cls, names) if any(cls) else "0"
-
-
-def table_text(qt, names):
-    """Aligned text rendition of the addition table."""
-    labels = [_class_label(cls, names) for cls in qt.classes]
-    width = max(len(s) for s in labels + ["+"])
-    rows = [["+"] + labels]
-    for label, row in zip(labels, qt.table):
-        rows.append([label] + [labels[j] for j in row])
-    return "\n".join(" | ".join(s.rjust(width) for s in row) for row in rows)
-
-
-def table_json(qt, names):
-    return {
-        "classes": [None if cls is NIL else list(cls) for cls in qt.classes],
-        "labels": [_class_label(cls, names) for cls in qt.classes],
-        "table": [list(row) for row in qt.table],
-    }

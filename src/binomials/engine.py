@@ -91,9 +91,6 @@ class ReducedGB(namedtuple("ReducedGB", "order elements")):
     def is_unit(self):
         return any(e_deg(b.lead) == 0 for b in self.elements)
 
-    def monomials(self):
-        return tuple(b for b in self.elements if b.is_monomial)
-
 
 class BinomialIdeal:
     """A binomial ideal given by generators, with per-order GB memoization.

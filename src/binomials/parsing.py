@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .engine import Binomial, BinomialIdeal, binomial
+from .congruences import NIL
+from .engine import Binomial, BinomialIdeal
 from .errors import ParseError
 from .orders import grevlex, lex
 from .scalars import Scalar, ONE
@@ -63,6 +64,8 @@ def _scalar_factor(kind, text, line):
         base, num, den = map(int, _POWER.match(text).groups())
         if base == 0:
             raise ParseError("zero coefficient", line)
+        if den == 0:
+            raise ParseError("root degree must be at least 1", line)
         return Scalar.from_rational(base).root(den, 0) ** num
     num_den = text.replace(" ", "").split("/")
     num = int(num_den[0])
@@ -104,11 +107,8 @@ def parse_binomial(text, names, line=None):
     if not tokens:
         raise ParseError("empty generator", line)
     # split into signed terms at top-level +/-
-    terms, current, sign = [], [], 1
-    if tokens[0] == ("op", "-"):
-        sign = -1
-        tokens = tokens[1:]
-    elif tokens[0] == ("op", "+"):
+    terms, current, sign = [], [], (-1 if tokens[0] == ("op", "-") else 1)
+    if tokens[0] in (("op", "-"), ("op", "+")):
         tokens = tokens[1:]
     for kind, text_tok in tokens:
         if kind == "op" and text_tok in "+-" and current:
@@ -120,15 +120,14 @@ def parse_binomial(text, names, line=None):
     terms.append((sign, current))
     if len(terms) > 2:
         raise ParseError("binomials have at most two terms; got %d" % len(terms), line)
-    parsed = [(s,) + parse_term(toks, names, line) for s, toks in terms]
-    s1, c1, u1 = parsed[0]
-    if s1 < 0:
-        c1 = c1.negate()
+    parsed = []
+    for s, toks in terms:
+        coeff, exponent = parse_term(toks, names, line)
+        parsed.append((coeff.negate() if s < 0 else coeff, exponent))
+    c1, u1 = parsed[0]
     if len(parsed) == 1:
         return Binomial(u1)
-    s2, c2, u2 = parsed[1]
-    if s2 < 0:
-        c2 = c2.negate()
+    c2, u2 = parsed[1]
     # c1 X^u1 + c2 X^u2  ==  X^u1 - (-c2/c1) X^u2  up to the unit c1
     if u1 == u2:
         if c1 == c2.negate():
@@ -137,47 +136,53 @@ def parse_binomial(text, names, line=None):
     return Binomial(u1, u2, (c2 * c1.inv()).negate())
 
 
+def _unsigned(text, line):
+    """The tokens of ``text`` without a leading minus, and whether it had one."""
+    tokens = _tokenize(text, line)
+    if tokens[:1] == [("op", "-")]:
+        return tokens[1:], True
+    return tokens, False
+
+
 def parse_single_term(text, names, line=None):
     """A one-term expression as (coeff, exponent)."""
-    tokens = _tokenize(text, line)
-    sign = 1
-    if tokens and tokens[0] == ("op", "-"):
-        sign, tokens = -1, tokens[1:]
+    tokens, negative = _unsigned(text, line)
     if any(kind == "op" and tok in "+-" for kind, tok in tokens):
         raise ParseError("expected a single term", line)
     coeff, exponent = parse_term(tokens, names, line)
-    return (coeff.negate() if sign < 0 else coeff), exponent
+    return (coeff.negate() if negative else coeff), exponent
 
 
 def parse_scalar(text, line=None):
     """A bare coefficient literal (no variables), e.g. ``-2/3*zeta(4,1)``."""
-    tokens = _tokenize(text, line)
-    sign = 1
-    if tokens and tokens[0] == ("op", "-"):
-        sign, tokens = -1, tokens[1:]
+    tokens, negative = _unsigned(text, line)
     for kind, tok in tokens:
         if kind == "name":
             raise ParseError("expected a scalar literal, found %r" % tok, line)
     coeff, _ = parse_term(tokens, (), line)
-    return coeff.negate() if sign < 0 else coeff
+    return coeff.negate() if negative else coeff
+
+
+def _matrix_row(text, line=None):
+    try:
+        return [int(x) for x in text.split()]
+    except ValueError:
+        raise ParseError("bad matrix row %r" % text, line) from None
+
+
+def _rectangular(rows, empty, ragged, line=None):
+    """``rows``, unless there are none or their lengths differ."""
+    if not rows:
+        raise ParseError(empty, line)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError(ragged, line)
+    return rows
 
 
 def parse_matrix_literal(text):
     """Whitespace-separated integer rows with ';' as the row separator."""
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            rows.append([int(x) for x in chunk.split()])
-        except ValueError:
-            raise ParseError("bad matrix row %r" % chunk)
-    if not rows:
-        raise ParseError("empty matrix")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged matrix rows")
-    return rows
+    rows = [_matrix_row(chunk.strip()) for chunk in text.split(";") if chunk.strip()]
+    return _rectangular(rows, "empty matrix", "ragged matrix rows")
 
 
 def parse_order(spec, names):
@@ -199,32 +204,27 @@ def parse_order(spec, names):
 
 
 class Session:
-    """Parsed input: a ring plus named ideals and matrices."""
+    """Parsed input: a ring plus named ideals and matrices, each name
+    defined once per kind."""
 
     def __init__(self):
         self.names = ()
-        self.ideals = {}
-        self.matrices = {}
+        self.ideals, self.matrices = {}, {}
+        self.by_kind = {"ideal": self.ideals, "matrix": self.matrices}
+
+    def named(self, kind, name):
+        """The ideal or the matrix (``kind``) called ``name``."""
+        if name not in self.by_kind[kind]:
+            raise ParseError("unknown %s %r" % (kind, name))
+        return self.by_kind[kind][name]
 
     def only_ideal(self, name=None):
-        if name is not None:
-            if name not in self.ideals:
-                raise ParseError("unknown ideal %r" % name)
-            return self.ideals[name]
-        if len(self.ideals) != 1:
-            raise ParseError("input defines %d ideals; pick one with --ideal"
-                             % len(self.ideals))
-        return next(iter(self.ideals.values()))
-
-    def only_matrix(self, name=None):
-        if name is not None:
-            if name not in self.matrices:
-                raise ParseError("unknown matrix %r" % name)
-            return self.matrices[name]
-        if len(self.matrices) != 1:
-            raise ParseError("input defines %d matrices; pick one with --matrix"
-                             % len(self.matrices))
-        return next(iter(self.matrices.values()))
+        if name is None:
+            if len(self.ideals) != 1:
+                raise ParseError("input defines %d ideals; pick one with --ideal"
+                                 % len(self.ideals))
+            name = next(iter(self.ideals))
+        return self.named("ideal", name)
 
 
 def check_names(names, line=None):
@@ -248,11 +248,9 @@ def parse_input(text):
         if mode == "ideal":
             session.ideals[current_name] = BinomialIdeal(session.names, tuple(pending))
         elif mode == "matrix":
-            if not pending:
-                raise ParseError("matrix %r has no rows" % current_name, line)
-            if any(len(r) != len(pending[0]) for r in pending):
-                raise ParseError("matrix %r has ragged rows" % current_name, line)
-            session.matrices[current_name] = [list(r) for r in pending]
+            session.matrices[current_name] = _rectangular(
+                pending, "matrix %r has no rows" % current_name,
+                "matrix %r has ragged rows" % current_name, line)
         pending = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -272,15 +270,15 @@ def parse_input(text):
             current_name = rest.strip()
             if not current_name:
                 raise ParseError("%s needs a name" % head, lineno)
+            if current_name in session.by_kind[head]:
+                raise ParseError("%s %r is already defined" % (head, current_name),
+                                 lineno)
             mode = head
             continue
         if mode == "ideal":
             pending.append(parse_binomial(line, session.names, lineno))
         elif mode == "matrix":
-            try:
-                pending.append([int(x) for x in line.split()])
-            except ValueError:
-                raise ParseError("bad matrix row %r" % line, lineno)
+            pending.append(_matrix_row(line, lineno))
         else:
             raise ParseError("expected ring/ideal/matrix, got %r" % line, lineno)
     flush(None)
@@ -288,7 +286,7 @@ def parse_input(text):
 
 
 # ---------------------------------------------------------------------------
-# printing (the inverse of the grammar above)
+# printing: the inverse of the grammar above, and quotient tables
 
 def monomial_str(exponent, names):
     parts = []
@@ -332,9 +330,41 @@ def binomial_json(b, names):
     }
 
 
-def ideal_text(I, order=None, descending=True):
-    """Generators of the reduced GB, sorted by the active order."""
+def _display_order(I, order):
+    """The reduced GB of I under ``order``, largest lead first."""
     gb = I.groebner(order)
-    elements = sorted(gb.elements, key=lambda b: gb.order.key(b.lead),
-                      reverse=descending)
-    return [binomial_str(b, I.names) for b in elements]
+    return sorted(gb.elements, key=lambda b: gb.order.key(b.lead), reverse=True)
+
+
+def ideal_text(I, order=None):
+    """Generators of the reduced GB, largest lead first under the order."""
+    return [binomial_str(b, I.names) for b in _display_order(I, order)]
+
+
+def ideal_json(I, order=None):
+    return {"ring": list(I.names),
+            "generators": [binomial_json(b, I.names) for b in _display_order(I, order)]}
+
+
+def _class_label(cls, names):
+    if cls is NIL:
+        return "inf"
+    return monomial_str(cls, names) if any(cls) else "0"
+
+
+def table_text(qt, names):
+    """Aligned text rendition of a quotient table's addition table."""
+    labels = [_class_label(cls, names) for cls in qt.classes]
+    width = max(len(s) for s in labels + ["+"])
+    rows = [["+"] + labels]
+    for label, row in zip(labels, qt.table):
+        rows.append([label] + [labels[j] for j in row])
+    return "\n".join(" | ".join(s.rjust(width) for s in row) for row in rows)
+
+
+def table_json(qt, names):
+    return {
+        "classes": [None if cls is NIL else list(cls) for cls in qt.classes],
+        "labels": [_class_label(cls, names) for cls in qt.classes],
+        "table": [list(row) for row in qt.table],
+    }

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 
@@ -195,6 +196,37 @@ class TestPredicatesAndExitCodes:
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["gb", "/nonexistent/input.txt"])
         assert code == 2
+
+    def test_undecodable_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe ring")
+        code, out, err = run(capsys, ["gb", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: input is not text: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("file", [[], ["-"]])
+    def test_undecodable_stdin_is_exit_2(self, capsys, monkeypatch, file):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe ring"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, ["gb"] + file)
+        assert code == 2 and out == ""
+        assert err.startswith("error: input is not text: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text, where", [
+        (["gb"], "ring X Y\nideal I\nX - 2^(1/0)*Y\n", "line 3: "),
+        (["nf", "--term", "2^(1/0)*X"], UM, ""),
+        (["pure-part", "--lambda", "2^(1/0),1"], NILQ, "")],
+        ids=["session", "nf", "pure-part"])
+    def test_zero_root_degree_is_exit_2(self, capsys, session_file, argv, text, where):
+        code, out, err = run(capsys, argv + [session_file(text)])
+        assert code == 2 and out == ""
+        assert err == "error: %sroot degree must be at least 1\n" % where
+
+    def test_repeated_ideal_name_is_exit_2(self, capsys, session_file):
+        text = "ring X Y\nideal I\nX*Y\nmatrix A\n1 2\nideal I\nX\n"
+        code, out, err = run(capsys, ["gb", session_file(text)])
+        assert code == 2 and out == ""
+        assert err == "error: line 6: ideal 'I' is already defined\n"
 
     def test_radical(self, capsys, session_file):
         code, out, _ = run(capsys, ["radical", session_file(NILQ)])

@@ -4,7 +4,8 @@ from binomials import Binomial, Scalar, ideal_equals
 from binomials.errors import ParseError
 from binomials.parsing import (binomial_str, ideal_text, monomial_str,
                                parse_binomial, parse_input,
-                               parse_matrix_literal, parse_order)
+                               parse_matrix_literal, parse_order,
+                               parse_scalar, parse_single_term)
 
 from gen import rand_ideal, rng
 
@@ -42,6 +43,15 @@ class TestGeneratorGrammar:
     def test_power_literal(self):
         b = parse_binomial("X - 2^(1/2)*Y", XY)
         assert b.coeff == Scalar.from_rational(2).root(2, 0)
+
+    @pytest.mark.parametrize("parse", [
+        lambda: parse_binomial("X - 2^(1/0)*Y", XY),
+        lambda: parse_single_term("2^(1/0)*X", XY),
+        lambda: parse_scalar("-2^(3/0)")],
+        ids=["binomial", "single-term", "scalar"])
+    def test_zero_root_degree(self, parse):
+        with pytest.raises(ParseError, match="root degree must be at least 1"):
+            parse()
 
     def test_leading_sign(self):
         b = parse_binomial("-X + Y", XY)
@@ -105,6 +115,19 @@ class TestSessionGrammar:
     def test_line_number_in_error(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_input("ring X Y\nideal I\nX - Y + 1")
+
+    @pytest.mark.parametrize("text, line, kind", [
+        ("ring X Y\nideal I\nX*Y\nmatrix A\n1 2\nideal I\nX\n", 6, "ideal 'I'"),
+        ("ring X\nmatrix A\n1\nmatrix A\n2\n", 4, "matrix 'A'"),
+        ("ring X\nideal I\nideal I\nX\n", 3, "ideal 'I'")],
+        ids=["ideal", "matrix", "empty-ideal"])
+    def test_repeated_name(self, text, line, kind):
+        with pytest.raises(ParseError, match="line %d: %s is already defined" % (line, kind)):
+            parse_input(text)
+
+    def test_ideal_and_matrix_may_share_a_name(self):
+        session = parse_input("ring X Y\nideal A\nX - Y\nmatrix A\n1 1\n")
+        assert session.matrices["A"] == [[1, 1]] and len(session.ideals["A"].gens) == 1
 
     def test_ragged_matrix(self):
         with pytest.raises(ParseError):
