@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -116,6 +117,38 @@ class TestHermite:
             L = Lattice.from_vectors(n, mat_mul(C, [list(b) for b in M.basis]))
             assert quotient_index(L, M) == abs(_cofactor_det(C))
             checked += 1
+
+
+def _pinned_matrix(r):
+    """A seeded 1-5 x 1-5 matrix; about a third get a zero row or column."""
+    A = rand_matrix(r, 5, 5, 9)
+    if r.random() < 0.35:
+        A[r.randrange(len(A))] = [0] * len(A[0])
+    if r.random() < 0.35:
+        j = r.randrange(len(A[0]))
+        for row in A:
+            row[j] = 0
+    return A
+
+
+class TestPinnedTransforms:
+    """The exact transforms, not just valid ones: ``snf`` prints U and V, and
+    ``extend_character`` orders the components by them.  Any change to the
+    order of the integer row or column operations changes the digest."""
+
+    DIGEST = "86ccf0207384e82ffb492f29f4f22d02c0ecbff230c0cb094ca3fdc1b7f0dc4a"
+
+    def test_transforms_are_pinned(self):
+        r = rng(2024)
+        h = hashlib.sha256()
+        for _ in range(300):
+            A = _pinned_matrix(r)
+            S = smith_normal_form(A)
+            for part in (hnf(A), kernel_basis(A), S,
+                         invert_unimodular([list(row) for row in S.U]),
+                         invert_unimodular([list(row) for row in S.V])):
+                h.update(repr(part).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestSaturations:
