@@ -17,7 +17,7 @@ from . import engine as eng
 from . import lattices as lat
 from . import mesoprimary as meso
 from .cellular import as_cellular, cellular_decompose, is_cellular
-from .errors import InputError, NotMesoprimaryError, Refusal
+from .errors import InputError, NotMesoprimaryError, ParseError, Refusal
 from .orders import elim as elim_order, unit
 from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
                       monomial_str, parse_binomial, parse_input,
@@ -313,13 +313,8 @@ def cmd_toric(args):
     # read the session at most once, and only for a named matrix or a given
     # file: stdin may be a pipe that never closes
     session = None
-    if not _is_matrix_literal(args.matrix):
+    if not _is_matrix_literal(args.matrix) or args.file:
         session = _read_session(args)
-    elif args.file and not args.vars:
-        try:
-            session = _read_session(args)
-        except (InputError, OSError):
-            pass
     A = _get_matrix(args, session)
     if args.vars:
         names = check_names(tuple(_listed(args.vars)))
@@ -381,10 +376,17 @@ def cmd_congruence(args):
         c = cg.congruence(I)
         exps = []
         for text in (args.u, args.v):
-            b = parse_binomial(text, I.names)
-            if b.trail is not None:
-                raise InputError("related expects monomial arguments")
-            exps.append(b.lead)
+            try:
+                coeff, exponent = parse_single_term(text, I.names)
+            except ParseError:
+                # a binomial keeps its own refusal; any other error stands
+                if parse_binomial(text, I.names).trail is not None:
+                    raise InputError("related expects monomial arguments") from None
+                raise
+            if not coeff.is_one():
+                raise InputError("related expects monomials with coefficient 1, "
+                                 "got %r" % text)
+            exps.append(exponent)
         ok = cg.related(c, *exps)
         _emit(args, lambda: {"related": ok},
               lambda: ["related" if ok else "not related"])

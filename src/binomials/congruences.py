@@ -170,13 +170,9 @@ def maximal_ideal(J, bound=None):
     searched up to the total-degree bound; found nils are adjoined and the
     search repeated to a fixed point, but completeness stays uncertified.
     """
-    if J.is_unit():
-        raise UnitIdealError("the unit ideal induces no congruence")
+    if congruence(J).maximal:
+        return J, True
     gb = J.groebner()
-    if any(b.is_monomial for b in gb.elements):
-        return J, True
-    if is_lattice_ideal(J):
-        return J, True
     if bound is None:
         maxdeg = max((max(e_deg(b.lead), e_deg(b.trail)) for b in gb.elements),
                      default=0)

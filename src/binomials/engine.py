@@ -17,8 +17,9 @@ last (Bayer-Stillman), the saturation exponent is the largest X_i-degree
 of a lead of the same GB, and _h = 1 maps the result back.  That map is
 one-to-one on homogeneous ideals that _h is a nonzerodivisor on, a class
 that every colon by X_i stays in, so the colon chain of I stops at the
-same exponent as that of its homogenization.  A saturation at several
-variables takes them one at a time (``saturate_vars``).
+same exponent as that of its homogenization.  One chain (``_colons``)
+serves every colon and saturation, at one variable or several: it
+homogenizes once, takes one colon per variable and maps back once.
 """
 
 from __future__ import annotations
@@ -353,13 +354,7 @@ def colon_monomial(I, u):
     """The ideal quotient (I : X^u), one variable at a time off revlex GBs
     of the homogenized ideal."""
     u = _check_exponent(I, u)
-    if not any(u):
-        return I
-    H0 = H = _homogenize(I)
-    for i, k in enumerate(u):
-        if k:
-            H = _colon_var(H, i, k)[1]
-    return _dehomogenize(I, H0, H)
+    return _colons(I, [(i, k) for i, k in enumerate(u) if k])[1]
 
 
 def colon(I, divisor):
@@ -383,26 +378,16 @@ def saturation(I, u):
     """
     u = _check_exponent(I, u)
     support = [i for i, x in enumerate(u) if x]
-    if not support:
-        return 0, I
     if len(support) > 1:
         raise InputError("saturation takes a power of one variable; got %d "
                          "variables" % len(support))
-    i = support[0]
-    H0 = _homogenize(I)
-    top, H = _colon_var(H0, i, None)
-    return -(-top // u[i]), _dehomogenize(I, H0, H)
+    tops, J = _colons(I, [(i, None) for i in support])
+    return sum(-(-top // u[i]) for i, top in zip(support, tops)), J  # one step at most
 
 
 def saturate_vars(I, sigma):
     """I : (prod_{i in sigma} X_i)^infinity, one variable at a time."""
-    sigma = sorted(set(sigma))
-    if not sigma:
-        return I
-    H0 = H = _homogenize(I)
-    for i in sigma:
-        H = _colon_var(H, i, None)[1]
-    return _dehomogenize(I, H0, H)
+    return _colons(I, [(i, None) for i in sorted(set(sigma))])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +406,24 @@ def _homogenize(I):
     return BinomialIdeal(I.names + ("_h",), gens)
 
 
-def _dehomogenize(I, H0, H):
-    """H at _h = 1, in the ring of I; I itself when H is still H0, the
-    ideal _homogenize(I) returned."""
+def _colons(I, steps):
+    """(tops, J) with J = I : X_i^k over the steps (i, k) in turn, k = None
+    saturating at X_i, and tops the t of each step (``_colon_var``).  I is
+    homogenized once and J mapped back once: J is I when no step changed
+    the ideal, and otherwise the last colon at _h = 1.  No steps give I
+    without a Groebner basis."""
+    if not steps:
+        return [], I
+    H0 = H = _homogenize(I)
+    tops = []
+    for i, k in steps:
+        top, H = _colon_var(H, i, k)
+        tops.append(top)
     if H is H0:
-        return I
+        return tops, I
     if H.n == I.n:
-        return H
-    return BinomialIdeal(I.names, tuple(
+        return tops, H
+    return tops, BinomialIdeal(I.names, tuple(
         binomial(g.lead[:-1], None if g.trail is None else g.trail[:-1], g.coeff)
         for g in H.gens))
 

@@ -4,9 +4,11 @@ All linear algebra is exact over Python's arbitrary-precision integers.
 One row-style Hermite normal form answers the integer-matrix questions:
 it canonicalizes lattices (equality is plain tuple comparison), gives
 kernels, inverses of unimodular matrices and indices.  The Smith form gives
-saturations and character extensions.  Positivity of a degree matrix is one
-Fourier-Motzkin search for a positive functional; only its back-substitution
-(``_fm_point``) uses ``Fraction``.
+saturations and character extensions.  Both elimination loops keep their
+transforms inside the work matrix, as blocks that each row or column
+operation carries along, so every operation is written once.  Positivity
+of a degree matrix is one Fourier-Motzkin search for a positive
+functional; only its back-substitution (``_fm_point``) uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,29 +43,18 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def _hnf_rows(vectors, with_transform):
+def _hnf_rows(vectors):
     """Row HNF: positive pivots in echelon position, entries above a pivot
-    reduced into [0, pivot).  Returns (H, T) with H = T * input, T square
-    unimodular; zero rows of H sit at the bottom."""
-    rows = [list(v) for v in vectors]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    T = identity(m) if with_transform else None
+    reduced into [0, pivot).  Returns (H, T, rank) with H = T * input, T
+    square unimodular; zero rows of H sit at the bottom.  The rows of
+    [input | I] are reduced with pivots in the input's columns only, so T
+    is the right-hand block."""
+    vectors = [list(v) for v in vectors]
+    m, n = len(vectors), len(vectors[0]) if vectors else 0
+    rows = [v + e for v, e in zip(vectors, identity(m))]
 
     def combine(dst, src, q):
         rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-        if T is not None:
-            T[dst] = [a - q * b for a, b in zip(T[dst], T[src])]
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        if T is not None:
-            T[i], T[j] = T[j], T[i]
-
-    def negate(i):
-        rows[i] = [-a for a in rows[i]]
-        if T is not None:
-            T[i] = [-a for a in T[i]]
 
     r = 0
     for col in range(n):
@@ -72,7 +63,7 @@ def _hnf_rows(vectors, with_transform):
             if not live:
                 break
             pivot = min(live, key=lambda i: (abs(rows[i][col]), i))
-            swap(r, pivot)
+            rows[r], rows[pivot] = rows[pivot], rows[r]
             done = True
             for i in range(r + 1, m):
                 if rows[i][col] != 0:
@@ -82,18 +73,18 @@ def _hnf_rows(vectors, with_transform):
                 break
         if r < m and rows[r][col] != 0:
             if rows[r][col] < 0:
-                negate(r)
+                rows[r] = [-a for a in rows[r]]
             for i in range(r):
                 q = rows[i][col] // rows[r][col]
                 if q:
                     combine(i, r, q)
             r += 1
-    return [tuple(v) for v in rows], ([tuple(v) for v in T] if T is not None else None), r
+    return [tuple(v[:n]) for v in rows], [tuple(v[n:]) for v in rows], r
 
 
 def hnf(vectors):
     """Canonical HNF rows of the lattice generated by ``vectors``."""
-    rows, _, rank = _hnf_rows(vectors, False)
+    rows, _, rank = _hnf_rows(vectors)
     return tuple(rows[:rank])
 
 
@@ -102,14 +93,14 @@ def kernel_basis(A):
     cols = transpose(A)
     if not cols:
         return []
-    rows, T, rank = _hnf_rows(cols, True)
+    rows, T, rank = _hnf_rows(cols)
     return [T[i] for i in range(rank, len(cols))]
 
 
 def invert_unimodular(V):
     """Inverse of an integer matrix with determinant +-1: its HNF is the
     identity, so the HNF transform T has T * V = I."""
-    rows, T, _ = _hnf_rows(V, True)
+    rows, T, _ = _hnf_rows(V)
     if rows != [tuple(row) for row in identity(len(V))]:
         raise AssertionError("the matrix is not unimodular")
     return [list(row) for row in T]
@@ -123,69 +114,53 @@ class SmithForm(namedtuple("SmithForm", "U D V")):
 
 
 def smith_normal_form(A):
-    """U*A*V = D diagonal with d1 | d2 | ...; U, V unimodular."""
-    if not A or not A[0]:
-        size = len(A)
-        return SmithForm(tuple(map(tuple, identity(size))),
-                         tuple(tuple(row) for row in A),
-                         ())
-    m, n = len(A), len(A[0])
-    D = [list(row) for row in A]
-    U, V = identity(m), identity(n)
+    """U*A*V = D diagonal with d1 | d2 | ...; U, V unimodular.  The work
+    matrix is [[A, I_m], [I_n, 0]]: row operations on its first m rows carry
+    U along and column operations on its first n columns carry V, while the
+    pivots come from the top-left block only."""
+    m, n = len(A), len(A[0]) if A else 0
+    B = ([list(row) + e for row, e in zip(A, identity(m))]
+         + [e + [0] * m for e in identity(n)])
 
     def row_comb(dst, src, q):
-        D[dst] = [a - q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+        B[dst] = [a - q * b for a, b in zip(B[dst], B[src])]
 
     def col_comb(dst, src, q):
-        for row in D:
+        for row in B:
             row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while True:
-        entries = [(abs(D[i][j]), i, j) for i in range(t, m)
-                   for j in range(t, n) if D[i][j] != 0]
+        entries = [(abs(B[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if B[i][j] != 0]
         if not entries:
             break
         _, pi, pj = min(entries)
-        row_swap(t, pi)
-        col_swap(t, pj)
+        B[t], B[pi] = B[pi], B[t]
+        for row in B:
+            row[t], row[pj] = row[pj], row[t]
         cleared = True
         for i in range(t + 1, m):
-            if D[i][t] != 0:
-                row_comb(i, t, D[i][t] // D[t][t])
-                cleared = cleared and D[i][t] == 0
+            if B[i][t] != 0:
+                row_comb(i, t, B[i][t] // B[t][t])
+                cleared = cleared and B[i][t] == 0
         for j in range(t + 1, n):
-            if D[t][j] != 0:
-                col_comb(j, t, D[t][j] // D[t][t])
-                cleared = cleared and D[t][j] == 0
+            if B[t][j] != 0:
+                col_comb(j, t, B[t][j] // B[t][t])
+                cleared = cleared and B[t][j] == 0
         if not cleared:
             continue  # a remainder becomes the new, strictly smaller pivot
         offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                         if D[i][j] % D[t][t] != 0), None)
+                         if B[i][j] % B[t][t] != 0), None)
         if offender is not None:
             row_comb(t, offender[0], -1)  # pull the row in; next pass shrinks the pivot
             continue
-        if D[t][t] < 0:
-            row_negate(t)
+        if B[t][t] < 0:
+            B[t] = [-a for a in B[t]]
         t += 1
-    return SmithForm(tuple(map(tuple, U)), tuple(map(tuple, D)), tuple(map(tuple, V)))
+    return SmithForm(tuple(tuple(row[n:]) for row in B[:m]),
+                     tuple(tuple(row[:n]) for row in B[:m]),
+                     tuple(tuple(row[:n]) for row in B[m:]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +213,25 @@ def lattice_intersect(L1, L2):
     return Lattice.from_vectors(L1.n, mat_mul(coeffs, stacked[:r1]))
 
 
+def _coefficients(L, M):
+    """The coefficients C of L's basis over M's (L.basis = C * M.basis), for
+    L within M of equal rank."""
+    if L.n != M.n:
+        raise InputError("lattices live in different ambient dimensions")
+    if L.rank != M.rank:
+        raise ExtensionRankError("index of the lattice inclusion is infinite "
+                                 "(ranks %d vs %d)" % (L.rank, M.rank))
+    C = [M.express(v) for v in L.basis]
+    if None in C:
+        raise InputError("lattice is not contained in the target lattice")
+    return C
+
+
 def quotient_index(L, M):
     """|M / L| for L within M of equal rank: |det C| for the coefficients C
     of L over M, the product of the HNF pivots of C."""
-    if L.rank != M.rank:
-        raise ExtensionRankError("quotient is infinite: ranks %d vs %d"
-                                 % (L.rank, M.rank))
-    C = []
-    for v in L.basis:
-        coeffs = M.express(v)
-        if coeffs is None:
-            raise InputError("lattice is not contained in the target lattice")
-        C.append(coeffs)
-    return math.prod(row[i] for i, row in enumerate(_hnf_rows(C, False)[0]))
+    C = _coefficients(L, M)
+    return math.prod(row[i] for i, row in enumerate(_hnf_rows(C)[0]))
 
 
 class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
@@ -266,7 +247,7 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
     def from_generators(cls, n, vectors, values):
         """Canonicalize generator/value pairs; verifies consistency."""
         vectors = [tuple(v) for v in vectors]
-        rows, T, rank = _hnf_rows(vectors, True) if vectors else ((), None, 0)
+        rows, T, rank = _hnf_rows(vectors)
         basis_values = tuple(scalar_power(values, T[i]) for i in range(rank))
         char = cls(Lattice(n, tuple(rows[:rank])), basis_values)
         for v, s in zip(vectors, values):
@@ -394,20 +375,9 @@ def is_lattice_ideal(I):
 def extend_character(rho, M):
     """All |M/L| extensions of rho to M, in lexicographic branch order."""
     L = rho.lattice
-    if L.n != M.n:
-        raise InputError("lattices live in different ambient dimensions")
-    if L.rank != M.rank:
-        raise ExtensionRankError(
-            "index of the lattice inclusion is infinite (ranks %d vs %d)"
-            % (L.rank, M.rank))
     if L == M:
         return [rho]
-    C = []
-    for v in L.basis:
-        coeffs = M.express(v)
-        if coeffs is None:
-            raise InputError("character's lattice is not inside the extension lattice")
-        C.append(coeffs)
+    C = _coefficients(L, M)
     S = smith_normal_form(C)
     r = len(C)
     diag = S.diagonal()

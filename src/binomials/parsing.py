@@ -70,7 +70,9 @@ def _scalar_factor(kind, text, line):
     num_den = text.replace(" ", "").split("/")
     num = int(num_den[0])
     den = int(num_den[1]) if len(num_den) > 1 else 1
-    if num == 0 or den == 0:
+    if den == 0:
+        raise ParseError("zero denominator", line)
+    if num == 0:
         raise ParseError("zero coefficient", line)
     return Scalar.from_rational(num, den)
 

@@ -222,6 +222,16 @@ class TestPredicatesAndExitCodes:
         assert code == 2 and out == ""
         assert err == "error: %sroot degree must be at least 1\n" % where
 
+    @pytest.mark.parametrize("argv, text, where", [
+        (["gb"], "ring X Y\nideal I\nX - 1/0*Y\n", "line 3: "),
+        (["nf", "--term", "3/0*X"], UM, ""),
+        (["pure-part", "--lambda", "1/0,1"], NILQ, "")],
+        ids=["session", "nf", "pure-part"])
+    def test_zero_denominator_is_exit_2(self, capsys, session_file, argv, text, where):
+        code, out, err = run(capsys, argv + [session_file(text)])
+        assert code == 2 and out == ""
+        assert err == "error: %szero denominator\n" % where
+
     def test_repeated_ideal_name_is_exit_2(self, capsys, session_file):
         text = "ring X Y\nideal I\nX*Y\nmatrix A\n1 2\nideal I\nX\n"
         code, out, err = run(capsys, ["gb", session_file(text)])
@@ -264,6 +274,19 @@ class TestMatrixCommands:
         code, out, _ = run(capsys, ["toric", "--matrix", "A",
                                     session_file(text)])
         assert code == 0 and "Y^2 - X*Z" in out
+
+    @pytest.mark.parametrize("names", [[], ["--vars", "X,Y,Z"]])
+    def test_toric_missing_file_is_exit_2(self, capsys, tmp_path, names):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, ["toric", "--matrix", "3 4 5", missing] + names)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "missing.txt" in err
+
+    def test_toric_malformed_file_is_exit_2(self, capsys, session_file):
+        code, out, err = run(capsys, ["toric", "--matrix", "3 4 5",
+                                      session_file("ring X Y\nideal I\nX ++ Y\n")])
+        assert code == 2 and out == ""
+        assert err == "error: line 3: misplaced operator '+'\n"
 
     def test_is_positive(self, capsys):
         code, out, _ = run(capsys, ["is-positive", "--matrix", "3 4 5"])
@@ -344,6 +367,21 @@ class TestCongruenceCommand:
         code, out, _ = run(capsys, ["congruence", "related",
                                     session_file(NILQ), "X", "Y"])
         assert code == 0 and out.strip() == "related"
+
+    @pytest.mark.parametrize("u, v, expected", [("X", "X", "related"),
+                                                 ("1", "X", "not related"),
+                                                 ("X^2*Y", "X*Y", "related")])
+    def test_related_monomials(self, capsys, session_file, u, v, expected):
+        text = "ring X Y\nideal I\nX^2 - X\n"
+        code, out, _ = run(capsys, ["congruence", "related", session_file(text), u, v])
+        assert code == 0 and out == expected + "\n"
+
+    @pytest.mark.parametrize("term", ["2*X", "1/2*X", "zeta(3,1)*X", "X + X"])
+    def test_related_refuses_a_coefficient(self, capsys, session_file, term):
+        text = "ring X Y\nideal I\nX^2 - X\n"
+        code, out, err = run(capsys, ["congruence", "related", session_file(text), "X", term])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     def test_classify(self, capsys, session_file):
         code, out, _ = run(capsys, ["congruence", "classify",
