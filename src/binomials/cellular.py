@@ -7,8 +7,6 @@ deterministic strategy (always split on the lowest-index offending
 variable) and by sorting the resulting components.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .engine import (BinomialIdeal, ideal_contains, ideal_equals,

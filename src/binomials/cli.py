@@ -3,20 +3,20 @@
 One command per invocation; reads a session file (or stdin), prints
 deterministic results to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 mathematical refusal (the message names the violated
-precondition), 2 input error.
+precondition), 2 input error, 141 when the reader of stdout went away.
+
+A process loads only what its command runs: this module imports the
+parsing layer (with ``engine``, ``orders``, ``scalars`` and ``errors``),
+and each command imports the algebra modules it calls.  ``main`` builds the
+parser of the named command alone.
 """
 
-from __future__ import annotations
-
 import argparse
+import os
 import re
 import sys
 
-from . import congruences as cg
 from . import engine as eng
-from . import lattices as lat
-from . import mesoprimary as meso
-from .cellular import as_cellular, cellular_decompose, is_cellular
 from .errors import InputError, NotMesoprimaryError, ParseError, Refusal
 from .orders import elim as elim_order, unit
 from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
@@ -80,6 +80,23 @@ def _keep_indices(spec, names):
 
 def _var_list(names, indices):
     return ",".join(names[i] for i in sorted(indices))
+
+
+def _monomial_arg(text, names, command):
+    """A one-term argument as a monomial, or a two-term one as its binomial,
+    which the caller refuses in its own words.  ``command`` refuses a
+    coefficient other than 1 rather than silently dropping it."""
+    try:
+        coeff, exponent = parse_single_term(text, names)
+    except ParseError:
+        b = parse_binomial(text, names)
+        if b.trail is None:
+            raise  # not a binomial either: the single-term error stands
+        return b
+    if not coeff.is_one():
+        raise InputError("%s expects monomials with coefficient 1, got %r"
+                         % (command, text))
+    return eng.Binomial(exponent)
 
 
 def _emit(args, payload, lines):
@@ -177,8 +194,8 @@ def cmd_eliminate(args):
 
 def cmd_colon(args):
     I = _get_ideal(args)
-    b = parse_binomial(args.monomial, I.names)
-    out = eng.colon(I, b)
+    b = _monomial_arg(args.monomial, I.names, "colon")
+    out = eng.colon(I, b)  # refuses a binomial
     _emit_ideal(args, out)
     _oracle_check(args, out, [I, eng.BinomialIdeal(I.names, (b,))],
                   lambda orc, g, f: orc.rational_colon_poly(g, f[0], I.n))
@@ -211,6 +228,7 @@ def cmd_pure_part(args):
 
 
 def cmd_maximal(args):
+    from . import congruences as cg
     _at_least_one(args, "bound")
     I = _get_ideal(args)
     out, complete = cg.maximal_ideal(I, args.bound)
@@ -219,6 +237,7 @@ def cmd_maximal(args):
 
 
 def cmd_cellular(args):
+    from .cellular import cellular_decompose
     I = _get_ideal(args)
     components = cellular_decompose(I, prune_components=args.prune)
     _emit_parts(args, "components", [
@@ -231,6 +250,8 @@ def cmd_cellular(args):
 
 
 def cmd_mesoprimes(args):
+    from . import mesoprimary as meso
+    from .cellular import as_cellular
     I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
@@ -243,6 +264,7 @@ def cmd_mesoprimes(args):
 
 
 def cmd_is_cellular(args):
+    from .cellular import is_cellular
     I = _get_ideal(args)
     delta = is_cellular(I)
     if delta is None:
@@ -253,6 +275,7 @@ def cmd_is_cellular(args):
 
 
 def cmd_is_mesoprimary(args):
+    from . import mesoprimary as meso
     I = _get_ideal(args)
     ok, witness = meso.is_mesoprimary(I)
     if not ok:
@@ -264,6 +287,7 @@ def cmd_is_mesoprimary(args):
 
 
 def cmd_is_mesoprime(args):
+    from . import mesoprimary as meso
     I = _get_ideal(args)
     m = meso.is_mesoprime(I)
     if m is None:
@@ -275,6 +299,7 @@ def cmd_is_mesoprime(args):
 
 
 def cmd_is_prime(args):
+    from . import mesoprimary as meso
     I = _get_ideal(args)
     if not meso.is_prime(I):
         raise Refusal("ideal is not prime: not a mesoprime with saturated lattice")
@@ -282,6 +307,8 @@ def cmd_is_prime(args):
 
 
 def cmd_radical(args):
+    from . import mesoprimary as meso
+    from .cellular import as_cellular
     I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
@@ -290,6 +317,7 @@ def cmd_radical(args):
 
 
 def cmd_meso_primary_decomp(args):
+    from . import mesoprimary as meso
     I = _get_ideal(args)
     components = meso.mesoprimary_primary_decomposition(I)
     _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
@@ -298,6 +326,7 @@ def cmd_meso_primary_decomp(args):
 
 
 def cmd_lattice_decomp(args):
+    from . import lattices as lat
     I = _get_ideal(args)
     rho = lat.character_of(I)
     if not lat.is_lattice_ideal(I):
@@ -310,6 +339,7 @@ def cmd_lattice_decomp(args):
 
 
 def cmd_toric(args):
+    from . import lattices as lat
     # read the session at most once, and only for a named matrix or a given
     # file: stdin may be a pipe that never closes
     session = None
@@ -327,6 +357,7 @@ def cmd_toric(args):
 
 
 def cmd_is_positive(args):
+    from . import lattices as lat
     A = _get_matrix(args)
     positive = lat.is_positive(A)
     _emit(args, lambda: {"positive": positive},
@@ -335,6 +366,7 @@ def cmd_is_positive(args):
 
 
 def cmd_fibers(args):
+    from . import lattices as lat
     A = _get_matrix(args)
     target = []
     for entry in _listed(args.target):
@@ -348,6 +380,7 @@ def cmd_fibers(args):
 
 
 def cmd_snf(args):
+    from . import lattices as lat
     A = _get_matrix(args)
     form = lat.smith_normal_form(A)
     _emit(args, form._asdict,
@@ -356,6 +389,7 @@ def cmd_snf(args):
 
 
 def cmd_congruence(args):
+    from . import congruences as cg
     _at_least_one(args, "max", "bound")
     I = _get_ideal(args)
     keys = ("cancellative", "prime", "primary", "mesoprimary", "toric")
@@ -376,17 +410,10 @@ def cmd_congruence(args):
         c = cg.congruence(I)
         exps = []
         for text in (args.u, args.v):
-            try:
-                coeff, exponent = parse_single_term(text, I.names)
-            except ParseError:
-                # a binomial keeps its own refusal; any other error stands
-                if parse_binomial(text, I.names).trail is not None:
-                    raise InputError("related expects monomial arguments") from None
-                raise
-            if not coeff.is_one():
-                raise InputError("related expects monomials with coefficient 1, "
-                                 "got %r" % text)
-            exps.append(exponent)
+            b = _monomial_arg(text, I.names, "related")
+            if b.trail is not None:
+                raise InputError("related expects monomial arguments")
+            exps.append(b.lead)
         ok = cg.related(c, *exps)
         _emit(args, lambda: {"related": ok},
               lambda: ["related" if ok else "not related"])
@@ -454,11 +481,13 @@ COMMANDS = (
     ("snf", cmd_snf, "Smith normal form", [MATRIX], "matrix"),
 )
 
+NAMES = frozenset([name for name, *_ in COMMANDS] + ["congruence"])
 IDEAL_HELP = "name of the ideal to use"
 JSON_HELP = "machine-readable output"
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="binomials",
         description="Exact computations with binomial ideals and the "
@@ -466,6 +495,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, func, text, arguments, kind in COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -478,6 +509,8 @@ def build_parser():
                            help="cross-check the result with the rational oracle")
         p.set_defaults(func=func)
 
+    if command not in (None, "congruence"):
+        return parser
     # its positionals differ: the action, then the file and two monomials
     p = sub.add_parser(
         "congruence", help="congruence queries",
@@ -497,10 +530,27 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's parser is built: its help and its errors read
+    # the same in the full parser.  Unrecognized arguments are reported
+    # through the top-level usage line, which lists every command, so the
+    # full parser reports those, no command and an unknown one.
+    named = argv and argv[0] in NAMES
+    args, unrecognized = build_parser(argv[0] if named else None).parse_known_args(argv)
+    if unrecognized:
+        args = build_parser().parse_args(argv)  # prints the error, exits 2
     try:
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): stop without a word,
+        # with the status a shell shows for SIGPIPE; what is still buffered
+        # goes to os.devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Refusal as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 1

@@ -12,8 +12,6 @@ and the remaining pure ideals go through ``maximal_ideal``'s bounded
 search, which reports an explicit completeness flag.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cellular import is_cellular
@@ -25,25 +23,8 @@ from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
                        is_saturated, lattice_ideal, lattice_intersect)
 from .mesoprimary import is_mesoprime, is_mesoprimary
-from .orders import e_add, e_deg, unit, zero
+from .orders import NIL, e_add, e_deg, unit, zero
 from .scalars import ONE
-
-
-class _Nil:
-    """Distinguished tag for the absorbing (nil) class."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NIL"
-
-
-NIL = _Nil()
 
 
 class Congruence:

@@ -22,8 +22,6 @@ serves every colon and saturation, at one variable or several: it
 homogenizes once, takes one colon per variable and maps back once.
 """
 
-from __future__ import annotations
-
 import heapq
 from collections import namedtuple
 

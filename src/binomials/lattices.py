@@ -11,8 +11,6 @@ of a degree matrix is one Fourier-Motzkin search for a positive
 functional; only its back-substitution (``_fm_point``) uses ``Fraction``.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

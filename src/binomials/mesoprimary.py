@@ -9,8 +9,6 @@ mesoprime; its primary decomposition then comes straight from the lattice
 decomposition of its delta part.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

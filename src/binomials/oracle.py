@@ -8,8 +8,6 @@ so it must stay independent of the main engine's reduction path.
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import InputError

@@ -3,10 +3,9 @@
 Exponents are plain tuples of nonnegative ints.  Every order exposes a
 sort ``key`` that is injective and additive, so comparisons, sorting and
 admissibility (0 minimal, translation invariance) all come for free from
-tuple comparison.
+tuple comparison.  ``NIL`` stands where a class of exponents is expected and
+the monomial lies in the ideal (see ``congruences``).
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -43,6 +42,23 @@ def zero(n):
 def unit(n, i, k=1):
     """The exponent of X_i^k in n variables."""
     return tuple(k if j == i else 0 for j in range(n))
+
+
+class _Nil:
+    """Distinguished tag for the absorbing (nil) class."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "NIL"
+
+
+NIL = _Nil()
 
 
 class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",

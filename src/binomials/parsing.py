@@ -16,15 +16,12 @@ e^(2*pi*i*k/m), and fractional prime powers ``p^(a/b)`` (the latter so that
 printed output always re-parses).
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 
-from .congruences import NIL
 from .engine import Binomial, BinomialIdeal
 from .errors import ParseError
-from .orders import grevlex, lex
+from .orders import NIL, grevlex, lex
 from .scalars import Scalar, ONE
 
 _TOKEN = re.compile(r"""

@@ -13,8 +13,6 @@ Faithfulness: two scalars are equal iff their components are equal, by
 unique factorization, so equality is a plain field-by-field comparison.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd

@@ -1,10 +1,15 @@
+import argparse
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from binomials.cli import main
+from binomials.cli import COMMANDS, main
 
 UM = """ring X Y
 ideal I
@@ -174,6 +179,19 @@ class TestPredicatesAndExitCodes:
         assert code == 1
         assert "non-binomial" in err
 
+    @pytest.mark.parametrize("term, code, out, err", [
+        ("X", 0, "X - 1\n", ""),
+        ("2*X", 2, "", "error: colon expects monomials with coefficient 1, got '2*X'\n"),
+        ("1/2*X", 2, "", "error: colon expects monomials with coefficient 1, got '1/2*X'\n"),
+        ("X + X", 2, "", "error: expected a single term\n"),
+        ("X - 1", 1, "", "refused: colon by a binomial may have a non-binomial "
+                         "result; only monomial divisors are supported\n")])
+    def test_colon_monomial_argument(self, capsys, session_file, term, code, out, err):
+        # a coefficient is refused, not dropped: 2*X is not read as X
+        text = "ring X\nideal I\nX^2 - X\n"
+        got = run(capsys, ["colon", "--monomial", term, session_file(text)])
+        assert got == (code, out, err)
+
     def test_nf_with_coefficient(self, capsys, session_file):
         code, out, _ = run(capsys, ["nf", "--term", "2*X^3",
                                     session_file(UM)])
@@ -323,6 +341,32 @@ class TestMatrixCommands:
         assert payload["D"] == [[2, 0]]
 
 
+EVERY_COMMAND = [name for name, *_ in COMMANDS] + ["congruence"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, built", [
+        (["snf", "--matrix", "1"], ["snf"]),
+        (["congruence", "table", "--max", "0"], ["congruence"]),
+        # the full parser reports an unrecognized argument and an unknown command
+        (["snf", "--matrix", "1", "--bogus"], ["snf"] + EVERY_COMMAND),
+        (["frobnicate"], EVERY_COMMAND)])
+    def test_main_builds_only_the_named_subparser(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **options):
+            names.append(name)
+            return add_parser(self, name, **options)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert names == built
+
+
 class TestOracleFlag:
     @pytest.mark.parametrize("argv", [["nf", "--term", "X"],
                                       ["saturate", "--vars", "Y"],
@@ -388,6 +432,24 @@ class TestCongruenceCommand:
                                     session_file(NILQ)])
         assert code == 0
         assert "mesoprimary: yes" in out and "prime: no" in out
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # `binomials congruence table FILE | head -c 10`: the reader leaves after
+    # 10 of about 250 kB, the next write fails, and the command stops with
+    # the shell's SIGPIPE status instead of an input-error message
+    path = tmp_path / "session.txt"
+    path.write_text("ring X Y\nideal I\nX^12\nY^12\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen([sys.executable, "-m", "binomials.cli", "congruence",
+                           "table", str(path), "--max", "1000"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import ast
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -44,15 +45,92 @@ def test_no_dataclasses_import():
     assert not found, "dataclasses imported in %s" % ", ".join(found)
 
 
+def _loaded(code, *args):
+    """The lines ``code`` prints when run with ``args`` in a fresh
+    interpreter, and the modules it adds to the bare interpreter's own."""
+    code = ("import sys; before = set(sys.modules); %s; "
+            "print(*sorted(set(sys.modules) - before))" % code)
+    out = subprocess.run([sys.executable, "-c", code] + list(args),
+                         cwd=str(PACKAGE.parent), capture_output=True, text=True,
+                         check=True).stdout
+    *printed, last = out.splitlines()
+    return printed, set(last.split())
+
+
+def _own(modules):
+    return {m for m in modules if m == "binomials" or m.startswith("binomials.")}
+
+
+# what `import binomials.cli` loads: the parsing layer and what it imports
+BASE = {"binomials"} | {"binomials." + m for m in
+                        ("cli", "parsing", "engine", "scalars", "orders", "errors")}
+
+
+def test_package_import_loads_no_module():
+    assert _own(_loaded("import binomials")[1]) == {"binomials"}
+
+
 def test_cli_import_loads_no_heavy_modules():
-    # the modules `import binomials.cli` adds to a bare interpreter's own
-    code = ("import sys; before = set(sys.modules); import binomials.cli; "
-            "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], cwd=str(PACKAGE.parent),
-                         capture_output=True, text=True, check=True).stdout
-    loaded = set(out.split())
-    assert "binomials.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "binomials.oracle", "json"}
+    _, loaded = _loaded("import binomials.cli")
+    assert _own(loaded) == BASE
+    assert not loaded & {"dataclasses", "inspect", "json", "__future__"}
+
+
+SESSION = ("ring X Y\nideal I\nX^2 - Y^2\nideal M\nX*Y\nideal P\nX - Y\n"
+           "ideal Q\nX^2 - Y\nY^2\n")
+LATTICES = {"binomials.lattices"}
+CELLULAR = {"binomials.cellular"}
+MESOPRIMARY = LATTICES | CELLULAR | {"binomials.mesoprimary"}
+ALL = MESOPRIMARY | {"binomials.congruences"}
+MATRIX = ["--matrix", "3 4 5"]
+
+# (argv, with FILE for the session file; the modules it loads beyond BASE)
+COMMAND_LOADS = [
+    (["gb", "FILE", "--ideal", "I"], set()),
+    (["nf", "FILE", "--ideal", "I", "--term", "X^3"], set()),
+    (["eliminate", "FILE", "--ideal", "I", "--keep", "Y"], set()),
+    (["colon", "FILE", "--ideal", "I", "--monomial", "Y"], set()),
+    (["saturate", "FILE", "--ideal", "I", "--vars", "Y"], set()),
+    (["intersect-monomial", "FILE", "--ideal", "I", "--with", "M"], set()),
+    (["pure-part", "FILE", "--ideal", "M", "--lambda", "1,1"], set()),
+    (["maximal", "FILE", "--ideal", "I"], ALL),
+    (["cellular", "FILE", "--ideal", "I"], CELLULAR),
+    (["is-cellular", "FILE", "--ideal", "I"], CELLULAR),
+    (["mesoprimes", "FILE", "--ideal", "I"], MESOPRIMARY),
+    (["is-mesoprimary", "FILE", "--ideal", "I"], MESOPRIMARY),
+    (["is-mesoprime", "FILE", "--ideal", "I"], MESOPRIMARY),
+    (["is-prime", "FILE", "--ideal", "P"], MESOPRIMARY),
+    (["radical", "FILE", "--ideal", "I"], MESOPRIMARY),
+    (["meso-primary-decomp", "FILE", "--ideal", "I"], MESOPRIMARY),
+    (["lattice-decomp", "FILE", "--ideal", "I"], LATTICES),
+    (["toric"] + MATRIX, LATTICES),
+    (["is-positive"] + MATRIX, LATTICES),
+    (["fibers", "--target", "12"] + MATRIX, LATTICES),
+    (["snf"] + MATRIX, LATTICES),
+    (["congruence", "classify", "FILE", "--ideal", "I"], ALL),
+    (["congruence", "related", "FILE", "X", "Y", "--ideal", "I"], ALL),
+    (["congruence", "table", "FILE", "--ideal", "Q"], ALL),
+]
+
+
+def test_every_command_has_an_import_case():
+    from binomials.cli import NAMES
+    assert {argv[0] for argv, _ in COMMAND_LOADS} == NAMES
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_LOADS,
+                         ids=[" ".join(a[:2] if a[0] == "congruence" else a[:1])
+                              for a, _ in COMMAND_LOADS])
+def test_command_loads_only_its_modules(tmp_path, argv, extra):
+    # each command loads the parsing layer and the algebra it runs, and
+    # never the oracle; the set is exact, so a new import shows here
+    session = tmp_path / "session.txt"
+    session.write_text(SESSION)
+    argv = [str(session) if a == "FILE" else a for a in argv]
+    printed, loaded = _loaded("from binomials.cli import main; "
+                              "print('exit', main(sys.argv[1:]))", *argv)
+    assert printed[-1] == "exit 0"
+    assert _own(loaded) == BASE | extra
 
 
 @pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)])
@@ -93,3 +171,56 @@ def test_congruences_does_not_import_parsing():
     # which reads congruences; the algebra does not read the printer
     found = _import_lines("congruences", "parsing")
     assert not found, "congruences.py imports parsing at lines %s" % found
+
+
+# the package's exports: 73 names from its modules and the 9 modules
+EXPORTS = [
+    "Binomial", "BinomialIdeal", "CellularComponent", "Congruence", "Lattice",
+    "Mesoprime", "MonomialOrder", "NIL", "PartialCharacter", "QuotientTable",
+    "ReducedGB", "Scalar", "SmithForm", "Term", "as_cellular",
+    "associated_mesoprimes", "binomial", "cancellative_intersect", "cellular",
+    "cellular_component", "cellular_decompose", "cellular_radical", "character_of",
+    "class_id", "classify_congruence", "classify_element", "colon", "colon_monomial",
+    "congruence", "congruences", "elim", "eliminate", "engine", "errors",
+    "extend_character", "fibers", "grevlex", "hnf", "ideal", "ideal_contains",
+    "ideal_equals", "ideal_member", "ideal_sum", "intersect", "intersect_monomial",
+    "intersection_related", "is_cellular", "is_lattice_ideal", "is_mesoprimary",
+    "is_mesoprime", "is_positive", "is_prime", "is_saturated", "kernel_basis",
+    "lattice_ideal", "lattice_intersect", "lattice_primary_decomposition",
+    "lattices", "lex", "maximal_ideal", "mesoprimary",
+    "mesoprimary_primary_decomposition", "mesoprime", "monomial", "normal_form",
+    "orders", "parsing", "project_ideal", "prune", "pure_part", "quotient_index",
+    "quotient_table", "rees_ideal", "related", "saturate_vars", "saturation",
+    "saturations", "scalars", "smith_normal_form", "table_json", "table_text",
+    "toric_ideal",
+]
+
+
+def test_package_exports_are_pinned():
+    assert len(EXPORTS) == 82
+    assert sorted(binomials.__all__) == EXPORTS
+
+
+def test_every_export_resolves_to_its_home_object():
+    for name in binomials.__all__:
+        value = getattr(binomials, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules["binomials." + name]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert binomials.NIL is binomials.congruences.NIL is binomials.orders.NIL
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from binomials import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+    assert all(namespace[name] is getattr(binomials, name) for name in EXPORTS)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        binomials.no_such_name
+    assert not hasattr(binomials, "cmd_gb")
+    with pytest.raises(ImportError):
+        exec("from binomials import no_such_name", {})

@@ -8,7 +8,9 @@ runs with ``--trace 1``.  The tracer is loaded from its file, not edited.
 import importlib.util
 import pathlib
 
-import binomials.cli  # noqa: F401  (loads every layer the tracer wraps)
+import binomials
+import binomials.cli  # noqa: F401  (with congruences, every layer the tracer wraps)
+import binomials.congruences  # noqa: F401
 from binomials import lattices
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -27,9 +29,12 @@ def test_tracer_installs_counts_and_restores():
                  for name in ("_hnf_rows", "_fm_feasible", "is_positive")}
     with tracing.installed(tracing.Tracer()) as tracer:
         assert lattices.is_positive([[3, 4, 5]])
-        assert lattices.kernel_basis([[1, 1]]) == [(-1, 1)]
+        assert binomials.kernel_basis([[1, 1]]) == [(-1, 1)]
         metrics = tracer.metrics()
     assert metrics["lattices.fm_calls"][0] == 1
     assert metrics["lattices.hnf_calls"][0] == 1
     assert tracer.n("lattices.is_positive") == 1
+    assert tracer.n("lattices.kernel_basis") == 1
     assert {name: getattr(lattices, name) for name in originals} == originals
+    # the package resolves its exports on each access and keeps no wrapper
+    assert binomials.kernel_basis is lattices.kernel_basis
