@@ -9,9 +9,17 @@ A process loads only what its command runs: this module imports the
 parsing layer (with ``engine``, ``orders``, ``scalars`` and ``errors``),
 and each command imports the algebra modules it calls.  ``main`` builds the
 parser of the named command alone.
+
+``run`` is the process entry (``python -m binomials.cli`` and the
+``binomials`` script): it calls ``main`` and then freezes the garbage
+collector, so that the interpreter's shutdown skips collecting every object
+the command built.  Output, atexit handlers and the exit status are
+unchanged.  Code that stays alive after a command, such as the tests, calls
+``main``, which leaves the collector as it is.
 """
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -559,5 +567,14 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """``main`` for a process that ends with it: the heap is frozen on the way
+    out, so shutdown skips the collection of what the command built."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -25,21 +25,19 @@ from .orders import NIL, grevlex, lex
 from .scalars import Scalar, ONE
 
 _TOKEN = re.compile(r"""
-    (?P<zeta>zeta\(\s*\d+\s*,\s*\d+\s*\))
-  | (?P<power>\d+\^\(\s*\d+\s*/\s*\d+\s*\))
-  | (?P<number>\d+(?:\s*/\s*\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?)
+    (?P<zeta>zeta\(\s*(?P<order>\d+)\s*,\s*(?P<index>\d+)\s*\))
+  | (?P<power>(?P<base>\d+)\^\(\s*(?P<power_num>\d+)\s*/\s*(?P<power_den>\d+)\s*\))
+  | (?P<number>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)
+  | (?P<name>(?P<var>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>\d+))?)
   | (?P<op>[+\-*])
   | (?P<space>\s+)
   | (?P<bad>.)
 """, re.VERBOSE)
 
-_ZETA = re.compile(r"zeta\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_POWER = re.compile(r"(\d+)\^\(\s*(\d+)\s*/\s*(\d+)\s*\)")
-_NAMEEXP = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
-
 
 def _tokenize(text, line):
+    """The token matches of ``text``, spaces left out.  A token's kind is
+    its ``lastgroup``; its parts are the named groups inside that kind."""
     tokens = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -47,26 +45,25 @@ def _tokenize(text, line):
             continue
         if kind == "bad":
             raise ParseError("unexpected character %r" % m.group(), line)
-        tokens.append((kind, m.group()))
+        tokens.append(m)
     return tokens
 
 
-def _scalar_factor(kind, text, line):
+def _scalar_factor(tok, line):
+    kind = tok.lastgroup
     if kind == "zeta":
-        m, k = map(int, _ZETA.match(text).groups())
+        m, k = int(tok["order"]), int(tok["index"])
         if m <= 0:
             raise ParseError("zeta order must be positive", line)
         return Scalar.zeta(m, k)
     if kind == "power":
-        base, num, den = map(int, _POWER.match(text).groups())
+        base, num, den = int(tok["base"]), int(tok["power_num"]), int(tok["power_den"])
         if base == 0:
             raise ParseError("zero coefficient", line)
         if den == 0:
             raise ParseError("root degree must be at least 1", line)
         return Scalar.from_rational(base).root(den, 0) ** num
-    num_den = text.replace(" ", "").split("/")
-    num = int(num_den[0])
-    den = int(num_den[1]) if len(num_den) > 1 else 1
+    num, den = int(tok["num"]), int(tok["den"] or 1)
     if den == 0:
         raise ParseError("zero denominator", line)
     if num == 0:
@@ -80,19 +77,20 @@ def parse_term(tokens, names, line):
     exponent = [0] * len(names)
     saw_factor = False
     expect_factor = True
-    for kind, text in tokens:
+    for tok in tokens:
+        kind = tok.lastgroup
         if kind == "op":
-            if text != "*" or expect_factor:
-                raise ParseError("misplaced operator %r" % text, line)
+            if tok["op"] != "*" or expect_factor:
+                raise ParseError("misplaced operator %r" % tok["op"], line)
             expect_factor = True
             continue
-        if kind in ("zeta", "power", "number"):
-            coeff = coeff * _scalar_factor(kind, text, line)
-        elif kind == "name":
-            name, power = _NAMEEXP.match(text).groups()
+        if kind == "name":
+            name = tok["var"]
             if name not in names:
                 raise ParseError("unknown variable %r" % name, line)
-            exponent[names.index(name)] += int(power) if power else 1
+            exponent[names.index(name)] += int(tok["exp"] or 1)
+        else:
+            coeff = coeff * _scalar_factor(tok, line)
         saw_factor = True
         expect_factor = False
     if not saw_factor or expect_factor:
@@ -106,16 +104,16 @@ def parse_binomial(text, names, line=None):
     if not tokens:
         raise ParseError("empty generator", line)
     # split into signed terms at top-level +/-
-    terms, current, sign = [], [], (-1 if tokens[0] == ("op", "-") else 1)
-    if tokens[0] in (("op", "-"), ("op", "+")):
+    terms, current, sign = [], [], (-1 if tokens[0]["op"] == "-" else 1)
+    if tokens[0]["op"] in ("-", "+"):
         tokens = tokens[1:]
-    for kind, text_tok in tokens:
-        if kind == "op" and text_tok in "+-" and current:
+    for tok in tokens:
+        if tok["op"] in ("+", "-") and current:
             terms.append((sign, current))
-            sign = 1 if text_tok == "+" else -1
+            sign = 1 if tok["op"] == "+" else -1
             current = []
         else:
-            current.append((kind, text_tok))
+            current.append(tok)
     terms.append((sign, current))
     if len(terms) > 2:
         raise ParseError("binomials have at most two terms; got %d" % len(terms), line)
@@ -138,7 +136,7 @@ def parse_binomial(text, names, line=None):
 def _unsigned(text, line):
     """The tokens of ``text`` without a leading minus, and whether it had one."""
     tokens = _tokenize(text, line)
-    if tokens[:1] == [("op", "-")]:
+    if tokens and tokens[0]["op"] == "-":
         return tokens[1:], True
     return tokens, False
 
@@ -146,7 +144,7 @@ def _unsigned(text, line):
 def parse_single_term(text, names, line=None):
     """A one-term expression as (coeff, exponent)."""
     tokens, negative = _unsigned(text, line)
-    if any(kind == "op" and tok in "+-" for kind, tok in tokens):
+    if any(tok["op"] in ("+", "-") for tok in tokens):
         raise ParseError("expected a single term", line)
     coeff, exponent = parse_term(tokens, names, line)
     return (coeff.negate() if negative else coeff), exponent
@@ -155,9 +153,9 @@ def parse_single_term(text, names, line=None):
 def parse_scalar(text, line=None):
     """A bare coefficient literal (no variables), e.g. ``-2/3*zeta(4,1)``."""
     tokens, negative = _unsigned(text, line)
-    for kind, tok in tokens:
-        if kind == "name":
-            raise ParseError("expected a scalar literal, found %r" % tok, line)
+    for tok in tokens:
+        if tok.lastgroup == "name":
+            raise ParseError("expected a scalar literal, found %r" % tok.group(), line)
     coeff, _ = parse_term(tokens, (), line)
     return coeff.negate() if negative else coeff
 
@@ -232,7 +230,7 @@ def check_names(names, line=None):
     if not names or len(set(names)) != len(names):
         raise ParseError("ring needs distinct variable names", line)
     for n in names:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n) or n == "zeta":
+        if not (n.isascii() and n.isidentifier()) or n == "zeta":
             raise ParseError("bad variable name %r" % n, line)
     return names
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from binomials.cli import COMMANDS, main
+from test_cli_golden import DATA, FILE, SESSIONS
 
 UM = """ring X Y
 ideal I
@@ -434,22 +436,107 @@ class TestCongruenceCommand:
         assert "mesoprimary: yes" in out and "prime: no" in out
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout,
+    with a terminal as wide as the golden record's."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+
+
 def test_closed_stdout_pipe_exits_quietly(tmp_path):
     # `binomials congruence table FILE | head -c 10`: the reader leaves after
     # 10 of about 250 kB, the next write fails, and the command stops with
     # the shell's SIGPIPE status instead of an input-error message
     path = tmp_path / "session.txt"
     path.write_text("ring X Y\nideal I\nX^12\nY^12\n")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     with subprocess.Popen([sys.executable, "-m", "binomials.cli", "congruence",
-                           "table", str(path), "--max", "1000"], env=env,
+                           "table", str(path), "--max", "1000"], env=_child_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+class TestProcessEntry:
+    """``python -m binomials.cli`` runs ``cli.run``, which freezes the heap
+    after ``main`` so that shutdown skips collecting it; ``main`` itself
+    never touches the collector."""
+
+    # one recorded case of each status: success, refusal, input error and
+    # argparse usage error
+    CASES = [("um", ["gb", FILE]),
+             ("paper", ["is-cellular", FILE]),
+             ("um", ["eliminate", FILE, "--keep", "Q"]),
+             (None, ["gb", "--bogus"])]
+
+    @staticmethod
+    def child(args, cwd, **streams):
+        """A child interpreter run with ``args``, stdin closed."""
+        return subprocess.run([sys.executable] + args, cwd=str(cwd), env=_child_env(),
+                              stdin=subprocess.DEVNULL, **streams)
+
+    @pytest.mark.parametrize("argv", [["gb", "SESSION"], ["is-prime", "SESSION"],
+                                      ["gb", "--bogus"]])
+    def test_main_leaves_the_collector_unfrozen(self, capsys, session_file, argv):
+        before = gc.get_freeze_count()
+        argv = [session_file(UM) if a == "SESSION" else a for a in argv]
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("session, argv", CASES, ids=["0", "1", "2-input", "2-usage"])
+    def test_process_matches_the_golden_record(self, tmp_path, session, argv):
+        with open(DATA) as handle:
+            record = next(c for c in json.load(handle)
+                          if c["session"] == session and c["argv"] == argv)
+        if session is not None:
+            (tmp_path / FILE).write_text(SESSIONS[session])
+        proc = self.child(["-m", "binomials.cli"] + argv, tmp_path,
+                          capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (record["code"], record["stdout"], record["stderr"])
+
+    def test_process_matches_main_on_a_closed_pipe(self, capsys, monkeypatch, tmp_path):
+        # stdout is a pipe whose reader is gone before the first write
+        (tmp_path / FILE).write_text(SESSIONS["um"])
+        argv = ["gb", str(tmp_path / FILE)]
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(argv)
+            monkeypatch.undo()
+        expected = (code, capsys.readouterr().err)
+        r, w = os.pipe()
+        os.close(r)
+        proc = self.child(["-m", "binomials.cli"] + argv, tmp_path, stdout=w,
+                          stderr=subprocess.PIPE, text=True)
+        os.close(w)
+        assert expected == (141, "")
+        assert (proc.returncode, proc.stderr) == expected
+
+    @pytest.mark.parametrize("argv, code", [(["snf", "--matrix", "2"], 0),
+                                            (["gb", "--bogus"], 2)])
+    def test_run_keeps_atexit_handlers(self, capsys, tmp_path, argv, code):
+        # a handler registered before run() still fires, and sees the heap
+        # frozen; an os._exit shortcut would skip it
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        expected = capsys.readouterr()
+        script = ("import atexit, gc, sys\n"
+                  "from binomials.cli import run\n"
+                  "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0,"
+                  " file=sys.stderr))\n"
+                  "sys.exit(run())\n")
+        proc = self.child(["-c", script] + argv, tmp_path, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, expected.out, expected.err + "atexit: frozen True\n")
 
 
 class TestDeterminism:

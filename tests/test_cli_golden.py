@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -134,7 +135,8 @@ def _cases():
 
 def run_case(session, argv, workdir):
     """Exit code, stdout and stderr of ``main(argv)`` run in ``workdir``
-    with ``session`` as the session file and an empty stdin."""
+    with ``session`` as the session file, an empty stdin and a terminal 80
+    columns wide, the width argparse wraps usage lines at."""
     path = Path(workdir) / FILE
     if session is None:
         path.unlink(missing_ok=True)
@@ -145,7 +147,8 @@ def run_case(session, argv, workdir):
     os.chdir(workdir)
     sys.stdin = io.StringIO("")
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             try:
                 code = main(argv)
             except SystemExit as exc:

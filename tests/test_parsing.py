@@ -107,10 +107,17 @@ class TestSessionGrammar:
 
     @pytest.mark.parametrize("ring, message", [("X X Y", "distinct"),
                                                ("X 1Y", "'1Y'"),
-                                               ("X zeta", "'zeta'")])
+                                               ("X zeta", "'zeta'"),
+                                               ("X Y-1", "'Y-1'"),
+                                               ("X Y\u00e9", "'Y\u00e9'")])
     def test_bad_ring_names(self, ring, message):
         with pytest.raises(ParseError, match="line 2: .*%s" % message):
             parse_input("# names\nring %s\n" % ring)
+
+    def test_ring_names_are_ascii_identifiers(self):
+        # keywords included: every such name is a token of the grammar
+        session = parse_input("ring _a if B2 zeta_\nideal I\n_a^2 - if*B2\n")
+        assert session.names == ("_a", "if", "B2", "zeta_")
 
     def test_line_number_in_error(self):
         with pytest.raises(ParseError, match="line 3"):

@@ -224,3 +224,49 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(binomials, "cmd_gb")
     with pytest.raises(ImportError):
         exec("from binomials import no_such_name", {})
+
+
+# calls that end the process early or change the collector for the whole
+# process; the process entry `cli.run` alone freezes the heap on the way out
+PROCESS_WIDE = {("os", "_exit"), ("gc", "disable"), ("gc", "freeze")}
+
+
+def _process_wide_uses():
+    """(file, enclosing function, name) of every use or import of a
+    process-wide call."""
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = "%s.%s" % (where, node.name) if where else node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in PROCESS_WIDE):
+            found.append((path.name, where, "%s.%s" % (node.value.id, node.attr)))
+        if isinstance(node, ast.ImportFrom):
+            found.extend((path.name, where, "%s.%s" % (node.module, alias.name))
+                         for alias in node.names if (node.module, alias.name) in PROCESS_WIDE)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path, tree in _trees():
+        visit(tree, path, None)
+    return found
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # os._exit would skip atexit handlers and buffered output; gc.disable
+    # saves nothing, since shutdown collects explicitly; a freeze anywhere
+    # but on the way out of a process would stop collection in the tests
+    assert _process_wide_uses() == [("cli.py", "run", "gc.freeze")]
+
+
+def test_every_process_entry_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"binomials": "binomials.cli:run"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(statement) for statement in body] for body in blocks] == \
+        [["sys.exit(run())"]]
