@@ -134,7 +134,7 @@ def main():
             for _ in range(4 * args.maxdeg + 1):
                 if orc.member(g, gb_I):
                     break
-                g = orc.p_mul(g, m)
+                g = orc.p_scale(g, (1,) * args.vars, 1)
             within.append(orc.member(g, gb_I))
         if not (all(orc.member(f, gb_S) for f in raw) and all(within)
                 and orc.ideal_equal(orc.rational_colon_poly(S, m, args.vars), S)):

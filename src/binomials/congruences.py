@@ -116,7 +116,8 @@ def classify_congruence(c):
             "congruence classification needs a maximal congruence")
     I = c.ideal
     meso = is_mesoprime(I)
-    ok, witness = is_mesoprimary(I)
+    # a mesoprime's only standard monomial is 0, so it is mesoprimary
+    ok, witness = (True, None) if meso is not None else is_mesoprimary(I)
     flags = CongruenceFlags(
         cancellative=meso is not None and len(meso.delta) == I.n,  # lattice ideal
         prime=meso is not None,

@@ -9,7 +9,6 @@ mesoprime; its primary decomposition then comes straight from the lattice
 decomposition of its delta part.
 """
 
-import itertools
 from collections import namedtuple
 
 from .cellular import as_cellular
@@ -18,7 +17,7 @@ from .engine import (BinomialIdeal, colon_monomial, eliminate, ideal_equals,
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
 from .lattices import (Lattice, PartialCharacter, character_of, is_saturated,
                        lattice_ideal, lattice_primary_decomposition)
-from .orders import unit
+from .orders import unit, zero
 
 
 class Mesoprime(namedtuple("Mesoprime", "names delta character")):
@@ -61,28 +60,24 @@ def _delta_character(I, delta):
     return character_of(eliminate(I, delta))
 
 
-def _standard_monomials(component):
-    """Exponents u supported off delta with u_i < d_i and X^u outside I,
-    in lexicographic order over the nilpotent coordinates; the first is 0."""
-    I = component.ideal
-    nil = dict(component.nilpotency)
-    indices = sorted(nil)
-    for combo in itertools.product(*(range(nil[i]) for i in indices)):
-        u = [0] * I.n
-        for i, c in zip(indices, combo):
-            u[i] = c
-        u = tuple(u)
-        if not ideal_member(monomial(u), I):
-            yield u
-
-
 def _mesoprimes(component):
-    """(mesoprime of I : X^u, u) for each standard monomial u, in order."""
-    I = component.ideal
-    for u in _standard_monomials(component):
-        quotient = colon_monomial(I, u)
-        yield Mesoprime(I.names, component.delta,
-                        _delta_character(quotient, component.delta)), u
+    """(mesoprime of I : X^u, u) for each standard monomial u, in
+    lexicographic order over the nilpotent coordinates, the first being 0.
+    I : X^u is one colon of its parent's quotient, so each colon is taken
+    once; X^v in I ends a level, since every larger exponent is in I."""
+    I, delta = component.ideal, component.delta
+
+    def walk(J, u, nilpotency):
+        if not nilpotency:
+            yield Mesoprime(I.names, delta, _delta_character(J, delta)), u
+            return
+        (i, d), rest = nilpotency[0], nilpotency[1:]
+        for c in range(d):
+            v = u[:i] + (c,) + u[i + 1:]
+            if ideal_member(monomial(v), I):
+                break
+            yield from walk(colon_monomial(J, unit(I.n, i, c)), v, rest)
+    return walk(I, zero(I.n), component.nilpotency)
 
 
 def associated_mesoprimes(component):

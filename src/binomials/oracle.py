@@ -35,19 +35,6 @@ def p_scale(f, exponent, coeff):
     return {e_add(u, exponent): c * coeff for u, c in f.items()}
 
 
-def p_mul(f, g):
-    out = {}
-    for u, a in f.items():
-        for v, b in g.items():
-            w = e_add(u, v)
-            c = out.get(w, Fraction(0)) + a * b
-            if c == 0:
-                out.pop(w, None)
-            else:
-                out[w] = c
-    return out
-
-
 def p_lead(f, order):
     u = max(f, key=order.key)
     return u, f[u]

@@ -135,6 +135,29 @@ def rand_mixed_ideal(r, n=3, maxdeg=4):
     return rand_ideal(r, n, maxdeg=maxdeg, rational=False, allow_monomial=False)
 
 
+def rand_twisted_ideal(r, rational=True):
+    """A binomial ideal in 3-4 variables whose first one or two variables
+    are units, X_i^a - c, and the rest nilpotent, X_j^d.  Each unit variable
+    also gets one or two relations X^m * (X_i^b - c') with b a proper divisor
+    of a and c' a root of c, so colons by different monomials in the
+    nilpotent variables have different characters."""
+    n = r.choice((3, 4))
+    k = r.choice((1, 2)) if n == 4 else 1
+    gens = []
+    for i in range(k):
+        a = r.choice((2, 4, 6))
+        c = rand_graded_scalar(r, rational)
+        gens.append(binomial(tuple(a if j == i else 0 for j in range(n)), (0,) * n, c))
+        for _ in range(r.randint(1, 2)):
+            b = r.choice([b for b in range(1, a) if a % b == 0])
+            m = (0,) * k + rand_exponent(r, n - k, 3)
+            gens.append(binomial(tuple(e + b * (j == i) for j, e in enumerate(m)), m,
+                                 c.root(a // b, r.randrange(a // b))))
+    gens += [monomial(tuple(r.randint(2, 3) if j == i else 0 for j in range(n)))
+             for i in range(k, n)]
+    return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
+
+
 def rand_matrix(r, max_rows=6, max_cols=6, bound=20):
     rows = r.randint(1, max_rows)
     cols = r.randint(1, max_cols)

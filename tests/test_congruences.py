@@ -156,6 +156,19 @@ class TestClassifyCongruence:
         assert flags.cancellative and flags.prime
         assert not flags.toric
 
+    def test_lattice_ideal_classified_once(self, monkeypatch):
+        # a mesoprime is mesoprimary without a second cellularity test
+        from binomials import cellular, is_mesoprimary
+        calls, classify = [], cellular._classify
+        monkeypatch.setattr(cellular, "_classify",
+                            lambda I: calls.append(I) or classify(I))
+        I = ideal(XYZ, [binomial((6, 0, 0), (0, 6, 0)),
+                        binomial((2, 1, 0), (0, 0, 3))])
+        flags = classify_congruence(congruence(I))
+        assert len(calls) == 1
+        assert flags == (True, True, True, True, False)
+        assert is_mesoprimary(I) == (True, None)
+
     def test_nilpotent_quotient(self, c_nilpotent):
         flags = classify_congruence(c_nilpotent)
         assert flags.mesoprimary and flags.primary

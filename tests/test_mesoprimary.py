@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from binomials import (BinomialIdeal, Mesoprime, Scalar, as_cellular,
@@ -9,10 +12,11 @@ from binomials import (BinomialIdeal, Mesoprime, Scalar, as_cellular,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
 from binomials.errors import InputError, NotMesoprimaryError, UnitIdealError
-from binomials.orders import unit
+from binomials.mesoprimary import _delta_character, _mesoprimes
+from binomials.orders import e_deg, unit
 from binomials import oracle as orc
 
-from gen import rand_ideal, rand_mixed_ideal, rng
+from gen import rand_ideal, rand_mixed_ideal, rand_twisted_ideal, rng
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -57,6 +61,79 @@ class TestAssociatedMesoprimes:
         assert len(pairs) == 1
         assert ideal_equals(pairs[0][0].ideal(),
                             ideal(XY, [monomial((1, 0)), monomial((0, 1))]))
+
+    def test_walk_matches_the_box(self):
+        # seeded cellular components with rational, root-of-unity and
+        # prime-power coefficients, homogeneous or not, with 0 to 3 or more
+        # nilpotent variables: the walk gives the box's pairs, in its order.
+        # Twisted ideals make the mesoprime depend on the whole of u.
+        r = rng(2929)
+        seen, twisted = set(), 0
+        for _ in range(150):
+            if r.random() < 0.3:
+                I = rand_twisted_ideal(r, rational=r.random() < 0.5)
+            else:
+                I = rand_mixed_ideal(r, n=r.choice((2, 3)))
+            if I.is_unit():
+                continue
+            for comp in cellular_decompose(I):
+                got = list(_mesoprimes(comp))
+                assert got == reference_mesoprimes(comp), comp
+                twisted += len(comp.nilpotency) > 1 and len(set(m for m, _ in got)) > 1
+                seen |= _kinds(comp.ideal) | {len(comp.nilpotency)}
+        assert seen >= {0, 1, 2, 3, "rational", "root", "power",
+                        "homogeneous", "inhomogeneous"}, seen
+        assert twisted >= 20, twisted
+
+    def test_mixed4_colon_count(self, monkeypatch):
+        # <XY - Z^2, ZW - X^2, W^3>: one colon per node of the walk.  The
+        # count changes only on purpose; taking each colon from I makes 94
+        from binomials import engine
+        I = ideal(("X", "Y", "Z", "W"), [binomial((1, 1, 0, 0), (0, 0, 2, 0)),
+                                         binomial((0, 0, 1, 1), (2, 0, 0, 0)),
+                                         monomial((0, 0, 0, 3))])
+        comp = as_cellular(I)
+        calls, colon_var = [], engine._colon_var
+        monkeypatch.setattr(engine, "_colon_var",
+                            lambda *a: calls.append(a) or colon_var(*a))
+        pairs = associated_mesoprimes(comp)
+        assert [u for _, u in pairs] == [(0, 0, 0, 0)]
+        assert len(calls) == 51
+
+
+def reference_mesoprimes(component):
+    """Every u of the box u_i < d_i off delta with X^u outside I, in
+    lexicographic order, with the mesoprime of I : X^u taken from scratch."""
+    I = BinomialIdeal(component.ideal.names, component.ideal.gens)
+    indices = [i for i, _ in component.nilpotency]
+    out = []
+    for combo in itertools.product(*(range(d) for _, d in component.nilpotency)):
+        u = [0] * I.n
+        for i, c in zip(indices, combo):
+            u[i] = c
+        u = tuple(u)
+        if not ideal_member(monomial(u), I):
+            character = _delta_character(colon_monomial(I, u), component.delta)
+            out.append((Mesoprime(I.names, component.delta, character), u))
+    return out
+
+
+def _kinds(I):
+    """The coefficient kinds and the grading of I's generators."""
+    kinds = set()
+    for g in I.gens:
+        if g.trail is not None:
+            if g.coeff.torsion not in (0, Fraction(1, 2)):
+                kinds.add("root")
+            if any(e.denominator != 1 for _, e in g.coeff.primes):
+                kinds.add("power")
+            if e_deg(g.lead) != e_deg(g.trail):
+                kinds.add("inhomogeneous")
+    if not kinds & {"root", "power"}:
+        kinds.add("rational")
+    if "inhomogeneous" not in kinds:
+        kinds.add("homogeneous")
+    return kinds
 
 
 class TestIsMesoprimary:
@@ -231,7 +308,6 @@ class TestStructuralProperties:
     def test_colon_preserves_delta(self):
         # for delta-cellular I and X^u off delta outside I, the colon stays
         # delta-cellular with the same delta
-        from binomials.mesoprimary import _standard_monomials
         corpus = [um_ideal(),
                   ideal(XY, [binomial((1, 0), (0, 1)), monomial((0, 2))]),
                   ideal(XY, [binomial((2, 0), (0, 0)), monomial((0, 3))]),
@@ -240,7 +316,7 @@ class TestStructuralProperties:
         for I in corpus:
             comp = as_cellular(I)
             assert comp is not None
-            for u in _standard_monomials(comp):
+            for _, u in _mesoprimes(comp):
                 if not any(u):
                     continue
                 assert is_cellular(colon_monomial(I, u)) == comp.delta
