@@ -404,10 +404,10 @@ def cmd_congruence(args):
     if args.action == "classify":
         c = cg.congruence(I)
         if not c.maximal:
-            maximalized, complete = cg.maximal_ideal(I, args.bound)
+            maximalized, _ = cg.maximal_ideal(I, args.bound)
             c = cg.congruence(maximalized)
-            print("note: congruence maximalized (completeness %s)"
-                  % ("certified" if complete else "unknown"), file=sys.stderr)
+            # maximal_ideal certifies completeness only for an I already maximal
+            print("note: congruence maximalized (completeness unknown)", file=sys.stderr)
         flags = cg.classify_congruence(c)
         _emit(args, lambda: {k: getattr(flags, k) for k in keys},
               lambda: ["%s: %s" % (k, "yes" if getattr(flags, k) else "no")

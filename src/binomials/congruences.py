@@ -16,14 +16,14 @@ from collections import namedtuple
 
 from .cellular import is_cellular
 from .engine import (BinomialIdeal, Term, colon_monomial, eliminate,
-                     ideal_equals, ideal_member, ideal_sum, monomial,
-                     normal_form, saturate_vars)
+                     ideal_equals, ideal_sum, monomial, normal_form,
+                     saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
                        is_saturated, lattice_ideal, lattice_intersect)
 from .mesoprimary import is_mesoprime, is_mesoprimary
-from .orders import NIL, e_add, e_deg, unit, zero
+from .orders import NIL, e_add, e_deg, e_divides, unit, zero
 from .scalars import ONE
 
 
@@ -84,7 +84,10 @@ def classify_element(c, u):
             "maximal_ideal first")
     u = tuple(u)
     I = c.ideal
-    nil = _is_nil(c, u)
+    # the monomials of a maximal I form the one absorbing class; a lattice
+    # ideal has none, as it is cancellative: u + e_i ~ u forces e_i ~ 0
+    # for every i, and then every class is [0]
+    nil = class_id(c, u) is NIL
     quotient = colon_monomial(I, u)
     # X^u is nilpotent when I : (X^u)^infinity, the saturation at the
     # support of u, is the unit ideal
@@ -148,36 +151,39 @@ def maximal_ideal(J, bound=None):
     """(ideal, complete): the congruence-maximal ideal J + nil monomials.
 
     An ideal with monomials is already maximal (complete = True).  A
-    lattice ideal has no nil (complete = True).  Otherwise nil classes are
-    searched up to the total-degree bound; found nils are adjoined and the
-    search repeated to a fixed point, but completeness stays uncertified.
+    lattice ideal has no nil (complete = True).  Otherwise the minimal nils
+    up to the total-degree bound are adjoined, uncertified (complete False).
+
+    A monoid has one absorbing element at most, so one pass suffices: J
+    holds no monomial here, the adjoined monomials form an absorbing class,
+    and no second one exists.  Once one nil u0 is found, u is nil exactly
+    when [u] = [u0], one normal form in place of ``_is_nil``'s n + 2.  The
+    nils form a monoid ideal searched by degree, so multiples of a found nil
+    are skipped and every nil found is minimal.
     """
-    if congruence(J).maximal:
+    c = congruence(J)
+    if c.maximal:
         return J, True
     gb = J.groebner()
     if bound is None:
         maxdeg = max((max(e_deg(b.lead), e_deg(b.trail)) for b in gb.elements),
                      default=0)
         bound = 2 * maxdeg + J.n
-    current = J
-    while True:
-        c = Congruence(current, False)
-        nils = []
-        for degree in range(1, bound + 1):
-            for u in _total_degree_exponents(J.n, degree):
-                if ideal_member(monomial(u), current):
-                    continue
+    nil_class, minimal = None, []
+    for degree in range(1, bound + 1):
+        for u in _total_degree_exponents(J.n, degree):
+            if any(e_divides(v, u) for v in minimal):
+                continue
+            if nil_class is None:
                 if _is_nil(c, u):
-                    nils.append(u)
-        if not nils:
-            break
-        minimal = [u for u in nils
-                   if not any(v != u and all(a <= b for a, b in zip(v, u))
-                              for v in nils)]
-        current = ideal_sum(current, BinomialIdeal(
-            J.names, tuple(monomial(u) for u in minimal)))
-    # neither branch can certify the bounded search exhausted the nil class
-    return current, False
+                    nil_class = class_id(c, u)
+                    minimal.append(u)
+            elif class_id(c, u) == nil_class:
+                minimal.append(u)
+    if minimal:
+        J = ideal_sum(J, BinomialIdeal(J.names, tuple(map(monomial, minimal))))
+    # the bounded search cannot certify that it exhausted the nil class
+    return J, False
 
 
 class QuotientTable(namedtuple("QuotientTable", "classes table")):

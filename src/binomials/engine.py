@@ -252,7 +252,6 @@ def _interreduce(basis, order):
             continue
         t = _nf_exponent(b.trail, b.coeff, minimal)
         out.append(monomial(b.lead) if t is None else Binomial(b.lead, t[0], t[1]))
-    out.sort(key=lambda b: order.key(b.lead))
     return tuple(out)
 
 
@@ -268,9 +267,9 @@ def normal_form(t, gb):
     return None if r is None else Term(r[1], r[0])
 
 
-def ideal_member(f, I, order=None):
+def ideal_member(f, I):
     """Membership test via normal forms of both terms and one equality check."""
-    gb = I.groebner(order)
+    gb = I.groebner()
     r1 = _nf_exponent(f.lead, ONE, gb.elements)
     if f.trail is None:
         return r1 is None

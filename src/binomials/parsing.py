@@ -19,7 +19,7 @@ printed output always re-parses).
 import re
 from fractions import Fraction
 
-from .engine import Binomial, BinomialIdeal
+from .engine import BinomialIdeal, binomial
 from .errors import ParseError
 from .orders import NIL, grevlex, lex
 from .scalars import Scalar, ONE
@@ -123,14 +123,13 @@ def parse_binomial(text, names, line=None):
         parsed.append((coeff.negate() if s < 0 else coeff, exponent))
     c1, u1 = parsed[0]
     if len(parsed) == 1:
-        return Binomial(u1)
+        return binomial(u1)
     c2, u2 = parsed[1]
     # c1 X^u1 + c2 X^u2  ==  X^u1 - (-c2/c1) X^u2  up to the unit c1
-    if u1 == u2:
-        if c1 == c2.negate():
-            raise ParseError("generator cancels to zero", line)
-        return Binomial(u1)
-    return Binomial(u1, u2, (c2 * c1.inv()).negate())
+    b = binomial(u1, u2, (c2 * c1.inv()).negate())
+    if b is None:
+        raise ParseError("generator cancels to zero", line)
+    return b
 
 
 def _unsigned(text, line):
@@ -327,20 +326,15 @@ def binomial_json(b, names):
     }
 
 
-def _display_order(I, order):
-    """The reduced GB of I under ``order``, largest lead first."""
-    gb = I.groebner(order)
-    return sorted(gb.elements, key=lambda b: gb.order.key(b.lead), reverse=True)
-
-
 def ideal_text(I, order=None):
     """Generators of the reduced GB, largest lead first under the order."""
-    return [binomial_str(b, I.names) for b in _display_order(I, order)]
+    return [binomial_str(b, I.names) for b in I.groebner(order).elements[::-1]]
 
 
 def ideal_json(I, order=None):
     return {"ring": list(I.names),
-            "generators": [binomial_json(b, I.names) for b in _display_order(I, order)]}
+            "generators": [binomial_json(b, I.names)
+                           for b in I.groebner(order).elements[::-1]]}
 
 
 def _class_label(cls, names):

@@ -1,8 +1,9 @@
 import pytest
 
-from binomials import (NIL, QuotientTable, Scalar, binomial,
-                       cancellative_intersect, class_id, classify_congruence,
-                       classify_element, congruence, ideal, ideal_equals,
+from binomials import (NIL, BinomialIdeal, QuotientTable, Scalar, binomial,
+                       cancellative_intersect, cellular_decompose, class_id,
+                       classify_congruence, classify_element, congruence,
+                       ideal, ideal_equals, ideal_member, ideal_sum,
                        maximal_ideal, monomial, quotient_table, rees_ideal,
                        related, table_json, table_text)
 from binomials.errors import (BudgetExceededError, InputError,
@@ -10,7 +11,7 @@ from binomials.errors import (BudgetExceededError, InputError,
                               UnitIdealError)
 from binomials import congruences
 from binomials import oracle as orc
-from binomials.orders import e_add
+from binomials.orders import e_add, unit
 
 from gen import rand_artinian_ideal, rand_exponent, rand_ideal, rng
 
@@ -142,6 +143,25 @@ class TestClassifyElement:
         with pytest.raises(NonMaximalCongruenceError):
             classify_element(c, (1, 0))
 
+    def test_nil_flag_is_the_absorbing_test(self):
+        # on a maximal congruence the NIL tag marks exactly the absorbing
+        # class; cellular components give maximal congruences with and
+        # without monomials
+        r = rng(3535)
+        seen = set()
+        for trial in range(40):
+            I = rand_ideal(r, maxdeg=4, rational=trial % 2 == 0)
+            if I.is_unit():
+                continue
+            for component in cellular_decompose(I):
+                c = congruence(component.ideal)
+                for _ in range(6):
+                    u = rand_exponent(r, I.n, 4)
+                    nil = classify_element(c, u).nil
+                    assert nil == congruences._is_nil(c, u), (component.ideal, u)
+                    seen.add(nil)
+        assert seen == {True, False}
+
 
 class TestClassifyCongruence:
     def test_toric(self):
@@ -231,12 +251,67 @@ class TestMaximalIdeal:
         maximal_ideal(ideal(XY, [binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))]), 4)
         assert max(per_test) == 2 + 2
 
+    def test_one_pass_matches_the_fixed_point(self):
+        r = rng(3636)
+        with_nil = 0
+        for _ in range(60):
+            J = _rand_pure_ideal(r)
+            out, complete = maximal_ideal(J, 7)
+            expected, expected_complete = _fixed_point_maximal_ideal(J, 7)
+            assert out.groebner().elements == expected.groebner().elements, J.gens
+            assert complete == expected_complete
+            with_nil += expected is not J
+        assert with_nil >= 10
+
+    def test_normal_forms_of_the_nil_search(self, monkeypatch):
+        # <X - Y, Y^3 - Y^2> has the nil class of Y^2: two failed absorbing
+        # tests at degree 1, one that finds X^2, [X^2] once, and one normal
+        # form each for XY and Y^2; every later exponent is their multiple
+        calls, counted = [], congruences.class_id
+        monkeypatch.setattr(congruences, "class_id",
+                            lambda c, u: calls.append(u) or counted(c, u))
+        maximal_ideal(ideal(XY, [binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))]), 40)
+        assert len(calls) == 13
+
     def test_recovers_coordinate_ideal(self):
         # <X-Y, X-X^2> induces the congruence of the monomial ideal <X, Y>
         I = ideal(XY, [binomial((1, 0), (0, 1)), binomial((1, 0), (2, 0))])
         out, _ = maximal_ideal(I, 4)
         assert ideal_equals(out, ideal(XY, [monomial((1, 0)),
                                             monomial((0, 1))]))
+
+
+def _rand_pure_ideal(r):
+    """One generator X^u - X^(u + e_i), or X^u - X^(u + e_i + e_j), per
+    variable X_i, in two or three variables, oriented either way."""
+    n = r.choice((2, 3))
+    gens = []
+    for i in range(n):
+        u = rand_exponent(r, n, 2)
+        v = e_add(u, unit(n, i))
+        if r.random() < 0.5:
+            v = e_add(v, unit(n, r.randrange(n)))
+        gens.append(binomial(u, v) if r.random() < 0.5 else binomial(v, u))
+    return BinomialIdeal("XYZ"[:n], tuple(gens))
+
+
+def _fixed_point_maximal_ideal(J, bound):
+    """Reference: search every exponent outside the current ideal with the
+    n + 2 normal form absorbing test, adjoin the minimal nils, and repeat
+    until a pass finds none."""
+    if congruence(J).maximal:
+        return J, True
+    current = J
+    while True:
+        c = congruences.Congruence(current, False)
+        nils = [u for degree in range(1, bound + 1)
+                for u in congruences._total_degree_exponents(J.n, degree)
+                if not ideal_member(monomial(u), current) and congruences._is_nil(c, u)]
+        if not nils:
+            return current, False
+        minimal = [u for u in nils
+                   if not any(v != u and all(a <= b for a, b in zip(v, u)) for v in nils)]
+        current = ideal_sum(current, BinomialIdeal(J.names, tuple(map(monomial, minimal))))
 
 
 def _pairwise_table(c, max_classes):

@@ -683,3 +683,28 @@ class TestBuchberger:
             I = rand_ideal(r, n=3, size=r.randint(1, 4), maxdeg=5)
             expected = orc.rational_gb([as_poly(g) for g in I.gens], order)
             assert [as_poly(b) for b in I.groebner(order).elements] == expected
+
+
+def test_reduced_bases_ascend_by_lead(monkeypatch):
+    # every ReducedGB lists its elements strictly ascending by lead, which
+    # parsing's display order reverses without sorting: those of Buchberger
+    # under lex, grevlex and elimination orders, and those the colon chain
+    # caches under grevlex with one variable last
+    built, real = [], engine.ReducedGB
+    monkeypatch.setattr(engine, "ReducedGB",
+                        lambda order, elements: built.append(real(order, elements))
+                        or built[-1])
+    r = rng(913)
+    for trial in range(60):
+        I = rand_ideal(r, n=3, size=r.randint(1, 4), maxdeg=5, rational=trial % 2 == 0)
+        for order in (lex(), grevlex(), elim([0]), elim([0, 1], lex())):
+            I.groebner(order)
+        u = rand_exponent(r, 3, 3)
+        colon_monomial(I, u)
+        saturate_vars(I, [i for i, x in enumerate(u) if x])
+        eliminate(I, [1, 2])
+    orders = {gb.order for gb in built}
+    assert len(orders) >= 7
+    for gb in built:
+        keys = [gb.order.key(b.lead) for b in gb.elements]
+        assert all(a < b for a, b in zip(keys, keys[1:])), gb
