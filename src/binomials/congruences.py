@@ -15,14 +15,13 @@ search, which reports an explicit completeness flag.
 from collections import namedtuple
 
 from .cellular import is_cellular
-from .engine import (BinomialIdeal, Term, colon_monomial, eliminate,
-                     ideal_equals, ideal_sum, monomial, normal_form,
-                     saturate_vars)
+from .engine import (BinomialIdeal, Term, colon_monomial, ideal_equals,
+                     ideal_sum, monomial, normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
                        is_saturated, lattice_ideal, lattice_intersect)
-from .mesoprimary import is_mesoprime, is_mesoprimary
+from .mesoprimary import delta_character, is_mesoprime, is_mesoprimary
 from .orders import NIL, e_add, e_deg, e_divides, unit, zero
 from .scalars import ONE
 
@@ -103,7 +102,8 @@ def classify_element(c, u):
             raise NotPrimaryError(
                 "partly-cancellable test needs a primary congruence "
                 "(cellular ideal)")
-        partly = ideal_equals(eliminate(quotient, delta), eliminate(I, delta))
+        # both delta parts are lattice ideals: equal when their characters are
+        partly = delta_character(quotient, delta) == delta_character(I, delta)
     return ElementFlags(nil, nilpotent, cancellable, partly)
 
 

@@ -1,9 +1,8 @@
 """Mesoprime and mesoprimary structure of cellular binomial ideals.
 
 A delta-mesoprime ideal is I_L(rho) + <X_j : j not in delta> with L inside
-Z^delta.  Associated mesoprimes of a delta-cellular ideal I arise as
-(I : X^u) restricted to the delta variables, for monomials X^u in the
-nilpotent variables; there are finitely many because u_i < d_i suffices.
+Z^delta.  Those associated to a delta-cellular I come from the delta parts
+of its colons I : X^u, for the finitely many u with u_i < d_i off delta.
 An ideal is mesoprimary when it is cellular with exactly one associated
 mesoprime; its primary decomposition then comes straight from the lattice
 decomposition of its delta part.
@@ -12,12 +11,12 @@ decomposition of its delta part.
 from collections import namedtuple
 
 from .cellular import as_cellular
-from .engine import (BinomialIdeal, colon_monomial, eliminate, ideal_equals,
-                     ideal_member, ideal_sum, monomial)
+from .engine import (BinomialIdeal, colon_monomial, ideal_equals, ideal_member,
+                     ideal_sum, monomial)
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
-from .lattices import (Lattice, PartialCharacter, character_of, is_saturated,
-                       lattice_ideal, lattice_primary_decomposition)
-from .orders import unit, zero
+from .lattices import (PartialCharacter, is_saturated, lattice_ideal,
+                       lattice_primary_decomposition)
+from .orders import e_sub, unit, zero
 
 
 class Mesoprime(namedtuple("Mesoprime", "names delta character")):
@@ -53,11 +52,20 @@ def mesoprime(names, delta, character):
     return m
 
 
-def _delta_character(I, delta):
-    """Character of the delta part (I n k[delta vars]) of a cellular ideal."""
-    if not delta:
-        return PartialCharacter.trivial(Lattice(I.n, ()))
-    return character_of(eliminate(I, delta))
+def delta_character(J, delta):
+    """The character rho of J n k[delta], J proper and delta-cellular, read
+    off J's generators on delta.  Proof: were X^a - cX^b in J, a in N^delta
+    and b not, X^a would be nilpotent with X^b, but it is a nonzerodivisor:
+    J = <1>.  Nor is a monomial of k[delta] in J.  So J's generators lie in
+    m = <X_j : j not in delta> but for S_delta, those on delta, and J + m =
+    <S_delta> + m.  Setting X_j = 0 off delta fixes k[delta] and kills m:
+    J n k[delta] lies in (J + m) n k[delta] = <S_delta>.  Eisenbud-Sturmfels
+    Cor. 2.5 gives L = span{a - b}, rho(a - b) = c over S_delta, consistent
+    values as J is proper."""
+    delta = frozenset(delta)
+    gens = [g for g in J.gens if g.support() <= delta]
+    return PartialCharacter.from_generators(
+        J.n, [e_sub(g.lead, g.trail) for g in gens], [g.coeff for g in gens])
 
 
 def _mesoprimes(component):
@@ -69,7 +77,7 @@ def _mesoprimes(component):
 
     def walk(J, u, nilpotency):
         if not nilpotency:
-            yield Mesoprime(I.names, delta, _delta_character(J, delta)), u
+            yield Mesoprime(I.names, delta, delta_character(J, delta)), u
             return
         (i, d), rest = nilpotency[0], nilpotency[1:]
         for c in range(d):
@@ -100,10 +108,7 @@ def _base_and_witness(I):
         return None, None
     pairs = _mesoprimes(component)
     base, _ = next(pairs)
-    for m, u in pairs:
-        if m != base:
-            return base, u
-    return base, None
+    return base, next((u for m, u in pairs if m != base), None)
 
 
 def is_mesoprimary(I):
@@ -115,12 +120,9 @@ def is_mesoprimary(I):
 
 
 def is_mesoprime(I):
-    """The Mesoprime structure when I = I_L(rho) + p_deltac, else None.
-
-    A delta-mesoprime is a delta-cellular ideal that holds its nilpotent
-    variables: then I = (I n k[delta vars]) + <X_j : j not in delta>, and
-    the delta part, saturated at its variables and free of monomials, is a
-    lattice ideal, so I equals its cellular radical."""
+    """The Mesoprime structure when I = I_L(rho) + p_deltac, else None: a
+    delta-cellular I that holds its nilpotent variables is its delta part
+    plus them (``delta_character``), so it equals its cellular radical."""
     if I.is_unit():
         return None
     component = as_cellular(I)
@@ -139,7 +141,7 @@ def cellular_radical(component):
     """The radical of a cellular ideal, as a mesoprime (characteristic 0
     keeps the lattice part radical)."""
     return Mesoprime(component.ideal.names, component.delta,
-                     _delta_character(component.ideal, component.delta))
+                     delta_character(component.ideal, component.delta))
 
 
 def mesoprimary_primary_decomposition(I):
@@ -151,7 +153,5 @@ def mesoprimary_primary_decomposition(I):
             "ideal is not mesoprimary" if witness is None else
             "ideal is not mesoprimary: colon by the witness monomial changes "
             "the delta part", witness=witness)
-    out = []
-    for _, lattice_component in lattice_primary_decomposition(base.character, I.names):
-        out.append(ideal_sum(I, lattice_component))
-    return out
+    return [ideal_sum(I, lattice_component) for _, lattice_component
+            in lattice_primary_decomposition(base.character, I.names)]

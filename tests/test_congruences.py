@@ -2,14 +2,16 @@ import pytest
 
 from binomials import (NIL, BinomialIdeal, QuotientTable, Scalar, binomial,
                        cancellative_intersect, cellular_decompose, class_id,
-                       classify_congruence, classify_element, congruence,
-                       ideal, ideal_equals, ideal_member, ideal_sum,
-                       maximal_ideal, monomial, quotient_table, rees_ideal,
-                       related, table_json, table_text)
+                       classify_congruence, classify_element, colon_monomial,
+                       congruence, eliminate, ideal, ideal_equals,
+                       ideal_member, ideal_sum, maximal_ideal, monomial,
+                       quotient_table, rees_ideal, related, table_json,
+                       table_text)
 from binomials.errors import (BudgetExceededError, InputError,
                               NonMaximalCongruenceError, NotCancellativeError,
                               UnitIdealError)
 from binomials import congruences
+from binomials.mesoprimary import _mesoprimes
 from binomials import oracle as orc
 from binomials.orders import e_add, unit
 
@@ -161,6 +163,36 @@ class TestClassifyElement:
                     assert nil == congruences._is_nil(c, u), (component.ideal, u)
                     seen.add(nil)
         assert seen == {True, False}
+
+    def test_partly_cancellable_by_elimination(self):
+        # on seeded cellular components, at every standard monomial of the
+        # nilpotent box and at random exponents, the flag agrees with the
+        # delta parts compared through elimination bases
+        r = rng(2)
+        found = {True: 0, False: 0}
+        for trial in range(250):
+            I = rand_ideal(r, n=r.choice((2, 3)), maxdeg=4, rational=trial % 2 == 0)
+            if I.is_unit():
+                continue
+            for component in cellular_decompose(I):
+                c = congruence(component.ideal)
+                exponents = [u for _, u in _mesoprimes(component)]
+                exponents += [rand_exponent(r, I.n, 3) for _ in range(2)]
+                for u in exponents:
+                    flag = classify_element(c, u).partly_cancellable
+                    want = reference_partly_cancellable(component, u)
+                    assert flag == want, (component.ideal, u)
+                    found[flag] += 1
+        assert found[False] >= 4, found
+
+
+def reference_partly_cancellable(component, u):
+    """The definition on a delta-cellular I: vacuous for X^u in I, else
+    I : X^u and I have the same delta part, both from elimination bases."""
+    I, delta = component.ideal, component.delta
+    if ideal_member(monomial(u), I):
+        return True
+    return ideal_equals(eliminate(colon_monomial(I, u), delta), eliminate(I, delta))
 
 
 class TestClassifyCongruence:

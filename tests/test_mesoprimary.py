@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from binomials import (BinomialIdeal, Mesoprime, Scalar, as_cellular,
-                       associated_mesoprimes, binomial, cellular_decompose,
-                       cellular_radical, character_of, eliminate,
-                       colon_monomial, ideal, ideal_contains, ideal_equals,
-                       ideal_member, ideal_sum, is_cellular, is_mesoprime,
-                       is_mesoprimary, is_prime, mesoprime,
+from binomials import (BinomialIdeal, Lattice, Mesoprime, PartialCharacter,
+                       Scalar, as_cellular, associated_mesoprimes, binomial,
+                       cellular_decompose, cellular_radical, character_of,
+                       eliminate, colon_monomial, ideal, ideal_contains,
+                       ideal_equals, ideal_member, ideal_sum, is_cellular,
+                       is_mesoprime, is_mesoprimary, is_prime, mesoprime,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
 from binomials.errors import InputError, NotMesoprimaryError, UnitIdealError
-from binomials.mesoprimary import _delta_character, _mesoprimes
+from binomials import mesoprimary
+from binomials.mesoprimary import delta_character, _mesoprimes
 from binomials.orders import e_deg, unit
 from binomials import oracle as orc
 
@@ -89,16 +90,67 @@ class TestAssociatedMesoprimes:
         # <XY - Z^2, ZW - X^2, W^3>: one colon per node of the walk.  The
         # count changes only on purpose; taking each colon from I makes 94
         from binomials import engine
-        I = ideal(("X", "Y", "Z", "W"), [binomial((1, 1, 0, 0), (0, 0, 2, 0)),
-                                         binomial((0, 0, 1, 1), (2, 0, 0, 0)),
-                                         monomial((0, 0, 0, 3))])
-        comp = as_cellular(I)
+        comp = as_cellular(mixed4())
         calls, colon_var = [], engine._colon_var
         monkeypatch.setattr(engine, "_colon_var",
                             lambda *a: calls.append(a) or colon_var(*a))
         pairs = associated_mesoprimes(comp)
         assert [u for _, u in pairs] == [(0, 0, 0, 0)]
         assert len(calls) == 51
+
+    def test_mixed4_buchberger_runs(self, monkeypatch):
+        # the 52 leaves read their characters off generators, so the walk
+        # computes no elimination basis.  The count changes only on purpose
+        from binomials import engine
+        comp = as_cellular(mixed4())
+        orders, reduced_basis = [], engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order:
+                            orders.append(order.kind) or reduced_basis(gens, order))
+        associated_mesoprimes(comp)
+        assert len(orders) == 19
+        assert "elim" not in orders
+
+    def test_leaves_read_the_character_off_the_generators(self, monkeypatch):
+        # at every leaf of the walk, over seeded cellular components of
+        # rational, root-of-unity and inhomogeneous ideals, the generators
+        # on delta give the character of the elimination ideal
+        leaves = []
+
+        def recording(J, delta):
+            got = delta_character(J, delta)
+            leaves.append((J, delta, got))
+            return got
+        monkeypatch.setattr(mesoprimary, "delta_character", recording)
+        r = rng(19)
+        kinds = set()
+        for trial in range(400):
+            I = rand_ideal(r, n=r.choice((2, 3)), maxdeg=4, rational=trial % 2 == 0)
+            if I.is_unit():
+                continue
+            for comp in cellular_decompose(I):
+                list(_mesoprimes(comp))
+                kinds |= _kinds(comp.ideal)
+        for J, delta, got in leaves:
+            assert got == reference_character(J, delta), (J, delta)
+            # any iterable delta is accepted
+            assert delta_character(J, sorted(delta)) == got
+        assert kinds >= {"rational", "root", "inhomogeneous"}, kinds
+        assert sum(1 for _, delta, _ in leaves if delta) >= 600
+        assert sum(1 for _, _, got in leaves if got.lattice.rank) >= 300
+
+
+def mixed4():
+    return ideal(("X", "Y", "Z", "W"), [binomial((1, 1, 0, 0), (0, 0, 2, 0)),
+                                        binomial((0, 0, 1, 1), (2, 0, 0, 0)),
+                                        monomial((0, 0, 0, 3))])
+
+
+def reference_character(J, delta):
+    """The definition: the character of J n k[delta], from a basis under an
+    order eliminating the variables off delta; trivial when delta is empty."""
+    if not delta:
+        return PartialCharacter.trivial(Lattice(J.n, ()))
+    return character_of(eliminate(J, delta))
 
 
 def reference_mesoprimes(component):
@@ -113,7 +165,7 @@ def reference_mesoprimes(component):
             u[i] = c
         u = tuple(u)
         if not ideal_member(monomial(u), I):
-            character = _delta_character(colon_monomial(I, u), component.delta)
+            character = reference_character(colon_monomial(I, u), component.delta)
             out.append((Mesoprime(I.names, component.delta, character), u))
     return out
 

@@ -166,6 +166,14 @@ def test_engine_does_not_import_lattices():
     assert not found, "engine.py imports lattices at lines %s" % found
 
 
+def test_decomposition_layers_do_not_eliminate():
+    # a delta part's character is read off the generators of a cellular
+    # ideal (mesoprimary.delta_character); no elimination basis is needed
+    for module in ("cellular", "mesoprimary", "congruences"):
+        found = _import_lines(module, "eliminate") + _import_lines(module, "elim")
+        assert not found, "%s.py imports an elimination at lines %s" % (module, found)
+
+
 def test_congruences_does_not_import_parsing():
     # rendering a quotient table belongs to the printing layer, parsing.py,
     # which reads congruences; the algebra does not read the printer
