@@ -25,6 +25,8 @@ class CellularComponent(namedtuple("CellularComponent", "delta ideal nilpotency"
 
 
 def cellular_component(I, delta, nilpotency):
+    if I.is_unit():
+        raise UnitIdealError("cellularity is undefined for the unit ideal")
     delta = frozenset(delta)
     nilpotency = tuple(sorted(dict(nilpotency).items()))
     if set(dict(nilpotency)) != set(range(I.n)) - delta:

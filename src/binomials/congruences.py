@@ -58,11 +58,11 @@ def related(c, u, v):
     return class_id(c, u) == class_id(c, v)
 
 
-def _is_nil(c, u):
-    """Absorbing test: [u] != [0] and u + e_i ~ u for every generator."""
+def _is_nil(c, u, zero_class):
+    """Absorbing test: [u] != [0] (``zero_class``) and u + e_i ~ u for all i."""
     u, n = tuple(u), c.ideal.n
     own = class_id(c, u)
-    if own == class_id(c, zero(n)):
+    if own == zero_class:
         return False
     return all(class_id(c, e_add(u, unit(n, i))) == own for i in range(n))
 
@@ -157,7 +157,7 @@ def maximal_ideal(J, bound=None):
     A monoid has one absorbing element at most, so one pass suffices: J
     holds no monomial here, the adjoined monomials form an absorbing class,
     and no second one exists.  Once one nil u0 is found, u is nil exactly
-    when [u] = [u0], one normal form in place of ``_is_nil``'s n + 2.  The
+    when [u] = [u0], one normal form in place of ``_is_nil``'s n + 1.  The
     nils form a monoid ideal searched by degree, so multiples of a found nil
     are skipped and every nil found is minimal.
     """
@@ -169,13 +169,13 @@ def maximal_ideal(J, bound=None):
         maxdeg = max((max(e_deg(b.lead), e_deg(b.trail)) for b in gb.elements),
                      default=0)
         bound = 2 * maxdeg + J.n
-    nil_class, minimal = None, []
+    zero_class, nil_class, minimal = class_id(c, zero(J.n)), None, []
     for degree in range(1, bound + 1):
         for u in _total_degree_exponents(J.n, degree):
             if any(e_divides(v, u) for v in minimal):
                 continue
             if nil_class is None:
-                if _is_nil(c, u):
+                if _is_nil(c, u, zero_class):
                     nil_class = class_id(c, u)
                     minimal.append(u)
             elif class_id(c, u) == nil_class:

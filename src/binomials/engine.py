@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .errors import InputError, NonBinomialOperationError, PurePartError
 from .orders import (e_add, e_deg, e_divides, e_lcm, e_sub, elim, grevlex,
-                     unit, zero, GT, LT)
+                     unit, zero)
 from .scalars import ONE
 
 
@@ -74,7 +74,7 @@ def monomial(exponent):
 
 def oriented(b, order):
     """Reorient so that lead > trail under ``order`` (inverting the coefficient)."""
-    if b.trail is None or order.cmp(b.lead, b.trail) == GT:
+    if b.trail is None or order.key(b.lead) > order.key(b.trail):
         return b
     return Binomial(b.trail, b.lead, b.coeff.inv())
 
@@ -169,7 +169,7 @@ def _combine(t1, t2, order):
     if u == v:
         # the single additive event: a*X^u + b*X^u
         return None if a == b.negate() else monomial(u)
-    if order.cmp(u, v) == LT:
+    if order.key(u) < order.key(v):
         (u, a), (v, b) = (v, b), (u, a)
     return Binomial(u, v, (b * a.inv()).negate())
 
@@ -197,17 +197,6 @@ def _reduced_basis(gens, order):
     def update(h):
         k, lh = len(basis), h.lead
         basis.append(h)
-        # new pairs (g, h): drop one whenever another new lcm divides its lcm;
-        # trivial pairs stay in as witnesses until every test is done
-        new = []
-        for i, g in live.items():
-            m = e_lcm(g.lead, lh)
-            new.append((m, i, m == e_add(g.lead, lh) or g.is_monomial and h.is_monomial))
-        kept = []
-        for x, (m, i, trivial) in enumerate(new):
-            if (trivial or not any(e_divides(m2, m) for m2, _, _ in new[x + 1:])
-                    and not any(e_divides(m2, m) for m2, _, _ in kept)):
-                kept.append((m, i, trivial))
         # criterion B_k on the queue: lead(h) | lcm(a, b), and lcm(a, h) and
         # lcm(b, h) both differ from lcm(a, b)
         survivors = [p for p in pairs
@@ -217,9 +206,25 @@ def _reduced_basis(gens, order):
         if len(survivors) < len(pairs):
             pairs[:] = survivors
             heapq.heapify(pairs)
-        for m, i, trivial in kept:
-            if not trivial:
-                heapq.heappush(pairs, (order.key(m), i, k, m))
+        # new pairs (g_i, h) by lcm degree, trivial first, newest first; each
+        # is kept when trivial (a witness) or no kept lcm divides its lcm m.
+        # The two-scan rule (drop P when a later new lcm or an earlier kept
+        # one divides m_P) kept, by induction on degree, the same pairs: the
+        # non-trivial P whose m_P no new lcm strictly divides and no trivial
+        # or later pair shares.  Sorted, strict divisors come first by degree
+        # and equal lcms trivial first, then newest.  Heap entries are ordered
+        # by the unique (i, k), so the S-pairs come in the same sequence.
+        new = []
+        for i, g in live.items():
+            m = e_lcm(g.lead, lh)
+            trivial = m == e_add(g.lead, lh) or g.is_monomial and h.is_monomial
+            new.append((e_deg(m), not trivial, -i, m))
+        kept = []
+        for _, nontrivial, neg_i, m in sorted(new):
+            if not nontrivial or not any(e_divides(m2, m) for m2 in kept):
+                kept.append(m)
+                if nontrivial:
+                    heapq.heappush(pairs, (order.key(m), -neg_i, k, m))
         for i in [i for i, g in live.items() if e_divides(lh, g.lead)]:
             del live[i]
         live[k] = h
@@ -430,7 +435,7 @@ def _colon_var(H, i, k):
     the largest X_i-degree of a lead of the reduced GB of H under revlex
     with X_i last, and H : X_i^t is the saturation.  The colon is H itself
     when t = 0 and a new ideal, its reduced GB cached, otherwise."""
-    gb = H.groebner(_revlex_last(H.n, i))
+    gb = H.groebner(grevlex(tuple(j for j in range(H.n) if j != i) + (i,)))
     # the chain of X_i stops at t: for the element g with lead X_i-degree t,
     # g / X_i^t lies in H : X_i^t, but not in H : X_i^(t-1), since the lead
     # of g / X_i would be reducible by another lead of gb
@@ -441,13 +446,6 @@ def _colon_var(H, i, k):
     J = BinomialIdeal(H.names, elements)
     J._gb[gb.order] = ReducedGB(gb.order, elements)
     return top, J
-
-
-def _revlex_last(n, i):
-    """grevlex with X_i last; plain grevlex() when that is the same."""
-    if i == n - 1:
-        return grevlex()
-    return grevlex(tuple(j for j in range(n) if j != i) + (i,))
 
 
 def _divide_out(gb, i, k):

@@ -11,8 +11,6 @@ from collections import namedtuple
 
 from .errors import InputError
 
-LT, EQ, GT = -1, 0, 1
-
 
 def e_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
@@ -61,11 +59,12 @@ class _Nil:
 NIL = _Nil()
 
 
-class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",
-                               defaults=(None, None, None))):
+class MonomialOrder(namedtuple("MonomialOrder", "kind perm block",
+                               defaults=(None, None))):
     """``kind`` is "lex", "grevlex" or "elim"; ``perm`` the variable priority,
-    most significant first; for elim, ``block`` holds the sorted indices
-    eliminated first and ``inner`` orders the non-block part."""
+    most significant first, None for the identity; for elim, ``block`` holds
+    the sorted indices eliminated first, ties broken by grevlex on the other
+    variables.  Orders compare exponents only through ``key``."""
 
     __slots__ = ()
 
@@ -88,30 +87,27 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind perm block inner",
                 outside[i] = 0
             return (sum(u[i] for i in self.block),
                     tuple(-u[i] for i in reversed(self.block)),
-                    self.inner.key(tuple(outside)))
+                    _GREVLEX.key(tuple(outside)))
         raise InputError("unknown order kind %r" % (self.kind,))
 
-    def cmp(self, u, v):
-        if len(u) != len(v):
-            raise InputError("exponent dimension mismatch: %d vs %d"
-                             % (len(u), len(v)))
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return LT
-        if ku > kv:
-            return GT
-        return EQ
+
+def _priority_value(perm):
+    """The stored priority: None for the identity, so each order has one value."""
+    perm = tuple(perm or ())
+    return None if perm == tuple(range(len(perm))) else perm
 
 
 def lex(perm=None):
-    return MonomialOrder("lex", tuple(perm) if perm is not None else None)
+    return MonomialOrder("lex", _priority_value(perm))
 
 
 def grevlex(perm=None):
-    return MonomialOrder("grevlex", tuple(perm) if perm is not None else None)
+    return MonomialOrder("grevlex", _priority_value(perm))
 
 
-def elim(block, inner=None):
-    """Order eliminating the ``block`` variables (ties broken by ``inner``)."""
-    blk = tuple(sorted(set(block)))
-    return MonomialOrder("elim", None, blk, inner or grevlex())
+_GREVLEX = grevlex()
+
+
+def elim(block):
+    """Order eliminating the ``block`` variables (ties broken by grevlex)."""
+    return MonomialOrder("elim", None, tuple(sorted(set(block))))

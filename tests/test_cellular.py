@@ -49,6 +49,11 @@ class TestIsCellular:
         with pytest.raises(InputError):
             cellular_component(I, frozenset({0}), {1: 2})
 
+    @pytest.mark.parametrize("delta, nilpotency", [({0, 1}, {}), (set(), {0: 1, 1: 1})])
+    def test_component_refuses_unit_ideal(self, delta, nilpotency):
+        with pytest.raises(UnitIdealError):
+            cellular_component(ideal(XY, [monomial((0, 0))]), delta, nilpotency)
+
 
 class TestDecompose:
     def test_paper_example(self):

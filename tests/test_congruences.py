@@ -13,7 +13,7 @@ from binomials.errors import (BudgetExceededError, InputError,
 from binomials import congruences
 from binomials.mesoprimary import _mesoprimes
 from binomials import oracle as orc
-from binomials.orders import e_add, unit
+from binomials.orders import e_add, unit, zero
 
 from gen import rand_artinian_ideal, rand_exponent, rand_ideal, rng
 
@@ -104,9 +104,9 @@ class TestCongruenceAxioms:
             if I.is_unit():
                 continue
             c = congruence(I)
-            nil_classes = set()
+            nil_classes, zero_class = set(), class_id(c, zero(3))
             for u in [rand_exponent(r, 3, 6) for _ in range(20)]:
-                if _is_nil(c, u):
+                if _is_nil(c, u, zero_class):
                     nil_classes.add(class_id(c, u))
             assert len(nil_classes) <= 1
 
@@ -157,10 +157,11 @@ class TestClassifyElement:
                 continue
             for component in cellular_decompose(I):
                 c = congruence(component.ideal)
+                zero_class = class_id(c, zero(I.n))
                 for _ in range(6):
                     u = rand_exponent(r, I.n, 4)
                     nil = classify_element(c, u).nil
-                    assert nil == congruences._is_nil(c, u), (component.ideal, u)
+                    assert nil == congruences._is_nil(c, u, zero_class), (component.ideal, u)
                     seen.add(nil)
         assert seen == {True, False}
 
@@ -261,27 +262,27 @@ class TestMaximalIdeal:
             v = rand_exponent(r, 2, 8)
             assert related(c1, u, v) == related(c2, u, v)
 
-    def test_nil_test_takes_n_plus_two_normal_forms(self, monkeypatch):
-        # [u] and [0] once each, then [u + e_i] per variable
+    def test_nil_test_takes_n_plus_one_normal_forms(self, monkeypatch):
+        # [u] once, then [u + e_i] per variable; [0] is taken once per search
         calls, per_test = [], []
         counted, is_nil = congruences.class_id, congruences._is_nil
         monkeypatch.setattr(congruences, "class_id",
                             lambda c, u: calls.append(u) or counted(c, u))
 
-        def tracked(c, u):
+        def tracked(c, u, zero_class):
             before = len(calls)
-            out = is_nil(c, u)
+            out = is_nil(c, u, zero_class)
             per_test.append(len(calls) - before)
             return out
         monkeypatch.setattr(congruences, "_is_nil", tracked)
         I = ideal(XYZ, [binomial((4, 2, 0), (0, 0, 6)), binomial((3, 2, 0), (0, 0, 5)),
                         binomial((2, 0, 0), (0, 1, 1))])
         maximal_ideal(I)
-        assert per_test and max(per_test) <= I.n + 2
+        assert per_test and max(per_test) <= I.n + 1
         # a found nil runs every test: <X - Y, Y^3 - Y^2> has the nil Y^2
         del per_test[:]
         maximal_ideal(ideal(XY, [binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))]), 4)
-        assert max(per_test) == 2 + 2
+        assert max(per_test) == 1 + 2
 
     def test_one_pass_matches_the_fixed_point(self):
         r = rng(3636)
@@ -296,14 +297,22 @@ class TestMaximalIdeal:
         assert with_nil >= 10
 
     def test_normal_forms_of_the_nil_search(self, monkeypatch):
-        # <X - Y, Y^3 - Y^2> has the nil class of Y^2: two failed absorbing
-        # tests at degree 1, one that finds X^2, [X^2] once, and one normal
-        # form each for XY and Y^2; every later exponent is their multiple
+        # <X - Y, Y^3 - Y^2> has the nil class of Y^2: [0] once, two failed
+        # absorbing tests at degree 1, one that finds X^2, [X^2] once, and one
+        # normal form each for XY and Y^2; every later exponent is their multiple
         calls, counted = [], congruences.class_id
         monkeypatch.setattr(congruences, "class_id",
                             lambda c, u: calls.append(u) or counted(c, u))
         maximal_ideal(ideal(XY, [binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))]), 40)
-        assert len(calls) == 13
+        assert len(calls) == 11
+        # <XW - YW, Y^2 - Y^3, Z - W> has no nil class: every exponent up to
+        # the bound runs the absorbing test
+        del calls[:]
+        J = ideal(("X", "Y", "Z", "W"), [binomial((1, 0, 0, 1), (0, 1, 0, 1)),
+                                         binomial((0, 2, 0, 0), (0, 3, 0, 0)),
+                                         binomial((0, 0, 1, 0), (0, 0, 0, 1))])
+        out, complete = maximal_ideal(J, 12)
+        assert (len(calls), out, complete) == (6609, J, False)
 
     def test_recovers_coordinate_ideal(self):
         # <X-Y, X-X^2> induces the congruence of the monomial ideal <X, Y>
@@ -336,9 +345,11 @@ def _fixed_point_maximal_ideal(J, bound):
     current = J
     while True:
         c = congruences.Congruence(current, False)
+        zero_class = class_id(c, zero(J.n))
         nils = [u for degree in range(1, bound + 1)
                 for u in congruences._total_degree_exponents(J.n, degree)
-                if not ideal_member(monomial(u), current) and congruences._is_nil(c, u)]
+                if not ideal_member(monomial(u), current)
+                and congruences._is_nil(c, u, zero_class)]
         if not nils:
             return current, False
         minimal = [u for u in nils

@@ -19,7 +19,7 @@ XY = BinomialIdeal(("X", "Y"), (Binomial((1, 0), (0, 1), TWO),))
 # (record type, its fields in order)
 RECORDS = [
     (Scalar, dict(torsion=Fraction(1, 3), primes=((2, Fraction(1, 2)),))),
-    (MonomialOrder, dict(kind="elim", perm=None, block=(0,), inner=lex((1, 0)))),
+    (MonomialOrder, dict(kind="elim", perm=None, block=(0,))),
     (Binomial, dict(lead=(2, 0), trail=(0, 1), coeff=TWO)),
     (Term, dict(coeff=TWO, exponent=(1, 2))),
     (ReducedGB, dict(order=grevlex(), elements=(Binomial((0, 1)),))),

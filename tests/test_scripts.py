@@ -13,6 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv, first", [
     (["random_crosscheck.py", "--trials", "10", "--seed", "7"], "ok: 10 trials"),
     (["worked_examples.py"], "== toric ideal of [3 4 5]"),
+    (["reference_check.py", "--workload", "toric"], "toric: 97 commands, 0 mismatches,"),
 ])
 def test_script_runs(argv, first):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
