@@ -21,7 +21,7 @@ from .engine import (BinomialIdeal, binomial, ideal_equals, saturate_vars,
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
 from .orders import e_sub
-from .scalars import ONE
+from .scalars import ONE, factor_positive
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,10 @@ def _p_valuation(d, p):
 
 
 def saturations(L, p=0):
-    """(Sat, Sat_p, Sat'_p) of a lattice; p = 0 follows the convention
-    Sat_0(L) = L and Sat'_0(L) = Sat(L)."""
+    """(Sat, Sat_p, Sat'_p) of a lattice for p = 0 or a prime; p = 0 follows
+    the convention Sat_0(L) = L and Sat'_0(L) = Sat(L)."""
+    if p != 0 and (not isinstance(p, int) or p < 2 or factor_positive(p) != {p: 1}):
+        raise InputError("p must be 0 or a prime, got %r" % (p,))
     if not L.basis:
         empty = Lattice.from_vectors(L.n, [])
         return empty, empty, empty
@@ -323,29 +325,29 @@ def _degree_vector(basis, n):
     return y and tuple(sum(a * v[j] for a, v in zip(y, kernel)) for j in range(n))
 
 
-def lattice_ideal(rho, names):
-    """I_L(rho) = <X^(b+) - rho(b) X^(b-) : b basis> saturated at all
-    variables.  With a degree vector w >= 1 of L (w.b = 0 on L) it saturates
-    the image under X_i -> X_i^(w_i), which is homogeneous, so the engine
-    adds no homogenizing variable.  The map is flat, so it commutes with the
-    saturation, and a reduced basis of the image is the image of a reduced
-    basis: the exponents divide back by w."""
-    names = tuple(names)
-    if len(names) != rho.lattice.n:
-        raise InputError("ring has %d variables, lattice ambient is %d"
-                         % (len(names), rho.lattice.n))
-    n, basis = len(names), rho.lattice.basis
-    w = _degree_vector(basis, n) or (1,) * n
-    gens = tuple(_basis_binomial([x * y for x, y in zip(v, w)], s)
-                 for v, s in zip(basis, rho.values))
-    sat = saturate_vars(BinomialIdeal(names, gens), range(n))
-    if all(x == 1 for x in w):
-        return sat
+def _lattice_ideals(characters, names):
+    """I_L(rho) for each rho in ``characters``, all on one L, off one
+    saturation of I_L(1) = <X^(b+) - X^(b-) : b basis> at all variables, run
+    on the image under X_i -> X_i^(w_i) for a degree vector w >= 1 of L: it
+    is homogeneous (no homogenizing variable) and flat (exponents divide back
+    by w).  With lambda^v = rho(v) on L (k* is divisible), X_i -> X_i/lambda_i
+    maps X^(b+) - X^(b-) to a unit times X^(b+) - rho(b) X^(b-), so I_L(1)
+    onto I_L(rho) (Eisenbud-Sturmfels), and X^a - X^b to a unit times
+    X^a - rho(a - b) X^b; it fixes exponents, so lambda is never needed."""
+    L = characters[0].lattice
+    if len(names) != L.n:
+        raise InputError("ring has %d variables, lattice ambient is %d" % (len(names), L.n))
+    w = _degree_vector(L.basis, L.n) or (1,) * L.n
+    gens = [_basis_binomial([x * y for x, y in zip(v, w)], ONE) for v in L.basis]
+    pairs = [tuple(tuple(x // y for x, y in zip(e, w)) for e in (g.lead, g.trail))
+             for g in saturate_vars(BinomialIdeal(names, gens), range(L.n)).gens]
+    return [BinomialIdeal(names, [binomial(a, b, rho(e_sub(a, b))) for a, b in pairs])
+            for rho in characters]
 
-    def divide(e):
-        return e and tuple(x // y for x, y in zip(e, w))
-    return BinomialIdeal(names, tuple(binomial(divide(g.lead), divide(g.trail), g.coeff)
-                                      for g in sat.gens))
+
+def lattice_ideal(rho, names):
+    """I_L(rho) = <X^(b+) - rho(b) X^(b-) : b basis> : (prod X_i)^infty."""
+    return _lattice_ideals([rho], names)[0]
 
 
 def character_of(I):
@@ -394,10 +396,10 @@ def extend_character(rho, M):
 
 
 def lattice_primary_decomposition(rho, names):
-    """Minimal primary decomposition of I_L(rho) over characteristic zero:
-    one prime component I_Sat(L)(rho_j) per extension of rho to Sat(L)."""
-    sat = saturations(rho.lattice)[0]
-    return [(ext, lattice_ideal(ext, names)) for ext in extend_character(rho, sat)]
+    """Minimal primary decomposition of I_L(rho) over characteristic zero: one
+    prime I_Sat(L)(rho_j) per extension rho_j of rho, all off one chain."""
+    exts = extend_character(rho, saturations(rho.lattice)[0])
+    return list(zip(exts, _lattice_ideals(exts, names)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,14 @@ class TestSaturations:
         assert all(M == L for M in saturations(L, 3))
         assert is_saturated(L)
 
+    @pytest.mark.parametrize("p", [1, -1, -2, 4, 6, 9, 2.5])
+    def test_p_is_zero_or_prime(self, p):
+        # p = 1 used to divide by 1 forever, and a negative or composite p
+        # gave lattices that mean nothing
+        for L in (Lattice.from_vectors(2, [(2, -2)]), Lattice.from_vectors(2, [])):
+            with pytest.raises(InputError, match="0 or a prime"):
+                saturations(L, p)
+
     def test_index_multiplicativity(self):
         r = rng(1111)
         checked = 0
@@ -221,28 +229,52 @@ class TestDegreeVector:
     def test_degree_vector(self, basis, w):
         assert _degree_vector(basis, len(basis[0]) if basis else 2) == w
 
+    # character values: rational, roots of unity, fractional prime powers
+    VALUES = {
+        "rational": lambda r: Scalar.from_rational(r.choice([1, 1, 2, -1, -3, Fraction(2, 3)])),
+        "root": lambda r: Scalar.zeta(r.choice([2, 3, 4, 6]), r.randint(1, 5)),
+        "power": lambda r: Scalar.from_rational(r.choice([2, 3, 5])).root(r.choice([2, 3])),
+    }
+
+    @staticmethod
+    def saturated(char, names):
+        """The reduced basis of I_L(char) by one saturation of its basis ideal."""
+        basis_ideal = ideal(names, [_basis_binomial(v, s) for v, s in
+                                    zip(char.lattice.basis, char.values)])
+        return saturate_vars(basis_ideal, range(len(names))).groebner().elements
+
     def test_matches_homogenized_saturation(self):
+        """lattice_ideal and every component of lattice_primary_decomposition
+        equal the saturated basis ideal of their character, element for
+        element: one chain rescaled against one saturation per character."""
         r = rng(1213)
-        weighted = done = 0
-        while done < 60:
-            n = r.randint(2, 4)
-            vecs = rand_lattice_vectors(r, n, bound=3)
-            values = [Scalar.from_rational(r.choice([1, 1, 2, -1, -3])) for _ in vecs]
-            try:
-                rho = PartialCharacter.from_generators(n, vecs, values)
-            except InconsistentCharacterError:
-                continue
-            names = tuple("XYZW"[:n])
-            w = _degree_vector(rho.lattice.basis, n)
-            assert w is None or (min(w) >= 1 and not any(
-                sum(a * b for a, b in zip(w, v)) for v in rho.lattice.basis)), (rho, w)
-            weighted += w is not None and set(w) != {1}
-            basis_ideal = ideal(names, [_basis_binomial(v, s) for v, s in
-                                        zip(rho.lattice.basis, rho.values)])
-            expected = saturate_vars(basis_ideal, range(n)).groebner().elements
-            assert lattice_ideal(rho, names).groebner().elements == expected, rho
-            done += 1
-        assert weighted >= 10
+        shapes = dict.fromkeys(("one", "weighted", "none"), 0)
+        components = dict.fromkeys(self.VALUES, 0)
+        for kind, draw in self.VALUES.items():
+            done = 0
+            while done < 40:
+                n = r.randint(2, 4)
+                vecs = rand_lattice_vectors(r, n, bound=3)
+                if done % 3 == 0:  # coordinate sums 0: the degree vector is all ones
+                    vecs = [v[:-1] + (-sum(v[:-1]),) for v in vecs]
+                try:
+                    rho = PartialCharacter.from_generators(n, vecs, [draw(r) for _ in vecs])
+                except InconsistentCharacterError:
+                    continue
+                names = tuple("XYZW"[:n])
+                w = _degree_vector(rho.lattice.basis, n)
+                assert w is None or (min(w) >= 1 and not any(
+                    sum(a * b for a, b in zip(w, v)) for v in rho.lattice.basis)), (rho, w)
+                shapes["none" if w is None else "one" if set(w) == {1} else "weighted"] += 1
+                assert lattice_ideal(rho, names).groebner().elements == self.saturated(rho, names)
+                # each extension costs one more saturation; keep the index small
+                if quotient_index(rho.lattice, saturations(rho.lattice)[0]) <= 6:
+                    for ext, comp in lattice_primary_decomposition(rho, names):
+                        assert comp.groebner().elements == self.saturated(ext, names), ext
+                        components[kind] += 1
+                done += 1
+        assert min(shapes.values()) >= 10, shapes
+        assert min(components.values()) >= 40, components
 
     @pytest.mark.parametrize("degrees", ["3 5 7 10", "3 8 9 10", "4 5 6 7"])
     def test_toric_needs_no_homogenizing_variable(self, degrees, monkeypatch):

@@ -1,0 +1,50 @@
+"""The work ledger: Buchberger runs of the seed-0 benchmark passes.
+
+The seed-0 pass of each workload runs in this process, as
+``scripts/reference_check.py`` runs the reference space, with every call of
+``engine._reduced_basis`` counted and every output checked against
+``perfbench/reference.json``.  Seeds change only coefficients, names and
+pass order, not the algebra, so one seed covers the work.  The counts are
+exact where times are not; a change that moves one updates LEDGER and names
+the count in CHANGES.md.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from binomials import engine
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+# workload: (Buchberger runs of the whole pass, runs of single commands)
+LEDGER = {
+    "decompose": (278, {"decompose-lat6 lattice-decomp": 24,
+                        "decompose-lat6 meso-primary-decomp": 24}),
+    "quotient": (12, {}),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LEDGER))
+def test_buchberger_runs(workload, tmp_path, monkeypatch):
+    total, pinned = LEDGER[workload]
+    cmds = workloads.commands(workload, 0)
+    run.write_sessions(tmp_path, cmds)
+    runner = run.InProcessRunner(ROOT, tmp_path)
+    checker = run.Checker(run.load_reference())
+    calls, real = [], engine._reduced_basis
+    monkeypatch.setattr(engine, "_reduced_basis",
+                        lambda gens, order: calls.append(order) or real(gens, order))
+    runs = {}
+    for cmd in cmds:
+        before = len(calls)
+        checker.check(cmd, runner.run(cmd), workload)
+        label = "%s %s" % (cmd.slot, cmd.name)
+        runs[label] = runs.get(label, 0) + len(calls) - before
+    assert checker.problems == []
+    assert (len(calls), {label: runs[label] for label in pinned}) == (total, pinned)
