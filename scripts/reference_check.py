@@ -8,13 +8,16 @@ Run from the repository root:
 
 Per workload it prints one line (commands, mismatches, Buchberger runs
 counted at ``engine._reduced_basis`` and divisor tests counted at
-``engine.e_divides``), then the Buchberger runs of each slot and command
-(``decompose-cubic lattice-decomp: 27 commands, 243 runs, 9 each``), then
-one line per mismatch: an exit code or stdout digest that differs from the
-reference, a traceback or a timeout.  Exits 1 when any command mismatches.
+``engine.e_divides``), then the Buchberger runs per order kind (grevlex,
+grevlex with X_i last, lex, elim), then the Buchberger runs of
+each slot and command (``decompose-cubic lattice-decomp: 27 commands, 189
+runs, 7 each``), then one line per mismatch: an exit code or stdout digest
+that differs from the reference, a traceback or a timeout.  Exits 1 when
+any command mismatches.
 """
 
 import argparse
+import collections
 import contextlib
 import sys
 from pathlib import Path
@@ -26,14 +29,29 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
+ORDER_KINDS = ("grevlex", "grevlex with X_i last", "lex", "elim")
+
+
+def order_kind(order):
+    """The kind of a Buchberger run's order.  The colon chain runs grevlex
+    with X_i moved last, which is plain grevlex for the last variable."""
+    if order.kind != "grevlex" or order.perm is None:
+        return order.kind
+    rest = list(order.perm[:-1])
+    return ORDER_KINDS[1] if rest == sorted(rest) else "grevlex, permuted"
+
+
 @contextlib.contextmanager
-def counting(module, counts):
-    """Count the calls of the module-level functions named in ``counts``."""
+def counting(module, counts, kinds):
+    """Count the calls of the module-level functions named in ``counts``,
+    and the ``_reduced_basis`` calls per order kind in ``kinds``."""
     originals = {name: getattr(module, name) for name in counts}
 
     def wrap(name, fn):
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name == "_reduced_basis":
+                kinds[order_kind(args[1])] += 1
             return fn(*args, **kwargs)
         return counted
 
@@ -60,8 +78,8 @@ def main(argv=None):
         run.write_sessions(workdir, cmds)
         counts = dict.fromkeys(("_reduced_basis", "e_divides"), 0)
         before = len(checker.problems)
-        runs = {}
-        with counting(engine, counts):
+        runs, kinds = {}, collections.Counter(dict.fromkeys(ORDER_KINDS, 0))
+        with counting(engine, counts, kinds):
             for cmd in cmds:
                 start = counts["_reduced_basis"]
                 checker.check(cmd, runner.run(cmd), name)
@@ -71,6 +89,8 @@ def main(argv=None):
         print("%s: %d commands, %d mismatches, %d Buchberger runs, %d divisor tests"
               % (name, len(cmds), len(found), counts["_reduced_basis"],
                  counts["e_divides"]))
+        print("  Buchberger runs by order: "
+              + ", ".join("%s %d" % kind for kind in kinds.items()))
         for label, per in runs.items():
             each = ("%d" % per[0] if min(per) == max(per)
                     else "%d-%d" % (min(per), max(per)))

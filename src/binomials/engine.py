@@ -10,8 +10,8 @@ terms with the same exponent), which only needs a coefficient equality test:
 equal coefficients cancel the element, unequal ones leave a monomial.
 
 Colons I : X^u and saturations I : (X^u)^infinity take one path.  I is
-used as it is when every generator is homogeneous; otherwise it is
-homogenized in one more variable _h, from its reduced grevlex GB.  The
+used as it is when every generator is homogeneous; otherwise I^h, in one
+more variable _h, is built once from its reduced grevlex GB and kept.  The
 colon by X_i^k divides X_i^k out of the reduced GB under grevlex with X_i
 last (Bayer-Stillman), the saturation exponent is the largest X_i-degree
 of a lead of the same GB, and _h = 1 maps the result back.  That map is
@@ -19,7 +19,11 @@ one-to-one on homogeneous ideals that _h is a nonzerodivisor on, a class
 that every colon by X_i stays in, so the colon chain of I stops at the
 same exponent as that of its homogenization.  One chain (``_colons``)
 serves every colon and saturation, at one variable or several: it
-homogenizes once, takes one colon per variable and maps back once.
+homogenizes once, takes one colon per variable and maps back once.  No
+ideal runs Buchberger for what a reduced basis it holds can give: I^h and
+each colon hold the basis they come from, a step at X_i is skipped when a
+held basis proves X_i a nonzerodivisor (``_colon_var``), and the unit and
+zero tests read any held basis.
 """
 
 import heapq
@@ -103,6 +107,7 @@ class BinomialIdeal:
         self.names = tuple(names)
         self.gens = tuple(g for g in gens if g is not None)
         self._gb = {}
+        self._hom = None  # I^h once built, for an inhomogeneous I
         for g in self.gens:
             if len(g.lead) != self.n:
                 raise InputError("generator dimension %d, ring has %d variables"
@@ -123,15 +128,27 @@ class BinomialIdeal:
             self._gb[order] = cached
         return cached
 
+    def _any_basis(self):
+        """Any held reduced basis, grevlex when none: under every order it
+        is {1} exactly for the unit ideal and empty exactly for zero."""
+        return self.groebner(next(iter(self._gb), None))
+
     def is_unit(self):
-        return self.groebner().is_unit()
+        return self._any_basis().is_unit()
 
     def is_zero(self):
-        return self.groebner().is_zero()
+        return self._any_basis().is_zero()
 
 
 def ideal(names, gens):
     return BinomialIdeal(tuple(names), tuple(gens))
+
+
+def _from_basis(names, gb):
+    """The ideal generated by the reduced basis ``gb``, holding it."""
+    I = BinomialIdeal(names, gb.elements)
+    I._gb[gb.order] = gb
+    return I
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +329,7 @@ def eliminate(I, keep):
     keep = set(keep)
     block = [i for i in range(I.n) if i not in keep]
     if not block:
-        return BinomialIdeal(I.names, I.groebner().elements)
+        return I
     gb = I.groebner(elim(block))
     kept = tuple(b for b in gb.elements if b.support() <= keep)
     return BinomialIdeal(I.names, kept)
@@ -399,13 +416,17 @@ def saturate_vars(I, sigma):
 
 def _homogenize(I):
     """I when every generator is homogeneous; else I^h in one more variable
-    _h, generated by the homogenized elements of the reduced grevlex GB of
-    I (homogenizing the generators alone can give a smaller ideal)."""
+    _h, built once: the homogenized elements of the reduced grevlex GB of I
+    (the generators alone can give a smaller ideal), which are the reduced
+    GB of I^h under grevlex with _h last (Cox-Little-O'Shea, Ch. 8 Sec. 4):
+    each keeps its lead, free of _h, so no lead divides a trail term."""
     if all(g.trail is None or e_deg(g.lead) == e_deg(g.trail) for g in I.gens):
         return I
-    gens = tuple(_lift(g, 0, 0 if g.trail is None else e_deg(g.lead) - e_deg(g.trail))
-                 for g in I.groebner().elements)
-    return BinomialIdeal(I.names + ("_h",), gens)
+    if I._hom is None:
+        gens = tuple(_lift(g, 0, 0 if g.trail is None else e_deg(g.lead) - e_deg(g.trail))
+                     for g in I.groebner().elements)
+        I._hom = _from_basis(I.names + ("_h",), ReducedGB(grevlex(), gens))
+    return I._hom
 
 
 def _colons(I, steps):
@@ -434,7 +455,12 @@ def _colon_var(H, i, k):
     """(t, H : X_i^k) for a homogeneous H, with k = t when k is None: t is
     the largest X_i-degree of a lead of the reduced GB of H under revlex
     with X_i last, and H : X_i^t is the saturation.  The colon is H itself
-    when t = 0 and a new ideal, its reduced GB cached, otherwise."""
+    when t = 0 and a new ideal holding its reduced GB otherwise.  t = 0,
+    with no GB run, when a basis H holds has no lead divisible by X_i: were
+    X_i*f in H for a nonzero normal form f, X_i*in(f) would be a multiple of
+    a lead, free of X_i, and so would in(f), which a normal form is not."""
+    if any(not any(g.lead[i] for g in gb.elements) for gb in H._gb.values()):
+        return 0, H
     gb = H.groebner(grevlex(tuple(j for j in range(H.n) if j != i) + (i,)))
     # the chain of X_i stops at t: for the element g with lead X_i-degree t,
     # g / X_i^t lies in H : X_i^t, but not in H : X_i^(t-1), since the lead
@@ -443,9 +469,7 @@ def _colon_var(H, i, k):
     if not top:
         return 0, H
     elements = _divide_out(gb, i, top if k is None else k)
-    J = BinomialIdeal(H.names, elements)
-    J._gb[gb.order] = ReducedGB(gb.order, elements)
-    return top, J
+    return top, _from_basis(H.names, ReducedGB(gb.order, elements))
 
 
 def _divide_out(gb, i, k):

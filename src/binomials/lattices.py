@@ -16,8 +16,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import (BinomialIdeal, binomial, ideal_equals, saturate_vars,
-                     scalar_power)
+from .engine import (BinomialIdeal, ReducedGB, _from_basis, binomial,
+                     ideal_equals, saturate_vars, scalar_power)
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
 from .orders import e_sub
@@ -333,16 +333,22 @@ def _lattice_ideals(characters, names):
     by w).  With lambda^v = rho(v) on L (k* is divisible), X_i -> X_i/lambda_i
     maps X^(b+) - X^(b-) to a unit times X^(b+) - rho(b) X^(b-), so I_L(1)
     onto I_L(rho) (Eisenbud-Sturmfels), and X^a - X^b to a unit times
-    X^a - rho(a - b) X^b; it fixes exponents, so lambda is never needed."""
+    X^a - rho(a - b) X^b; it fixes exponents, so lambda is never needed.
+    Nor does it move a lead: for w = 1, each I_L(rho) holds the rescaled
+    reduced grevlex basis of I_L(1); the basis divided back by another w
+    is reduced under the w-weighted order only."""
     L = characters[0].lattice
     if len(names) != L.n:
         raise InputError("ring has %d variables, lattice ambient is %d" % (len(names), L.n))
     w = _degree_vector(L.basis, L.n) or (1,) * L.n
     gens = [_basis_binomial([x * y for x, y in zip(v, w)], ONE) for v in L.basis]
+    S = saturate_vars(BinomialIdeal(names, gens), range(L.n))
+    gb = S.groebner() if w == (1,) * L.n else None
     pairs = [tuple(tuple(x // y for x, y in zip(e, w)) for e in (g.lead, g.trail))
-             for g in saturate_vars(BinomialIdeal(names, gens), range(L.n)).gens]
-    return [BinomialIdeal(names, [binomial(a, b, rho(e_sub(a, b))) for a, b in pairs])
-            for rho in characters]
+             for g in (gb.elements if gb else S.gens)]
+    bases = [tuple(binomial(a, b, rho(e_sub(a, b))) for a, b in pairs) for rho in characters]
+    return [_from_basis(names, ReducedGB(gb.order, g)) if gb else BinomialIdeal(names, g)
+            for g in bases]
 
 
 def lattice_ideal(rho, names):

@@ -71,6 +71,21 @@ class TestGroebner:
     def test_zero_ideal(self):
         assert ideal(XY, []).is_zero()
 
+    def test_unit_and_zero_read_any_held_basis(self, orders):
+        # a reduced basis under any order is {1} exactly for the unit ideal
+        # and empty exactly for the zero ideal, so neither test runs grevlex
+        r = rng(112)
+        units = 0
+        for _ in range(80):
+            I = rand_ideal(r, maxdeg=3)
+            I.groebner(r.choice((lex(), elim([0]), grevlex((2, 1, 0)))))
+            runs = len(orders)
+            unit, zero = I.is_unit(), I.is_zero()
+            assert len(orders) == runs
+            assert (unit, zero) == (I.groebner().is_unit(), I.groebner().is_zero())
+            units += unit
+        assert units >= 5, units
+
     def test_cached_gb_identity(self, um_ideal):
         assert um_ideal.groebner(lex()) is um_ideal.groebner(lex())
 
@@ -147,7 +162,9 @@ class TestMembership:
 
 class TestEliminate:
     def test_keep_everything(self, um_ideal):
-        assert ideal_equals(eliminate(um_ideal, {0, 1}), um_ideal)
+        # the ideal itself, so the bases it holds are not computed again
+        assert eliminate(um_ideal, {0, 1}) is um_ideal
+        assert eliminate(um_ideal, range(um_ideal.n)) is um_ideal
 
     def test_nothing_to_keep(self):
         I = ideal(XY, [b2((1, 0), (0, 2))])
@@ -465,6 +482,56 @@ class TestOnePathCases:
                 u = unit(I.n, 0, k)
                 assert orc.ideal_equal(orc.from_binomial_ideal(colon_monomial(I, u)),
                                        orc.rational_colon_poly(gens, orc.poly([(u, 1)]), I.n))
+
+
+def test_homogenization_is_built_once_holding_its_grevlex_basis(orders):
+    # I^h is kept on I, and the basis it starts out holding is the one
+    # Buchberger computes from its generators
+    r = rng(705)
+    built = 0
+    for trial in range(60):
+        I = KINDS["ungraded" if trial % 2 else "weighted"](r, trial % 4 < 2)
+        H = engine._homogenize(I)
+        assert engine._homogenize(I) is H
+        if H is not I:
+            built += 1
+            runs = len(orders)
+            assert H.groebner().elements == engine._reduced_basis(H.gens, grevlex())
+            assert len(orders) == runs + 1  # the check's own run; H ran none
+    assert built >= 40, built
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nonzerodivisor_skip_matches_elimination_chain(kind, monkeypatch):
+    # a colon step at X_i asks for no basis when one the ideal holds, under
+    # any order, has no lead divisible by X_i; each ideal first holds a lex,
+    # elimination or grevlex basis (I^h holds its grevlex one), so the skip
+    # reads bases that are not revlex with X_i last
+    asked, groebner = [], engine.BinomialIdeal.groebner
+    monkeypatch.setattr(engine.BinomialIdeal, "groebner",
+                        lambda I, order=None: asked.append(order) or groebner(I, order))
+    skips, colon_var = [], engine._colon_var
+
+    def counted(H, i, k):
+        before = len(asked)
+        out = colon_var(H, i, k)
+        skips.append(len(asked) == before)
+        return out
+    monkeypatch.setattr(engine, "_colon_var", counted)
+    r = rng(704)
+    for trial in range(30):
+        I = KINDS[kind](r, trial % 2 == 0)
+        I.groebner(r.choice((lex(), elim([r.randrange(I.n)]), grevlex())))
+        for i in range(I.n):
+            u = unit(I.n, i, r.randint(1, 2))
+            d, sat = saturation(I, u)
+            d_ref, sat_ref = reference_saturation(I, u)
+            assert (d, elements(sat)) == (d_ref, elements(sat_ref)), (I, u)
+        u = rand_exponent(r, I.n, 3)
+        assert elements(colon_monomial(I, u)) == elements(reference_colon(I, u)), (I, u)
+        assert (elements(saturate_vars(I, support(u)))
+                == elements(reference_saturation(I, u)[1])), (I, u)
+    assert sum(skips) >= 30, (sum(skips), len(skips))
 
 
 class TestIntersectMonomial:

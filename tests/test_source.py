@@ -45,6 +45,25 @@ def test_no_dataclasses_import():
     assert not found, "dataclasses imported in %s" % ", ".join(found)
 
 
+def test_only_the_engine_touches_held_bases():
+    # an ideal answers from the reduced bases it holds (``_gb``) and keeps
+    # its homogenization (``_hom``); only engine.py reads or writes either,
+    # so every basis an ideal holds is one the engine built or proved
+    held = {"_gb", "_hom"}
+    found, engine_uses = [], set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in held:
+                if path.name == "engine.py":
+                    engine_uses.add(name)
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert engine_uses == held
+    assert not found, "held bases touched in %s" % ", ".join(found)
+
+
 def _loaded(code, *args):
     """The lines ``code`` prints when run with ``args`` in a fresh
     interpreter, and the modules it adds to the bare interpreter's own."""
