@@ -49,7 +49,7 @@ def _classify(I):
         d, sat = saturation(I, unit(I.n, i))
         if d == 0:
             delta.add(i)
-        elif sat.is_unit():
+        elif ideal_member(monomial(unit(I.n, i, d)), I):
             nilpotency[i] = d  # the least d with X_i^d in I
         else:
             return None, (i, d, sat)

@@ -22,8 +22,10 @@ serves every colon and saturation, at one variable or several: it
 homogenizes once, takes one colon per variable and maps back once.  No
 ideal runs Buchberger for what a reduced basis it holds can give: I^h and
 each colon hold the basis they come from, a step at X_i is skipped when a
-held basis proves X_i a nonzerodivisor (``_colon_var``), and the unit and
-zero tests read any held basis.
+held basis proves X_i a nonzerodivisor (``_colon_var``), membership,
+containment, equality and the unit and zero tests read any held basis, and
+a held basis is the reduced GB of every order under which it keeps its
+leads.  The pure part comes from the modular law, with no elimination.
 """
 
 import heapq
@@ -31,7 +33,7 @@ from collections import namedtuple
 
 from .errors import InputError, NonBinomialOperationError, PurePartError
 from .orders import (e_add, e_deg, e_divides, e_lcm, e_sub, elim, grevlex,
-                     unit, zero)
+                     unit)
 from .scalars import ONE
 
 
@@ -121,16 +123,26 @@ class BinomialIdeal:
         return len(self.names)
 
     def groebner(self, order=None):
+        """The reduced GB under ``order`` (grevlex when None).  A held basis
+        whose every lead stays its lead under ``order`` is that GB, sorted
+        anew: its rewrite system X^lead -> c*X^trail is the same and each
+        step descends under ``order`` too, so every S-polynomial keeps a
+        representation below its lcm (Buchberger's criterion; Cox-Little-
+        O'Shea Ch. 2 Sec. 9), and reducedness reads only leads and trails."""
         order = order or grevlex()
         cached = self._gb.get(order)
         if cached is None:
-            cached = ReducedGB(order, _reduced_basis(self.gens, order))
+            kept = next((gb.elements for gb in self._gb.values()
+                         if all(oriented(b, order) is b for b in gb.elements)), None)
+            cached = ReducedGB(order, _reduced_basis(self.gens, order) if kept is None
+                               else tuple(sorted(kept, key=lambda b: order.key(b.lead))))
             self._gb[order] = cached
         return cached
 
     def _any_basis(self):
-        """Any held reduced basis, grevlex when none: under every order it
-        is {1} exactly for the unit ideal and empty exactly for zero."""
+        """Any held reduced basis, grevlex when none.  Under every order it
+        is {1} exactly for the unit ideal, empty exactly for zero, and its
+        normal forms decide membership."""
         return self.groebner(next(iter(self._gb), None))
 
     def is_unit(self):
@@ -290,26 +302,23 @@ def normal_form(t, gb):
 
 
 def ideal_member(f, I):
-    """Membership test via normal forms of both terms and one equality check."""
-    gb = I.groebner()
+    """Membership by normal forms of both terms against any held basis."""
+    gb = I._any_basis()
     r1 = _nf_exponent(f.lead, ONE, gb.elements)
     if f.trail is None:
         return r1 is None
-    r2 = _nf_exponent(f.trail, f.coeff, gb.elements)
-    if r1 is None or r2 is None:
-        return r1 is None and r2 is None
-    return r1 == r2
+    return r1 == _nf_exponent(f.trail, f.coeff, gb.elements)
 
 
 def ideal_equals(I, J):
     if I.names != J.names:
         raise InputError("ideals live in different rings")
-    return I.groebner().elements == J.groebner().elements
+    return ideal_contains(I, J) and ideal_contains(J, I)
 
 
 def ideal_contains(I, J):
-    """True when J is a subset of I."""
-    return all(ideal_member(g, I) for g in J.groebner().elements)
+    """True when J is a subset of I: each generator of J is in I."""
+    return all(ideal_member(g, I) for g in J.gens)
 
 
 def ideal_sum(I, *others):
@@ -322,7 +331,7 @@ def ideal_sum(I, *others):
 
 
 # ---------------------------------------------------------------------------
-# variable elimination and the auxiliary-variable tricks
+# variable elimination and the auxiliary-variable trick
 
 def eliminate(I, keep):
     """The elimination ideal I n k[X_i : i in keep], in the same ambient ring."""
@@ -352,14 +361,6 @@ def _lift(b, extra_lead=0, extra_trail=0):
     lead = b.lead + (extra_lead,)
     trail = None if b.trail is None else b.trail + (extra_trail,)
     return Binomial(lead, trail, b.coeff)
-
-
-def _aux_eliminate(names, gens_ext):
-    """Eliminate the final auxiliary variable and drop its coordinate."""
-    n = len(names)
-    aux = BinomialIdeal(names + ("_t",), tuple(g for g in gens_ext if g is not None))
-    kept = eliminate(aux, range(n))
-    return project_ideal(kept, range(n))
 
 
 def _check_exponent(I, u):
@@ -497,9 +498,9 @@ def intersect_monomial(I, M):
             "intersection is only supported with a monomial ideal; general "
             "intersections of binomial ideals need not be binomial")
     gens = [_lift(g, 1, 1) for g in I.gens]
-    for m in M.gens:
-        gens.append(binomial(m.lead + (0,), m.lead + (1,)))
-    return _aux_eliminate(I.names, gens)
+    gens += [binomial(m.lead + (0,), m.lead + (1,)) for m in M.gens]
+    aux = BinomialIdeal(I.names + ("_t",), tuple(gens))
+    return project_ideal(eliminate(aux, range(I.n)), range(I.n))
 
 
 def intersect(I, J):
@@ -521,13 +522,13 @@ def scalar_power(lambdas, u):
 
 
 def pure_part(I, lambdas):
-    """The pure ideal I n <X_i - lambda_i>, which induces the same congruence.
+    """The pure ideal I n P, P = <X_i - lambda_i>, with the same congruence.
 
     Requires I to contain monomials and every non-monomial reduced-GB
-    element X^a - c X^b to satisfy lambda^a = c * lambda^b.  Computed via
-    (A + T*P + (1-T)*Q) n k[X] = (A + P) n (A + Q) with A the non-monomial
-    part, P = <X_i - lambda_i>, Q = the monomial part; the precondition
-    gives A within P, so the right side is <X_i - lambda_i> n I.
+    element X^a - c X^b to satisfy lambda^a = c * lambda^b.  Those elements
+    A then lie in P, so I n P = A + (Q n P) for the monomial part Q (the
+    modular law).  No lambda_i is 0, so Q + P = <1> and Q n P = QP, which
+    the X^(m + e_i) - lambda_i X^m generate.
     """
     lambdas = tuple(lambdas)
     if len(lambdas) != I.n:
@@ -542,9 +543,6 @@ def pure_part(I, lambdas):
             raise PurePartError(
                 "scale point does not annihilate the basis element "
                 "X^%r - %s X^%r" % (b.lead, b.coeff, b.trail))
-    gens = [_lift(b) for b in pure]                              # A
-    for i, lam in enumerate(lambdas):                            # T*(X_i - lam_i)
-        gens.append(binomial(unit(I.n, i) + (1,), zero(I.n) + (1,), lam))
-    for m in mono:                                               # (1-T)*X^m
-        gens.append(binomial(m.lead + (0,), m.lead + (1,)))
-    return _aux_eliminate(I.names, gens)
+    return BinomialIdeal(I.names, tuple(pure) + tuple(
+        binomial(e_add(m.lead, unit(I.n, i)), m.lead, lam)
+        for m in mono for i, lam in enumerate(lambdas)))

@@ -12,13 +12,14 @@ from binomials import (Binomial, BinomialIdeal, Scalar, Term, binomial,
                        normal_form, project_ideal, pure_part, saturate_vars,
                        saturation, toric_ideal)
 from binomials import engine
-from binomials.engine import _aux_eliminate, _lift, _nf_exponent
+from binomials.engine import _lift, _nf_exponent
 from binomials.orders import e_add, e_divides, e_lcm, e_sub, unit
 from binomials.errors import (InputError, NonBinomialOperationError,
                               PurePartError)
 from binomials import oracle as orc
 
-from gen import rand_exponent, rand_graded_ideal, rand_ideal, rng
+from gen import (rand_binomial, rand_exponent, rand_graded_ideal,
+                 rand_graded_scalar, rand_ideal, rng)
 
 XY = ("X", "Y")
 ONE = Scalar.one()
@@ -73,18 +74,60 @@ class TestGroebner:
 
     def test_unit_and_zero_read_any_held_basis(self, orders):
         # a reduced basis under any order is {1} exactly for the unit ideal
-        # and empty exactly for the zero ideal, so neither test runs grevlex
+        # and empty exactly for the zero ideal, and normal forms against it
+        # decide membership, so neither these tests nor containment and
+        # equality run grevlex; fresh copies of the ideals, which hold
+        # nothing, answer under grevlex
+        def answers(I, J, f, g):
+            return (I.is_unit(), I.is_zero(), ideal_member(f, I), ideal_member(g, I),
+                    ideal_contains(I, J), ideal_contains(J, I), ideal_equals(I, J))
+
+        def fresh(I):
+            return BinomialIdeal(I.names, I.gens)
         r = rng(112)
-        units = 0
-        for _ in range(80):
+        seen = []
+        for trial in range(80):
             I = rand_ideal(r, maxdeg=3)
             I.groebner(r.choice((lex(), elim([0]), grevlex((2, 1, 0)))))
+            h = I.gens[0]
+            m = rand_exponent(r, I.n, 2)
+            g = binomial(e_add(h.lead, m), None if h.trail is None else e_add(h.trail, m),
+                         h.coeff)  # a multiple of a generator
+            extra = g if trial % 2 else rand_binomial(r, I.n, 3)
+            J = BinomialIdeal(I.names, I.gens[1:] + (extra,))
+            J.groebner(r.choice((lex(), elim([1]), grevlex((1, 2, 0)))))
+            f = rand_binomial(r, I.n, 3)
             runs = len(orders)
-            unit, zero = I.is_unit(), I.is_zero()
+            got = answers(I, J, f, g)
             assert len(orders) == runs
-            assert (unit, zero) == (I.groebner().is_unit(), I.groebner().is_zero())
-            units += unit
-        assert units >= 5, units
+            assert got == answers(fresh(I), fresh(J), f, g)
+            seen.append(got)
+        trues = [sum(column) for column in zip(*seen)]
+        assert trues[1] == 0 and min(trues[:1] + trues[2:]) >= 5, trues  # no zero ideal
+
+    def test_held_basis_serves_every_order_that_keeps_its_leads(self, orders):
+        # an ideal holding a lex, elimination or permuted grevlex basis is
+        # asked for grevlex and for grevlex with each X_i last: when every
+        # lead of the held basis stays its lead, no Buchberger run happens,
+        # and the basis returned is element for element a fresh run's
+        r = rng(113)
+        hits = 0
+        for trial in range(90):
+            I = list(KINDS.values())[trial % 3](r, trial % 2 == 0)
+            first = r.choice((lex(), lex((2, 0, 1)), elim([r.randrange(I.n)]),
+                              grevlex((2, 1, 0))))
+            for i in range(I.n):
+                order = grevlex(tuple(j for j in range(I.n) if j != i) + (i,))
+                J = BinomialIdeal(I.names, I.gens)
+                held = J.groebner(first).elements
+                stands = all(b.trail is None or order.key(b.lead) > order.key(b.trail)
+                             for b in held)
+                runs = len(orders)
+                gb = J.groebner(order)
+                assert len(orders) == runs + (not stands), (I, first, order)
+                assert gb.elements == engine._reduced_basis(I.gens, order), (I, first, order)
+                hits += stands
+        assert hits >= 120, hits
 
     def test_cached_gb_identity(self, um_ideal):
         assert um_ideal.groebner(lex()) is um_ideal.groebner(lex())
@@ -349,10 +392,17 @@ class TestSaturation:
 # References that share no code with the revlex path: I : X^u from
 # T*I + (1-T)*<X^u> by eliminating T, and the colon chain over that colon.
 
+def aux_eliminate(names, gens):
+    """The ideal the generators give in ``names`` plus T, with T eliminated
+    and its coordinate dropped."""
+    aux = BinomialIdeal(names + ("_t",), tuple(gens))
+    return project_ideal(eliminate(aux, range(len(names))), range(len(names)))
+
+
 def reference_colon(I, u):
     gens = [_lift(g, 1, 1) for g in I.gens]          # T*g
     gens.append(binomial(u + (0,), u + (1,)))        # (1-T)*X^u
-    inter = _aux_eliminate(I.names, gens)            # I n <X^u>
+    inter = aux_eliminate(I.names, gens)             # I n <X^u>
     quotient = []
     for b in inter.gens:
         lead, trail = e_sub(b.lead, u), None if b.trail is None else e_sub(b.trail, u)
@@ -611,6 +661,41 @@ class TestPurePart:
                              ((0, 0, 0), -1)]) for i in range(3)]
             expected = orc.rational_intersect(orc.from_binomial_ideal(J), aug, 3)
             assert orc.ideal_equal(expected, orc.from_binomial_ideal(P))
+
+
+def reference_pure_part(I, lambdas):
+    """(A + T*P + (1-T)*Q) n k[X] with A and Q the binomial and monomial
+    parts of the reduced grevlex GB of I and P = <X_i - lambda_i>."""
+    gb, zero = I.groebner(), (0,) * I.n
+    gens = [_lift(b) for b in gb.elements if not b.is_monomial]
+    gens += [binomial(unit(I.n, i) + (1,), zero + (1,), lam) for i, lam in enumerate(lambdas)]
+    gens += [binomial(m.lead + (0,), m.lead + (1,)) for m in gb.elements if m.is_monomial]
+    return aux_eliminate(I.names, gens)
+
+
+@pytest.mark.parametrize("kind", ["rational", "root of unity", "prime power"])
+def test_pure_part_matches_the_elimination_reference(kind):
+    # binomials that vanish at lambda plus monomials; the modular-law
+    # generators give the reduced basis of the T-trick reference
+    r = rng(610)
+    draw = {"rational": lambda: rand_graded_scalar(r),
+            "root of unity": lambda: Scalar.zeta(r.choice((2, 3, 4, 6)), 1) ** r.randint(0, 5),
+            "prime power": lambda: Scalar.from_prime_powers(0, {
+                r.choice((2, 3, 5)): Fraction(r.randint(-3, 3), r.choice((1, 2, 3)))})}[kind]
+    done = 0
+    for _ in range(30):
+        lambdas = tuple(draw() for _ in range(3))
+        gens = [monomial(unit(3, r.randrange(3), r.randint(2, 4)))]
+        for _ in range(r.randint(1, 3)):
+            a, b = rand_exponent(r, 3, 4), rand_exponent(r, 3, 4)
+            if a != b:
+                gens.append(binomial(a, b, engine.scalar_power(lambdas, a)
+                                     * engine.scalar_power(lambdas, b).inv()))
+        I = ideal(("X", "Y", "Z"), gens)
+        P = pure_part(I, lambdas)
+        assert elements(P) == elements(reference_pure_part(I, lambdas)), (I, lambdas)
+        done += any(not b.is_monomial for b in elements(I))  # A is not empty
+    assert done >= 10, done
 
 
 class TestPurePartBeyondQ:

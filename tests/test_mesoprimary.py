@@ -107,7 +107,7 @@ class TestAssociatedMesoprimes:
         monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order:
                             orders.append(order.kind) or reduced_basis(gens, order))
         associated_mesoprimes(comp)
-        assert len(orders) == 19
+        assert len(orders) == 18
         assert "elim" not in orders
 
     def test_leaves_read_the_character_off_the_generators(self, monkeypatch):

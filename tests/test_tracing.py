@@ -6,14 +6,21 @@ runs with ``--trace 1``.  The tracer is loaded from its file, not edited.
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import binomials
 import binomials.cli  # noqa: F401  (with congruences, every layer the tracer wraps)
 import binomials.congruences  # noqa: F401
 from binomials import lattices
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -38,3 +45,18 @@ def test_tracer_installs_counts_and_restores():
     assert {name: getattr(lattices, name) for name in originals} == originals
     # the package resolves its exports on each access and keeps no wrapper
     assert binomials.kernel_basis is lattices.kernel_basis
+
+
+@pytest.mark.parametrize("workload", ["decompose", "quotient"])
+def test_traced_pass_runs_in_a_fresh_interpreter(workload):
+    # the tracer reads its layers from sys.modules after one untraced pass,
+    # so a layer the pass leaves unloaded or a hooked name that moved stops
+    # the run; toric is left out, its commands load no cellular layer
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                          "--workload", workload, "--trace", "1", "--seconds", "0",
+                          "--seed", "0"],
+                         cwd=str(ROOT), env=env, stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True

@@ -24,9 +24,9 @@ import workloads  # noqa: E402
 
 # workload: (Buchberger runs of the whole pass, runs of single commands)
 LEDGER = {
-    "decompose": (219, {"decompose-lat6 lattice-decomp": 6,
+    "decompose": (195, {"decompose-lat6 lattice-decomp": 6,
                         "decompose-lat6 meso-primary-decomp": 24,
-                        "decompose-paper cellular": 12}),
+                        "decompose-paper cellular": 10}),
     "quotient": (12, {}),
     "toric": (43, {}),
 }
