@@ -9,7 +9,9 @@ Run from the repository root:
 Per workload it prints one line (commands, mismatches, Buchberger runs
 counted at ``engine._reduced_basis`` and divisor tests counted at
 ``engine.e_divides``), then the Buchberger runs per order kind (grevlex,
-grevlex with X_i last, lex, elim), then the Buchberger runs of
+grevlex with X_i last, lex, elim), then the Buchberger runs per nearest
+caller outside ``engine.py`` as ``module.function``, most runs first
+(``cli.cmd_eliminate 18``), then the Buchberger runs of
 each slot and command (``decompose-cubic lattice-decomp: 27 commands, 189
 runs, 7 each``), then one line per mismatch: an exit code or stdout digest
 that differs from the reference, a traceback or a timeout.  Exits 1 when
@@ -41,10 +43,21 @@ def order_kind(order):
     return ORDER_KINDS[1] if rest == sorted(rest) else "grevlex, permuted"
 
 
+def caller(module):
+    """``module.function`` of the nearest frame outside ``module`` on the
+    stack of the counted call, without the package prefix."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_filename == module.__file__:
+        frame = frame.f_back
+    return "%s.%s" % (frame.f_globals["__name__"].rpartition(".")[2],
+                      frame.f_code.co_name)
+
+
 @contextlib.contextmanager
-def counting(module, counts, kinds):
+def counting(module, counts, kinds, callers):
     """Count the calls of the module-level functions named in ``counts``,
-    and the ``_reduced_basis`` calls per order kind in ``kinds``."""
+    and the ``_reduced_basis`` calls per order kind in ``kinds`` and per
+    nearest caller outside ``module`` in ``callers``."""
     originals = {name: getattr(module, name) for name in counts}
 
     def wrap(name, fn):
@@ -52,6 +65,7 @@ def counting(module, counts, kinds):
             counts[name] += 1
             if name == "_reduced_basis":
                 kinds[order_kind(args[1])] += 1
+                callers[caller(module)] += 1
             return fn(*args, **kwargs)
         return counted
 
@@ -79,7 +93,8 @@ def main(argv=None):
         counts = dict.fromkeys(("_reduced_basis", "e_divides"), 0)
         before = len(checker.problems)
         runs, kinds = {}, collections.Counter(dict.fromkeys(ORDER_KINDS, 0))
-        with counting(engine, counts, kinds):
+        callers = collections.Counter()
+        with counting(engine, counts, kinds, callers):
             for cmd in cmds:
                 start = counts["_reduced_basis"]
                 checker.check(cmd, runner.run(cmd), name)
@@ -91,6 +106,8 @@ def main(argv=None):
                  counts["e_divides"]))
         print("  Buchberger runs by order: "
               + ", ".join("%s %d" % kind for kind in kinds.items()))
+        print("  Buchberger runs by caller: "
+              + ", ".join("%s %d" % each for each in callers.most_common()))
         for label, per in runs.items():
             each = ("%d" % per[0] if min(per) == max(per)
                     else "%d-%d" % (min(per), max(per)))

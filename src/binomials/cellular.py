@@ -95,7 +95,8 @@ def cellular_decompose(I, prune_components=False):
         right = ideal_sum(J, BinomialIdeal(J.names, (power,)))
         if ideal_equals(left, J):
             raise AssertionError("colon branch did not grow")
-        if ideal_member(power, J):
+        # J holds the basis _classify read, so the sum is J iff power is in J
+        if right is J:
             raise AssertionError("monomial branch did not grow")
         work.append(right)
         work.append(left)

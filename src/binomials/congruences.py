@@ -15,8 +15,8 @@ search, which reports an explicit completeness flag.
 from collections import namedtuple
 
 from .cellular import is_cellular
-from .engine import (BinomialIdeal, Term, colon_monomial, ideal_equals,
-                     ideal_sum, monomial, normal_form, saturate_vars)
+from .engine import (BinomialIdeal, Term, _check_exponent, colon_monomial,
+                     ideal_equals, ideal_sum, monomial, normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
@@ -46,10 +46,7 @@ def congruence(I):
 
 def class_id(c, u):
     """NIL when X^u lies in the ideal, else the normal-form exponent."""
-    u = tuple(u)
-    if len(u) != c.ideal.n:
-        raise InputError("exponent dimension %d, ring has %d variables"
-                         % (len(u), c.ideal.n))
+    u = _check_exponent(c.ideal.n, u, "exponent")
     nf = normal_form(Term(ONE, u), c.ideal.groebner())
     return NIL if nf is None else nf.exponent
 
@@ -180,10 +177,9 @@ def maximal_ideal(J, bound=None):
                     minimal.append(u)
             elif class_id(c, u) == nil_class:
                 minimal.append(u)
-    if minimal:
-        J = ideal_sum(J, BinomialIdeal(J.names, tuple(map(monomial, minimal))))
-    # the bounded search cannot certify that it exhausted the nil class
-    return J, False
+    # the bounded search cannot certify that it exhausted the nil class; with
+    # no nil found the sum is J, which holds its grevlex basis
+    return ideal_sum(J, BinomialIdeal(J.names, tuple(map(monomial, minimal)))), False
 
 
 class QuotientTable(namedtuple("QuotientTable", "classes table")):
@@ -245,15 +241,10 @@ def quotient_table(c, max_classes):
 def rees_ideal(exponents, names):
     """The monomial ideal whose congruence is the Rees congruence modulo
     the monoid ideal generated by ``exponents``."""
-    exponents = [tuple(e) for e in exponents]
-    n = len(names)
-    for e in exponents:
-        if len(e) != n:
-            raise InputError("exponent dimension %d, ring has %d variables"
-                             % (len(e), n))
-        if not any(e):
-            raise InputError("0 generates the improper monoid ideal; "
-                             "the Rees quotient needs a proper E")
+    exponents = [_check_exponent(len(names), e, "exponent") for e in exponents]
+    if not all(map(any, exponents)):
+        raise InputError("0 generates the improper monoid ideal; "
+                         "the Rees quotient needs a proper E")
     return BinomialIdeal(tuple(names), tuple(monomial(e) for e in exponents))
 
 

@@ -23,9 +23,11 @@ homogenizes once, takes one colon per variable and maps back once.  No
 ideal runs Buchberger for what a reduced basis it holds can give: I^h and
 each colon hold the basis they come from, a step at X_i is skipped when a
 held basis proves X_i a nonzerodivisor (``_colon_var``), membership,
-containment, equality and the unit and zero tests read any held basis, and
-a held basis is the reduced GB of every order under which it keeps its
-leads.  The pure part comes from the modular law, with no elimination.
+containment, equality and the unit and zero tests read any held basis, a
+held basis is the reduced GB of every order under which it keeps its
+leads, a sum is a summand that holds a basis and contains the rest, and
+eliminations and projections hold the basis they are read from.  The pure
+part comes from the modular law, with no elimination.
 """
 
 import heapq
@@ -111,9 +113,8 @@ class BinomialIdeal:
         self._gb = {}
         self._hom = None  # I^h once built, for an inhomogeneous I
         for g in self.gens:
-            if len(g.lead) != self.n:
-                raise InputError("generator dimension %d, ring has %d variables"
-                                 % (len(g.lead), self.n))
+            for u in (g.lead, g.trail or g.lead):
+                _check_exponent(self.n, u, "generator")
 
     def __repr__(self):
         return "BinomialIdeal(names=%r, gens=%r)" % (self.names, self.gens)
@@ -294,9 +295,8 @@ def _interreduce(basis, order):
 
 def normal_form(t, gb):
     """Normal form of a term modulo a reduced GB; None when it reduces to 0."""
-    if gb.elements and len(t.exponent) != len(gb.elements[0].lead):
-        raise InputError("term dimension %d, basis dimension %d"
-                         % (len(t.exponent), len(gb.elements[0].lead)))
+    _check_exponent(len(gb.elements[0].lead) if gb.elements else len(t.exponent),
+                    t.exponent, "term")
     r = _nf_exponent(t.exponent, t.coeff, gb.elements)
     return None if r is None else Term(r[1], r[0])
 
@@ -322,39 +322,50 @@ def ideal_contains(I, J):
 
 
 def ideal_sum(I, *others):
-    gens = list(I.gens)
-    for J in others:
-        if J.names != I.names:
-            raise InputError("ideals live in different rings")
-        gens.extend(J.gens)
-    return BinomialIdeal(I.names, tuple(gens))
+    """I + the others.  A summand K that holds a reduced basis and contains
+    every other summand is the sum, K + J = K for J in K, so K is returned
+    with the bases it holds; otherwise a new ideal on all the generators."""
+    summands = (I,) + others
+    if any(J.names != I.names for J in others):
+        raise InputError("ideals live in different rings")
+    for K in summands:
+        if K._gb and all(ideal_contains(K, J) for J in summands if J is not K):
+            return K
+    return BinomialIdeal(I.names, tuple(g for J in summands for g in J.gens))
 
 
 # ---------------------------------------------------------------------------
 # variable elimination and the auxiliary-variable trick
 
 def eliminate(I, keep):
-    """The elimination ideal I n k[X_i : i in keep], in the same ambient ring."""
+    """The elimination ideal I n k[X_i : i in keep], in the same ambient ring,
+    holding its basis: the elements of I's reduced basis under elim(block)
+    that avoid the block are the reduced basis of I n k[keep] (the
+    elimination theorem, Cox-Little-O'Shea Ch. 3 Sec. 1), and on such
+    monomials elim(block) is grevlex, so ``groebner()`` reads them too."""
     keep = set(keep)
     block = [i for i in range(I.n) if i not in keep]
     if not block:
         return I
     gb = I.groebner(elim(block))
-    kept = tuple(b for b in gb.elements if b.support() <= keep)
-    return BinomialIdeal(I.names, kept)
+    return _from_basis(I.names, ReducedGB(gb.order, tuple(
+        b for b in gb.elements if b.support() <= keep)))
 
 
 def project_ideal(I, keep):
-    """Rewrite an ideal supported on ``keep`` into the smaller ring."""
+    """Rewrite an ideal supported on ``keep`` into the smaller ring, holding
+    its grevlex basis projected: grevlex compares two exponents that are 0
+    off ``keep`` as it compares them with those zeros dropped."""
     keep = sorted(keep)
     gens = []
-    for b in I.groebner().elements:
+    gb = I.groebner()
+    for b in gb.elements:
         if not b.support() <= set(keep):
             raise InputError("generator %r not supported on the kept variables" % (b,))
         lead = tuple(b.lead[i] for i in keep)
         trail = None if b.trail is None else tuple(b.trail[i] for i in keep)
         gens.append(binomial(lead, trail, b.coeff))
-    return BinomialIdeal(tuple(I.names[i] for i in keep), tuple(gens))
+    return _from_basis(tuple(I.names[i] for i in keep), ReducedGB(gb.order, tuple(gens)))
 
 
 def _lift(b, extra_lead=0, extra_trail=0):
@@ -363,17 +374,20 @@ def _lift(b, extra_lead=0, extra_trail=0):
     return Binomial(lead, trail, b.coeff)
 
 
-def _check_exponent(I, u):
+def _check_exponent(n, u, what="monomial"):
+    """u as a tuple; refused unless it is an exponent vector in n variables."""
     u = tuple(u)
-    if len(u) != I.n:
-        raise InputError("monomial dimension %d, ring has %d variables" % (len(u), I.n))
+    if len(u) != n:
+        raise InputError("%s dimension %d, ring has %d variables" % (what, len(u), n))
+    if any(x < 0 for x in u):
+        raise InputError("%s %r has a negative entry" % (what, u))
     return u
 
 
 def colon_monomial(I, u):
     """The ideal quotient (I : X^u), one variable at a time off revlex GBs
     of the homogenized ideal."""
-    u = _check_exponent(I, u)
+    u = _check_exponent(I.n, u)
     return _colons(I, [(i, k) for i, k in enumerate(u) if k])[1]
 
 
@@ -396,7 +410,7 @@ def saturation(I, u):
     homogenized ideal.  u = 0 gives (0, I); a u of several variables is
     refused (``saturate_vars`` saturates at a set of variables).
     """
-    u = _check_exponent(I, u)
+    u = _check_exponent(I.n, u)
     support = [i for i, x in enumerate(u) if x]
     if len(support) > 1:
         raise InputError("saturation takes a power of one variable; got %d "

@@ -462,6 +462,14 @@ class TestQuotientTable:
         assert payload["labels"] == ["0", "Y"]
 
 
+def test_negative_exponents_are_refused(c_nilpotent):
+    # X^-1 is no monomial: it has no class and generates no monoid ideal
+    with pytest.raises(InputError):
+        class_id(c_nilpotent, (-1, 0))
+    with pytest.raises(InputError):
+        rees_ideal([(-1, 2)], XY)
+
+
 class TestRees:
     def test_staircase(self):
         R = rees_ideal([(2, 0), (1, 1)], XY)

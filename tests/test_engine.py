@@ -584,6 +584,86 @@ def test_nonzerodivisor_skip_matches_elimination_chain(kind, monkeypatch):
     assert sum(skips) >= 30, (sum(skips), len(skips))
 
 
+def _multiple(b, m):
+    """X^m * b."""
+    return binomial(e_add(b.lead, m), None if b.trail is None else e_add(b.trail, m),
+                    b.coeff)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sum_is_the_summand_that_holds_a_basis_and_contains_the_rest(kind, orders):
+    # K + J = K when J lies in K: a summand that holds a reduced basis and
+    # contains every other summand is the sum, returned with no Buchberger
+    # run; any other sum is a new ideal whose grevlex basis is a fresh
+    # run's on all the generators
+    r = rng(251)
+    collapsed = grown = 0
+    for trial in range(60):
+        I = KINDS[kind](r, trial % 2 == 0)
+        holds = trial % 4 != 3
+        if holds:
+            I.groebner(r.choice((grevlex(), lex(), elim([r.randrange(I.n)]))))
+        inside = [_multiple(g, rand_exponent(r, I.n, 2))
+                  for g in r.sample(I.gens, r.randint(1, len(I.gens)))]
+        if trial % 3 == 0:
+            inside.append(rand_binomial(r, I.n, 3))
+        summands = [BinomialIdeal(I.names, tuple(inside[k::2])) for k in range(2)] + [I]
+        r.shuffle(summands)
+        contained = all(ideal_member(g, BinomialIdeal(I.names, I.gens)) for g in inside)
+        runs = len(orders)
+        S = ideal_sum(*summands)
+        assert len(orders) == runs
+        if holds and contained:
+            assert S is I
+            collapsed += 1
+        else:
+            assert all(S is not J for J in summands)
+            gens = tuple(g for J in summands for g in J.gens)
+            assert S.groebner().elements == engine._reduced_basis(gens, grevlex())
+            grown += 1
+    assert collapsed >= 25 and grown >= 20, (collapsed, grown)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eliminations_and_projections_hold_their_bases(kind, orders):
+    # the elements of an elimination basis free of the block are the
+    # reduced basis of the elimination ideal, under grevlex as well; a
+    # grevlex basis free of the dropped variable, projected, is the grevlex
+    # basis of the smaller ring: neither asks for another Buchberger run
+    r = rng(252)
+    for trial in range(40):
+        I = KINDS[kind](r, trial % 2 == 0)
+        E = eliminate(I, r.sample(range(I.n), r.randint(1, I.n - 1)))
+        runs = len(orders)
+        gb = E.groebner()
+        assert len(orders) == runs
+        assert gb.elements == engine._reduced_basis(E.gens, grevlex())
+        t = r.randrange(I.n + 1)  # where the variable the ideal avoids goes
+
+        def widen(u):
+            return None if u is None else u[:t] + (0,) + u[t:]
+        wide = BinomialIdeal(I.names[:t] + ("T",) + I.names[t:], tuple(
+            Binomial(widen(g.lead), widen(g.trail), g.coeff) for g in I.gens))
+        P = project_ideal(wide, [i for i in range(I.n + 1) if i != t])
+        runs = len(orders)
+        gb = P.groebner()
+        assert len(orders) == runs and P.names == I.names
+        assert gb.elements == engine._reduced_basis(I.gens, grevlex())
+
+
+def test_negative_exponents_are_refused():
+    # X^-1 is no monomial: no colon, saturation, generator or normal form
+    # takes one
+    I = ideal(XY, [b2((2, 0), (0, 1)), monomial((0, 3))])
+    for call in (lambda: saturation(I, (-1, 0)), lambda: colon_monomial(I, (-1, 0)),
+                 lambda: ideal(XY, [monomial((-1, 2))]),
+                 lambda: ideal(XY, [b2((1, 0), (0, -1))]),
+                 lambda: normal_form(Term(ONE, (-1, 0)), I.groebner()),
+                 lambda: normal_form(Term(ONE, (0, -1)), ideal(XY, []).groebner())):
+        with pytest.raises(InputError):
+            call()
+
+
 class TestIntersectMonomial:
     def test_paper_example(self):
         I = ideal(XY, [monomial((1, 0))])
@@ -599,6 +679,13 @@ class TestIntersectMonomial:
         got = intersect_monomial(ideal(XY, [b2((1, 0), (0, 1))]),
                                  ideal(XY, [monomial((0, 1))]))
         assert ideal_equals(got, ideal(XY, [b2((1, 1), (0, 2))]))
+
+    def test_one_run_with_its_basis(self, orders):
+        # the elimination holds its basis and the projection keeps it
+        got = intersect_monomial(ideal(XY, [b2((1, 0), (0, 1))]),
+                                 ideal(XY, [monomial((0, 1))]))
+        assert got.groebner().elements == (b2((1, 1), (0, 2)),)
+        assert len(orders) == 1
 
     def test_refuses_general_intersection(self):
         I = ideal(("X",), [b2((1,), (0,))])

@@ -10,6 +10,11 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+# the breakdowns ("name N, name N") that follow the first line
+BREAKDOWNS = {"reference_check.py": ["  Buchberger runs by order: grevlex ",
+                                     "  Buchberger runs by caller: lattices._lattice_ideals "]}
+
+
 @pytest.mark.parametrize("argv, first", [
     (["random_crosscheck.py", "--trials", "10", "--seed", "7"], "ok: 10 trials"),
     (["worked_examples.py"], "== toric ideal of [3 4 5]"),
@@ -22,3 +27,10 @@ def test_script_runs(argv, first):
                          capture_output=True, text=True, timeout=300)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.startswith(first)
+    lines, heads = out.stdout.splitlines(), BREAKDOWNS.get(argv[0], [])
+    assert [line[:len(head)] for line, head in zip(lines[1:], heads)] == heads
+    for line in lines[1:1 + len(heads)]:
+        # each breakdown adds up to the runs of the workload line
+        parts = line.split(": ", 1)[1].split(", ")
+        assert (sum(int(part.rsplit(" ", 1)[1]) for part in parts)
+                == int(lines[0].split(", ")[2].split()[0])), line

@@ -24,11 +24,12 @@ import workloads  # noqa: E402
 
 # workload: (Buchberger runs of the whole pass, runs of single commands)
 LEDGER = {
-    "decompose": (195, {"decompose-lat6 lattice-decomp": 6,
-                        "decompose-lat6 meso-primary-decomp": 24,
+    "decompose": (166, {"decompose-lat6 lattice-decomp": 6,
+                        "decompose-lat6 meso-primary-decomp": 6,
+                        "decompose-latidx meso-primary-decomp": 6,
                         "decompose-paper cellular": 10}),
     "quotient": (12, {}),
-    "toric": (43, {}),
+    "toric": (40, {"toric-elim eliminate": 3}),
 }
 
 
