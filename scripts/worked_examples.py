@@ -50,9 +50,8 @@ def main():
     ok, witness = is_mesoprimary(um)
     print("== is <X^2-1, XY-Y, Y^2> mesoprimary?  %s (witness %s)\n"
           % (ok, witness))
-    for m, w in associated_mesoprimes(as_cellular(um)):
-        show("associated mesoprime (witness exponent %s)" % (w,),
-             ideal_text(m.ideal()))
+    for _, w, J in associated_mesoprimes(as_cellular(um)):
+        show("associated mesoprime (witness exponent %s)" % (w,), ideal_text(J))
 
     # lattice ideal primary decomposition picks up roots of unity
     L = Lattice.from_vectors(2, [(3, -3)])

@@ -9,9 +9,9 @@ variable) and by sorting the resulting components.
 
 from collections import namedtuple
 
-from .engine import (BinomialIdeal, ideal_contains, ideal_equals,
-                     ideal_member, ideal_sum, monomial, saturate_vars,
-                     saturation)
+from .engine import (BinomialIdeal, _check_indices, ideal_contains,
+                     ideal_equals, ideal_member, ideal_sum, monomial,
+                     saturate_vars, saturation)
 from .errors import InputError, UnitIdealError
 from .orders import unit
 
@@ -27,7 +27,7 @@ class CellularComponent(namedtuple("CellularComponent", "delta ideal nilpotency"
 def cellular_component(I, delta, nilpotency):
     if I.is_unit():
         raise UnitIdealError("cellularity is undefined for the unit ideal")
-    delta = frozenset(delta)
+    delta = frozenset(_check_indices(I.n, delta))
     nilpotency = tuple(sorted(dict(nilpotency).items()))
     if set(dict(nilpotency)) != set(range(I.n)) - delta:
         raise InputError("nilpotency exponents must cover the complement of delta")

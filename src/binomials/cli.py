@@ -266,9 +266,9 @@ def cmd_mesoprimes(args):
         raise Refusal("ideal is not cellular; associated mesoprimes are "
                       "defined for cellular ideals")
     _emit_parts(args, "mesoprimes", [
-        ("mesoprime (witness %s)" % monomial_str(witness, I.names), m.ideal(),
+        ("mesoprime (witness %s)" % monomial_str(witness, I.names), J,
          {"delta": sorted(m.delta), "witness": list(witness)})
-        for m, witness in meso.associated_mesoprimes(comp)])
+        for m, witness, J in meso.associated_mesoprimes(comp)])
 
 
 def cmd_is_cellular(args):
@@ -321,7 +321,7 @@ def cmd_radical(args):
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("radical is computed for cellular ideals; decompose first")
-    _emit_ideal(args, meso.cellular_radical(comp).ideal())
+    _emit_ideal(args, meso.delta_part(comp.ideal, comp.delta))
 
 
 def cmd_meso_primary_decomp(args):

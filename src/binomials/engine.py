@@ -343,7 +343,7 @@ def eliminate(I, keep):
     that avoid the block are the reduced basis of I n k[keep] (the
     elimination theorem, Cox-Little-O'Shea Ch. 3 Sec. 1), and on such
     monomials elim(block) is grevlex, so ``groebner()`` reads them too."""
-    keep = set(keep)
+    keep = set(_check_indices(I.n, keep))
     block = [i for i in range(I.n) if i not in keep]
     if not block:
         return I
@@ -356,7 +356,7 @@ def project_ideal(I, keep):
     """Rewrite an ideal supported on ``keep`` into the smaller ring, holding
     its grevlex basis projected: grevlex compares two exponents that are 0
     off ``keep`` as it compares them with those zeros dropped."""
-    keep = sorted(keep)
+    keep = _check_indices(I.n, keep)
     gens = []
     gb = I.groebner()
     for b in gb.elements:
@@ -382,6 +382,15 @@ def _check_exponent(n, u, what="monomial"):
     if any(x < 0 for x in u):
         raise InputError("%s %r has a negative entry" % (what, u))
     return u
+
+
+def _check_indices(n, indices):
+    """The distinct indices, sorted; refused unless each is in range(n)."""
+    out = sorted(set(indices))
+    bad = [i for i in out if not 0 <= i < n]
+    if bad:
+        raise InputError("variable index %r, ring has %d variables" % (bad[0], n))
+    return out
 
 
 def colon_monomial(I, u):
@@ -421,7 +430,7 @@ def saturation(I, u):
 
 def saturate_vars(I, sigma):
     """I : (prod_{i in sigma} X_i)^infinity, one variable at a time."""
-    return _colons(I, [(i, None) for i in sorted(set(sigma))])[1]
+    return _colons(I, [(i, None) for i in _check_indices(I.n, sigma)])[1]
 
 
 # ---------------------------------------------------------------------------

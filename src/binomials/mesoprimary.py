@@ -11,8 +11,8 @@ decomposition of its delta part.
 from collections import namedtuple
 
 from .cellular import as_cellular
-from .engine import (BinomialIdeal, colon_monomial, ideal_equals, ideal_member,
-                     ideal_sum, monomial)
+from .engine import (ReducedGB, _check_indices, _from_basis, colon_monomial,
+                     ideal_equals, ideal_member, ideal_sum, monomial)
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
 from .lattices import (PartialCharacter, is_saturated, lattice_ideal,
                        lattice_primary_decomposition)
@@ -26,10 +26,7 @@ class Mesoprime(namedtuple("Mesoprime", "names delta character")):
 
     def ideal(self):
         """Materialize as I_L(rho) + <X_j : j not in delta>."""
-        base = lattice_ideal(self.character, self.names)
-        extra = [monomial(unit(len(self.names), i))
-                 for i in sorted(set(range(len(self.names))) - self.delta)]
-        return ideal_sum(base, BinomialIdeal(self.names, tuple(extra)))
+        return delta_part(lattice_ideal(self.character, self.names), self.delta)
 
     def sort_key(self):
         return (tuple(sorted(self.delta)), self.character.lattice.basis,
@@ -39,8 +36,8 @@ class Mesoprime(namedtuple("Mesoprime", "names delta character")):
 def mesoprime(names, delta, character):
     """Validated constructor: the lattice lives in Z^delta and every delta
     variable is a nonzerodivisor modulo the materialized ideal."""
-    delta = frozenset(delta)
     n = len(names)
+    delta = frozenset(_check_indices(n, delta))
     for v in character.lattice.basis:
         if any(v[i] != 0 for i in range(n) if i not in delta):
             raise InputError("lattice vector %r not supported on delta" % (v,))
@@ -68,8 +65,25 @@ def delta_character(J, delta):
         J.n, [e_sub(g.lead, g.trail) for g in gens], [g.coeff for g in gens])
 
 
+def delta_part(J, delta):
+    """The mesoprime I_L(rho) + m of a proper delta-cellular J, m = <X_j :
+    j not in delta>, rho = ``delta_character(J, delta)``, holding its reduced
+    basis under the order of any basis G that J holds: G_delta, the elements
+    of G on delta, and the X_j.  Proof: ``delta_character``'s argument holds
+    for every element of J, so each element of G lies on delta or in m.  A
+    lead in k[delta] is divisible only by leads of G_delta, so G_delta is a
+    GB of J n k[delta], which is pure and saturated at delta: I_L(rho)
+    (Eisenbud-Sturmfels Cor. 2.5).  Each X_j is coprime to every term of
+    G_delta, so the basis is reduced.  For J = I_L(rho), all of G is on delta."""
+    gb = J._any_basis()
+    elements = [g for g in gb.elements if g.support() <= delta]
+    elements += [monomial(unit(J.n, j)) for j in range(J.n) if j not in delta]
+    return _from_basis(J.names, ReducedGB(gb.order, tuple(
+        sorted(elements, key=lambda b: gb.order.key(b.lead)))))
+
+
 def _mesoprimes(component):
-    """(mesoprime of I : X^u, u) for each standard monomial u, in
+    """(mesoprime of I : X^u, u, I : X^u) for each standard monomial u, in
     lexicographic order over the nilpotent coordinates, the first being 0.
     I : X^u is one colon of its parent's quotient, so each colon is taken
     once; X^v in I ends a level, since every larger exponent is in I."""
@@ -77,7 +91,7 @@ def _mesoprimes(component):
 
     def walk(J, u, nilpotency):
         if not nilpotency:
-            yield Mesoprime(I.names, delta, delta_character(J, delta)), u
+            yield Mesoprime(I.names, delta, delta_character(J, delta)), u, J
             return
         (i, d), rest = nilpotency[0], nilpotency[1:]
         for c in range(d):
@@ -89,12 +103,14 @@ def _mesoprimes(component):
 
 
 def associated_mesoprimes(component):
-    """Distinct associated mesoprimes with one witness monomial each,
-    deterministically ordered."""
+    """(mesoprime, witness monomial, ideal) for each distinct associated
+    mesoprime, deterministically ordered: the first witness, and the
+    ``delta_part`` of its colon."""
     found = {}
-    for m, u in _mesoprimes(component):
-        found.setdefault(m, u)
-    return sorted(found.items(), key=lambda kv: kv[0].sort_key())
+    for m, u, J in _mesoprimes(component):
+        if m not in found:
+            found[m] = m, u, delta_part(J, component.delta)
+    return sorted(found.values(), key=lambda t: t[0].sort_key())
 
 
 def _base_and_witness(I):
@@ -106,9 +122,9 @@ def _base_and_witness(I):
     component = as_cellular(I)
     if component is None:
         return None, None
-    pairs = _mesoprimes(component)
-    base, _ = next(pairs)
-    return base, next((u for m, u in pairs if m != base), None)
+    leaves = _mesoprimes(component)
+    base = next(leaves)[0]
+    return base, next((u for m, u, _ in leaves if m != base), None)
 
 
 def is_mesoprimary(I):

@@ -122,7 +122,7 @@ def test_criterion_4_mesoprimary_witness():
         ok, witness = is_mesoprimary(I)
         assert ok is False and witness == (0, 1)
         pairs = associated_mesoprimes(as_cellular(I))
-        got = [m.ideal() for m, _ in pairs]
+        got = [m.ideal() for m, _, _ in pairs]
         expected = [ideal(XY, [binomial((1, 0), (0, 0)), monomial((0, 1))]),
                     ideal(XY, [binomial((2, 0), (0, 0)), monomial((0, 1))])]
         assert len(got) == 2

@@ -49,6 +49,12 @@ class TestIsCellular:
         with pytest.raises(InputError):
             cellular_component(I, frozenset({0}), {1: 2})
 
+    @pytest.mark.parametrize("delta, nilpotency", [({5}, {0: 1, 1: 1}), ({-1}, {0: 1, 1: 1})])
+    def test_component_checks_delta_indices(self, delta, nilpotency):
+        I = ideal(XY, [binomial((1, 0), (0, 1))])
+        with pytest.raises(InputError, match="variable index"):
+            cellular_component(I, delta, nilpotency)
+
     @pytest.mark.parametrize("delta, nilpotency", [({0, 1}, {}), (set(), {0: 1, 1: 1})])
     def test_component_refuses_unit_ideal(self, delta, nilpotency):
         with pytest.raises(UnitIdealError):

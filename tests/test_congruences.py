@@ -177,7 +177,7 @@ class TestClassifyElement:
                 continue
             for component in cellular_decompose(I):
                 c = congruence(component.ideal)
-                exponents = [u for _, u in _mesoprimes(component)]
+                exponents = [u for _, u, _ in _mesoprimes(component)]
                 exponents += [rand_exponent(r, I.n, 3) for _ in range(2)]
                 for u in exponents:
                     flag = classify_element(c, u).partly_cancellable

@@ -664,6 +664,17 @@ def test_negative_exponents_are_refused():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda I: eliminate(I, [5]), lambda I: eliminate(I, [0, 5]),
+    lambda I: saturate_vars(I, [5]), lambda I: saturate_vars(I, [-1]),
+    lambda I: project_ideal(I, [0, 1, 2])])
+def test_variable_indices_are_checked(call):
+    # an index outside range(n) names no variable: it is refused, and never
+    # read as an empty elimination or a wrapped-around variable
+    with pytest.raises(InputError, match="variable index"):
+        call(ideal(XY, [b2((1, 0), (0, 1))]))
+
+
 class TestIntersectMonomial:
     def test_paper_example(self):
         I = ideal(XY, [monomial((1, 0))])

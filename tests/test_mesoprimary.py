@@ -39,14 +39,14 @@ def toric345():
 class TestAssociatedMesoprimes:
     def test_unmixed_example(self):
         pairs = associated_mesoprimes(as_cellular(um_ideal()))
-        ideals = [m.ideal() for m, _ in pairs]
+        ideals = [m.ideal() for m, _, _ in pairs]
         expected = [ideal(XY, [binomial((1, 0), (0, 0)), monomial((0, 1))]),
                     ideal(XY, [binomial((2, 0), (0, 0)), monomial((0, 1))])]
         assert len(ideals) == 2
         assert all(any(ideal_equals(got, want) for got in ideals)
                    for want in expected)
         witnesses = {tuple(sorted(m.character.lattice.basis)): w
-                     for m, w in pairs}
+                     for m, w, _ in pairs}
         assert witnesses[((1, 0),)] == (0, 1)   # <X-1,Y> arises from (I : Y)
         assert witnesses[((2, 0),)] == (0, 0)
 
@@ -78,7 +78,7 @@ class TestAssociatedMesoprimes:
             if I.is_unit():
                 continue
             for comp in cellular_decompose(I):
-                got = list(_mesoprimes(comp))
+                got = [(m, u) for m, u, _ in _mesoprimes(comp)]
                 assert got == reference_mesoprimes(comp), comp
                 twisted += len(comp.nilpotency) > 1 and len(set(m for m, _ in got)) > 1
                 seen |= _kinds(comp.ideal) | {len(comp.nilpotency)}
@@ -95,7 +95,7 @@ class TestAssociatedMesoprimes:
         monkeypatch.setattr(engine, "_colon_var",
                             lambda *a: calls.append(a) or colon_var(*a))
         pairs = associated_mesoprimes(comp)
-        assert [u for _, u in pairs] == [(0, 0, 0, 0)]
+        assert [u for _, u, _ in pairs] == [(0, 0, 0, 0)]
         assert len(calls) == 51
 
     def test_mixed4_buchberger_runs(self, monkeypatch):
@@ -188,6 +188,74 @@ def _kinds(I):
     return kinds
 
 
+class TestDeltaPart:
+    def test_read_off_the_held_basis(self, monkeypatch):
+        # seeded cellular components with rational, root-of-unity and
+        # prime-power coefficients, homogeneous or not: each triple's ideal,
+        # built once, and the radical hold the reduced basis of I_L(rho) + m
+        # under their order, equal m.ideal() under grevlex, and cost no
+        # Buchberger run when the ideal they are read off holds a basis
+        from binomials import engine
+        from binomials.orders import grevlex
+        runs, reduced_basis = [], engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order:
+                            runs.append(order) or reduced_basis(gens, order))
+        count = dict.fromkeys(("built", "held", "triples", "nilpotent", "radicals"), 0)
+        delta_part = mesoprimary.delta_part
+
+        def built(J, delta):
+            held, before = bool(J._gb), len(runs)
+            P = delta_part(J, delta)
+            assert not held or len(runs) == before, J
+            count["built"] += 1
+            count["held"] += held
+            return P
+        monkeypatch.setattr(mesoprimary, "delta_part", built)
+
+        def check(P, m):
+            want = reference_mesoprime_ideal(m)
+            gb = P._any_basis()
+            assert gb.elements == reduced_basis(want.gens, gb.order), (P, m)
+            grevlex_basis = reduced_basis(want.gens, grevlex())
+            assert P.groebner().elements == grevlex_basis, (P, m)
+            assert m.ideal().groebner().elements == grevlex_basis, m
+
+        r = rng(2626)
+        kinds = set()
+        for _ in range(120):
+            if r.random() < 0.3:
+                I = rand_twisted_ideal(r, rational=r.random() < 0.5)
+            else:
+                I = rand_mixed_ideal(r, n=r.choice((2, 3)))
+            if I.is_unit():
+                continue
+            for comp in cellular_decompose(I):
+                kinds |= _kinds(comp.ideal)
+                before = count["built"]
+                triples = associated_mesoprimes(comp)
+                assert count["built"] - before == len(triples)
+                for m, _, P in triples:
+                    check(P, m)
+                    count["triples"] += 1
+                    count["nilpotent"] += bool(comp.nilpotency)
+                check(built(comp.ideal, comp.delta), cellular_radical(comp))
+                count["radicals"] += 1
+        assert kinds >= {"rational", "root", "power", "homogeneous",
+                         "inhomogeneous"}, kinds
+        assert count["triples"] >= 150 and count["nilpotent"] >= 120, count
+        assert count["radicals"] >= 140 and count["held"] >= 550, count
+        assert count["built"] - count["held"] >= 10, count
+
+
+def reference_mesoprime_ideal(m):
+    """I_L(rho) + <X_j : j not in delta> on the generators of both, holding
+    no basis."""
+    from binomials import lattice_ideal
+    n = len(m.names)
+    return BinomialIdeal(m.names, lattice_ideal(m.character, m.names).gens + tuple(
+        monomial(unit(n, j)) for j in range(n) if j not in m.delta))
+
+
 class TestIsMesoprimary:
     def test_unmixed_refused_with_witness(self):
         ok, witness = is_mesoprimary(um_ideal())
@@ -237,6 +305,12 @@ class TestIsMesoprime:
         L = Lattice.from_vectors(2, [(1, 1)])  # not inside Z^{delta}
         with pytest.raises(InputError):
             mesoprime(XY, {0}, PartialCharacter.trivial(L))
+
+    @pytest.mark.parametrize("delta", [{5}, {0, 1, 2}, {-1}])
+    def test_validated_constructor_checks_delta(self, delta):
+        trivial = PartialCharacter.trivial(Lattice(2, ()))
+        with pytest.raises(InputError, match="variable index"):
+            mesoprime(XY, delta, trivial)
 
     def test_against_the_definition(self):
         # random ideals with rational, root-of-unity and prime-power
@@ -368,7 +442,7 @@ class TestStructuralProperties:
         for I in corpus:
             comp = as_cellular(I)
             assert comp is not None
-            for _, u in _mesoprimes(comp):
+            for _, u, _ in _mesoprimes(comp):
                 if not any(u):
                     continue
                 assert is_cellular(colon_monomial(I, u)) == comp.delta

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -34,3 +35,15 @@ def test_script_runs(argv, first):
         parts = line.split(": ", 1)[1].split(", ")
         assert (sum(int(part.rsplit(" ", 1)[1]) for part in parts)
                 == int(lines[0].split(", ")[2].split()[0])), line
+
+
+# sha256 of the stdout of worked_examples.py: its results change only on purpose
+WORKED_EXAMPLES_SHA256 = "860bdfb04a3446f514feb220ee7498770946ba4d3adff6f634c5d5b3ee0f9138"
+
+
+def test_worked_examples_output_is_pinned():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "worked_examples.py")],
+                         cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         stdin=subprocess.DEVNULL, capture_output=True, timeout=300)
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert hashlib.sha256(out.stdout).hexdigest() == WORKED_EXAMPLES_SHA256

@@ -24,10 +24,12 @@ import workloads  # noqa: E402
 
 # workload: (Buchberger runs of the whole pass, runs of single commands)
 LEDGER = {
-    "decompose": (166, {"decompose-lat6 lattice-decomp": 6,
+    "decompose": (126, {"decompose-lat6 lattice-decomp": 6,
                         "decompose-lat6 meso-primary-decomp": 6,
                         "decompose-latidx meso-primary-decomp": 6,
-                        "decompose-paper cellular": 10}),
+                        "decompose-mesoB mesoprimes": 3,
+                        "decompose-paper cellular": 10,
+                        "decompose-unmixed radical": 2}),
     "quotient": (12, {}),
     "toric": (40, {"toric-elim eliminate": 3}),
 }
