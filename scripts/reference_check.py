@@ -11,7 +11,9 @@ counted at ``engine._reduced_basis`` and divisor tests counted at
 ``engine.e_divides``), then the Buchberger runs per order kind (grevlex,
 grevlex with X_i last, lex, elim), then the Buchberger runs per nearest
 caller outside ``engine.py`` as ``module.function``, most runs first
-(``cli.cmd_eliminate 18``), then the Buchberger runs of
+(``cli.cmd_eliminate 18``), then the lattice work (calls of
+``lattices._hnf_rows``, ``smith_normal_form`` and ``invert_unimodular``,
+and ``PartialCharacter`` evaluations), then the Buchberger runs of
 each slot and command (``decompose-cubic lattice-decomp: 27 commands, 189
 runs, 7 each``), then one line per mismatch: an exit code or stdout digest
 that differs from the reference, a traceback or a timeout.  Exits 1 when
@@ -54,10 +56,10 @@ def caller(module):
 
 
 @contextlib.contextmanager
-def counting(module, counts, kinds, callers):
-    """Count the calls of the module-level functions named in ``counts``,
-    and the ``_reduced_basis`` calls per order kind in ``kinds`` and per
-    nearest caller outside ``module`` in ``callers``."""
+def counting(module, counts, kinds=None, callers=None):
+    """Count the calls of the functions named in ``counts``, attributes of
+    a module or a class, and the ``_reduced_basis`` calls per order kind in
+    ``kinds`` and per nearest caller outside ``module`` in ``callers``."""
     originals = {name: getattr(module, name) for name in counts}
 
     def wrap(name, fn):
@@ -85,7 +87,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workdir = ROOT / run.WORKDIR / "reference_check"
     runner = run.InProcessRunner(ROOT, workdir)
-    from binomials import engine
+    from binomials import engine, lattices
     checker = run.Checker(run.load_reference())
     for name in args.workload:
         cmds = workloads.space(name)
@@ -94,7 +96,10 @@ def main(argv=None):
         before = len(checker.problems)
         runs, kinds = {}, collections.Counter(dict.fromkeys(ORDER_KINDS, 0))
         callers = collections.Counter()
-        with counting(engine, counts, kinds, callers):
+        work = dict.fromkeys(("_hnf_rows", "smith_normal_form", "invert_unimodular"), 0)
+        evaluations = {"__call__": 0}
+        with counting(engine, counts, kinds, callers), counting(lattices, work), \
+                counting(lattices.PartialCharacter, evaluations):
             for cmd in cmds:
                 start = counts["_reduced_basis"]
                 checker.check(cmd, runner.run(cmd), name)
@@ -108,6 +113,8 @@ def main(argv=None):
               + ", ".join("%s %d" % kind for kind in kinds.items()))
         print("  Buchberger runs by caller: "
               + ", ".join("%s %d" % each for each in callers.most_common()))
+        print("  Lattice work: " + ", ".join("%s %d" % each for each in work.items())
+              + ", character evaluations %d" % evaluations["__call__"])
         for label, per in runs.items():
             each = ("%d" % per[0] if min(per) == max(per)
                     else "%d-%d" % (min(per), max(per)))

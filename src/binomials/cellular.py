@@ -31,7 +31,7 @@ def cellular_component(I, delta, nilpotency):
     nilpotency = tuple(sorted(dict(nilpotency).items()))
     if set(dict(nilpotency)) != set(range(I.n)) - delta:
         raise InputError("nilpotency exponents must cover the complement of delta")
-    if not ideal_equals(saturate_vars(I, delta), I):
+    if saturate_vars(I, delta) is not I:
         raise InputError("ideal is not saturated at its delta variables")
     for i, d in nilpotency:
         if not ideal_member(monomial(unit(I.n, i, d)), I):

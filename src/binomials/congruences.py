@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .cellular import is_cellular
 from .engine import (BinomialIdeal, Term, _check_exponent, colon_monomial,
-                     ideal_equals, ideal_sum, monomial, normal_form, saturate_vars)
+                     ideal_sum, monomial, normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
@@ -88,7 +88,7 @@ def classify_element(c, u):
     # X^u is nilpotent when I : (X^u)^infinity, the saturation at the
     # support of u, is the unit ideal
     nilpotent = any(u) and saturate_vars(I, [i for i, x in enumerate(u) if x]).is_unit()
-    cancellable = ideal_equals(quotient, I)
+    cancellable = quotient is I
     if cancellable or nil:
         # nil sums are all the absorbing class, so the defining implication
         # a + b = a + c != nil => b = c holds vacuously

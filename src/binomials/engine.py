@@ -458,7 +458,10 @@ def _colons(I, steps):
     saturating at X_i, and tops the t of each step (``_colon_var``).  I is
     homogenized once and J mapped back once: J is I when no step changed
     the ideal, and otherwise the last colon at _h = 1.  No steps give I
-    without a Groebner basis."""
+    without a Groebner basis.  So J is I iff J = I: a step with t > 0 grows,
+    as g / X_i^min(k, t) is in the colon for the g whose lead has X_i-degree
+    t, and were it in H, a lead other than lead(g) would divide lead(g).  At
+    _h = 1 it stays so: homogeneous f is in I^h : X^u iff f(_h = 1) is in I : X^u."""
     if not steps:
         return [], I
     H0 = H = _homogenize(I)

@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .engine import (BinomialIdeal, ReducedGB, _from_basis, binomial,
-                     ideal_equals, saturate_vars, scalar_power)
+                     saturate_vars, scalar_power)
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
 from .orders import e_sub
@@ -39,6 +39,16 @@ def mat_mul(A, B):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
+
+
+def _check_vectors(vectors, n=None, what="vector"):
+    """The vectors as tuples, refused unless each has length n (the first's)."""
+    vectors = [tuple(v) for v in vectors]
+    n = len(vectors[0]) if n is None and vectors else n
+    for v in vectors:
+        if len(v) != n:
+            raise InputError("%s of length %d, expected %d" % (what, len(v), n))
+    return vectors
 
 
 def _hnf_rows(vectors):
@@ -82,13 +92,13 @@ def _hnf_rows(vectors):
 
 def hnf(vectors):
     """Canonical HNF rows of the lattice generated by ``vectors``."""
-    rows, _, rank = _hnf_rows(vectors)
+    rows, _, rank = _hnf_rows(_check_vectors(vectors))
     return tuple(rows[:rank])
 
 
 def kernel_basis(A):
     """Basis of the integer right kernel {v : A v = 0}."""
-    cols = transpose(A)
+    cols = transpose(_check_vectors(A, what="matrix row"))
     if not cols:
         return []
     rows, T, rank = _hnf_rows(cols)
@@ -116,6 +126,7 @@ def smith_normal_form(A):
     matrix is [[A, I_m], [I_n, 0]]: row operations on its first m rows carry
     U along and column operations on its first n columns carry V, while the
     pivots come from the top-left block only."""
+    A = _check_vectors(A, what="matrix row")
     m, n = len(A), len(A[0]) if A else 0
     B = ([list(row) + e for row, e in zip(A, identity(m))]
          + [e + [0] * m for e in identity(n)])
@@ -171,12 +182,7 @@ class Lattice(namedtuple("Lattice", "n basis")):
 
     @classmethod
     def from_vectors(cls, n, vectors):
-        vectors = [tuple(v) for v in vectors]
-        for v in vectors:
-            if len(v) != n:
-                raise InputError("lattice vector dimension %d, ambient is %d"
-                                 % (len(v), n))
-        return cls(n, hnf(vectors) if vectors else ())
+        return cls(n, hnf(_check_vectors(vectors, n, "lattice vector")))
 
     @property
     def rank(self):
@@ -184,7 +190,7 @@ class Lattice(namedtuple("Lattice", "n basis")):
 
     def express(self, v):
         """Coefficients of v over the HNF basis, or None when v is outside."""
-        v = list(v)
+        v, = _check_vectors([v], self.n)
         coeffs = []
         for row in self.basis:
             pivot_col = next(i for i, x in enumerate(row) if x != 0)
@@ -243,18 +249,22 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
 
     @classmethod
     def from_generators(cls, n, vectors, values):
-        """Canonicalize generator/value pairs; verifies consistency."""
-        vectors = [tuple(v) for v in vectors]
+        """The character taking each value on its vector.  With T * vectors
+        = H (HNF, T unimodular), H's i-th row takes values^(T_i).  The values
+        define a homomorphism iff each relation c (c * vectors = 0) maps to
+        1; T's rows from the rank on span the relations, as c * T^-1 * H = 0
+        and H's nonzero rows are independent.  Then vector j takes its value:
+        e_j - sum_(i < rank) (T^-1)_ji T_i is a relation, by T * T^-1 = I."""
+        vectors = _check_vectors(vectors, n, "lattice vector")
+        _check_vectors([values], len(vectors), "values")
         rows, T, rank = _hnf_rows(vectors)
-        basis_values = tuple(scalar_power(values, T[i]) for i in range(rank))
-        char = cls(Lattice(n, tuple(rows[:rank])), basis_values)
-        for v, s in zip(vectors, values):
-            got = char(v)
-            if got != s:
-                raise InconsistentCharacterError(
-                    "values do not define a homomorphism: vector %r maps to "
-                    "%s and %s" % (v, got, s))
-        return char
+        for c in T[rank:]:
+            got = scalar_power(values, c)
+            if not got.is_one():
+                raise InconsistentCharacterError("values do not define a homomorphism: "
+                                                 "relation %r maps to %s" % (c, got))
+        return cls(Lattice(n, tuple(rows[:rank])),
+                   tuple(scalar_power(values, T[i]) for i in range(rank)))
 
     def __call__(self, v):
         coeffs = self.lattice.express(v)
@@ -280,13 +290,12 @@ def saturations(L, p=0):
     if p != 0 and (not isinstance(p, int) or p < 2 or factor_positive(p) != {p: 1}):
         raise InputError("p must be 0 or a prime, got %r" % (p,))
     if not L.basis:
-        empty = Lattice.from_vectors(L.n, [])
+        empty = Lattice(L.n, ())
         return empty, empty, empty
-    S = smith_normal_form([list(v) for v in L.basis])
-    Vinv = invert_unimodular([list(r) for r in S.V])
+    S = smith_normal_form(L.basis)
+    Vinv = invert_unimodular(S.V)
     diag = [d for d in S.diagonal() if d != 0]
-    sat_rows = [Vinv[i] for i in range(len(diag))]
-    sat = Lattice.from_vectors(L.n, sat_rows)
+    sat = Lattice.from_vectors(L.n, Vinv[:len(diag)])
     if p == 0:
         return sat, L, sat
     sat_p_rows, sat_cop_rows = [], []
@@ -300,7 +309,8 @@ def saturations(L, p=0):
 
 
 def is_saturated(L):
-    return saturations(L)[0] == L
+    """Sat(L) = L iff Z^n / L is torsion-free: each invariant factor is 1."""
+    return all(d == 1 for d in smith_normal_form(L.basis).diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +356,9 @@ def _lattice_ideals(characters, names):
     gb = S.groebner() if w == (1,) * L.n else None
     pairs = [tuple(tuple(x // y for x, y in zip(e, w)) for e in (g.lead, g.trail))
              for g in (gb.elements if gb else S.gens)]
-    bases = [tuple(binomial(a, b, rho(e_sub(a, b))) for a, b in pairs) for rho in characters]
+    coords = [L.express(e_sub(a, b)) for a, b in pairs]
+    bases = [tuple(binomial(a, b, scalar_power(rho.values, c)) for (a, b), c in zip(pairs, coords))
+             for rho in characters]
     return [_from_basis(names, ReducedGB(gb.order, g)) if gb else BinomialIdeal(names, g)
             for g in bases]
 
@@ -372,28 +384,25 @@ def character_of(I):
 
 
 def is_lattice_ideal(I):
-    """True when I is pure and saturated at every variable, I = I_L(rho)."""
-    if any(b.is_monomial for b in I.groebner().elements):
-        return False
-    return ideal_equals(saturate_vars(I, range(I.n)), I)
+    """I = I_L(rho): proper and saturated at every variable, so pure."""
+    return not I.is_unit() and saturate_vars(I, range(I.n)) is I
 
 
 def extend_character(rho, M):
-    """All |M/L| extensions of rho to M, in lexicographic branch order."""
+    """All |M/L| extensions of rho to M, in lexicographic branch order.
+    U * C * V = D for L's coefficients C over M gives U * L.basis = D * m,
+    m = V^-1 * M.basis: rho takes values^(U_i) on d_i * m_i, an extension
+    a d_i-th root r_i of it on m_i, and r^(V_j) on M.basis_j = V_j * m."""
     L = rho.lattice
     if L == M:
         return [rho]
-    C = _coefficients(L, M)
-    S = smith_normal_form(C)
-    r = len(C)
+    S = smith_normal_form(_coefficients(L, M))
     diag = S.diagonal()
-    Vinv = invert_unimodular([list(row) for row in S.V])
-    m_rows = mat_mul(Vinv, [list(v) for v in M.basis])
-    target = [scalar_power(rho.values, S.U[i]) for i in range(r)]
+    target = [scalar_power(rho.values, row) for row in S.U]
     out = []
     for branches in itertools.product(*(range(d) for d in diag)):
-        values = [target[i].root(diag[i], branches[i]) for i in range(r)]
-        ext = PartialCharacter.from_generators(M.n, m_rows, values)
+        roots = [t.root(d, k) for t, d, k in zip(target, diag, branches)]
+        ext = PartialCharacter(M, tuple(scalar_power(roots, row) for row in S.V))
         for v, s in zip(L.basis, rho.values):
             if ext(v) != s:
                 raise AssertionError("extension disagrees with the character on %r" % (v,))
@@ -414,10 +423,8 @@ def lattice_primary_decomposition(rho, names):
 def _validate_columns(A):
     if not A or not A[0]:
         raise InputError("degree matrix must be nonempty")
-    width = len(A[0])
-    if any(len(row) != width for row in A):
-        raise InputError("ragged degree matrix")
-    for j in range(width):
+    _check_vectors(A, what="degree matrix row")
+    for j in range(len(A[0])):
         if all(row[j] == 0 for row in A):
             raise InputError("column %d of the degree matrix is zero" % j)
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .cellular import as_cellular
 from .engine import (ReducedGB, _check_indices, _from_basis, colon_monomial,
-                     ideal_equals, ideal_member, ideal_sum, monomial)
+                     ideal_member, ideal_sum, monomial)
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
 from .lattices import (PartialCharacter, is_saturated, lattice_ideal,
                        lattice_primary_decomposition)
@@ -44,7 +44,7 @@ def mesoprime(names, delta, character):
     m = Mesoprime(tuple(names), delta, character)
     I = m.ideal()
     for i in sorted(delta):
-        if not ideal_equals(colon_monomial(I, unit(n, i)), I):
+        if colon_monomial(I, unit(n, i)) is not I:
             raise InputError("variable %d is a zerodivisor; not mesoprime" % i)
     return m
 

@@ -584,6 +584,27 @@ def test_nonzerodivisor_skip_matches_elimination_chain(kind, monkeypatch):
     assert sum(skips) >= 30, (sum(skips), len(skips))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_unchanged_colon_is_its_input(kind):
+    # a colon or saturation returns its input itself exactly when it equals
+    # it, so callers test ``is``; checked against the elimination references
+    r = rng(272)
+    outcomes = {(op, same): 0 for op in ("colon", "saturate") for same in (True, False)}
+    for trial in range(40):
+        I = KINDS[kind](r, trial % 2 == 0)
+        if trial % 3 == 0:
+            I.groebner(r.choice((lex(), elim([r.randrange(I.n)]))))
+        u = rand_exponent(r, I.n, 3)
+        same = colon_monomial(I, u) is I
+        assert same == ideal_equals(reference_colon(I, u), I), (I, u)
+        outcomes["colon", same] += 1
+        u = rand_exponent(r, I.n, 2)
+        same = saturate_vars(I, support(u)) is I
+        assert same == ideal_equals(reference_saturation(I, u)[1], I), (I, u)
+        outcomes["saturate", same] += 1
+    assert min(outcomes.values()) >= 12, outcomes
+
+
 def _multiple(b, m):
     """X^m * b."""
     return binomial(e_add(b.lead, m), None if b.trail is None else e_add(b.trail, m),

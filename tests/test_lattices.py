@@ -14,11 +14,11 @@ from binomials import (Lattice, PartialCharacter, Scalar, binomial,
                        toric_ideal)
 from binomials.errors import (ExtensionRankError, InconsistentCharacterError,
                               InputError, NotPositiveError, NotPureError)
-from binomials import engine
-from binomials.engine import saturate_vars
-from binomials.lattices import (_basis_binomial, _degree_vector, hnf, identity,
-                                invert_unimodular, mat_mul, positive_witness,
-                                transpose)
+from binomials import engine, lattices
+from binomials.engine import saturate_vars, scalar_power
+from binomials.lattices import (_basis_binomial, _coefficients, _degree_vector,
+                                _hnf_rows, hnf, identity, invert_unimodular,
+                                mat_mul, positive_witness, transpose)
 from binomials import oracle as orc
 
 from gen import rand_lattice_vectors, rand_matrix, rand_mixed_ideal, rng
@@ -516,6 +516,147 @@ class TestLatticeDecomposition:
             assert all(rho.lattice == sat for rho, _ in decomp)
             assert all(is_prime(comp) for _, comp in decomp)
             assert len({tuple(rho.values) for rho, _ in decomp}) == len(decomp)
+
+
+# the algorithms that the transforms replaced, kept as references
+
+def reference_from_generators(n, vectors, values):
+    """The character on the HNF basis, checked at every generator; None
+    when a generator's value disagrees."""
+    rows, T, rank = _hnf_rows(vectors)
+    char = PartialCharacter(Lattice(n, tuple(rows[:rank])),
+                            tuple(scalar_power(values, T[i]) for i in range(rank)))
+    return char if all(char(v) == s for v, s in zip(vectors, values)) else None
+
+
+def reference_extensions(rho, M):
+    """Each branch's roots on m = V^-1 * M.basis, canonicalized over m."""
+    L = rho.lattice
+    if L == M:
+        return [rho]
+    S = smith_normal_form(_coefficients(L, M))
+    diag = S.diagonal()
+    m_rows = mat_mul(invert_unimodular([list(row) for row in S.V]),
+                     [list(v) for v in M.basis])
+    target = [scalar_power(rho.values, row) for row in S.U]
+    return [reference_from_generators(M.n, m_rows, [t.root(d, k) for t, d, k
+                                                    in zip(target, diag, branches)])
+            for branches in itertools.product(*(range(d) for d in diag))]
+
+
+def reference_is_saturated(L):
+    return saturations(L)[0] == L
+
+
+def rand_value(r):
+    """A rational, root-of-unity or prime-power value."""
+    kind = r.randrange(3)
+    if kind == 0:
+        return Scalar.from_rational(r.choice([1, -1, 2, -3, 6]), r.choice([1, 1, 5]))
+    if kind == 1:
+        m = r.choice([2, 3, 4, 6])
+        return Scalar.zeta(m, r.randrange(m))
+    return Scalar.from_rational(r.choice([2, 3, 12])).root(r.choice([2, 3]), r.randrange(2))
+
+
+def rand_lattice_pair(r, n):
+    """(L, M) with M of rank 0 to n in Z^n and L = K * M.basis for an
+    integer K of nonzero determinant, so M / L is finite; K's rows are
+    scaled by 1 to 3, so several invariant factors can exceed 1."""
+    rank = r.randint(0, n)
+    M = Lattice.from_vectors(n, [])
+    while M.rank != rank:
+        M = Lattice.from_vectors(n, rand_lattice_vectors(r, n, rank, bound=3))
+    while True:
+        K = [[r.choice((1, 2, 3)) * r.randint(-2, 3) for _ in range(rank)]
+             for _ in range(rank)]
+        L = Lattice.from_vectors(n, mat_mul(K, [list(v) for v in M.basis]))
+        if L.rank == rank:
+            return L, M
+
+
+class TestCharactersOffTransforms:
+    def test_extensions_match_the_reference(self):
+        r = rng(2727)
+        ranks, factors_above_one = set(), [0, 0, 0, 0]
+        for _ in range(160):
+            n = r.randint(1, 3)
+            L, M = rand_lattice_pair(r, n)
+            if quotient_index(L, M) > 36:
+                continue
+            rho = PartialCharacter.from_generators(n, L.basis, [rand_value(r) for _ in L.basis])
+            for target in (M, saturations(L)[0]):
+                assert extend_character(rho, target) == reference_extensions(rho, target)
+            ranks.add(L.rank)
+            diag = smith_normal_form(_coefficients(L, M)).diagonal()
+            factors_above_one[sum(d > 1 for d in diag)] += 1
+        assert ranks == {0, 1, 2, 3}
+        # pairs with no, one, and two or three invariant factors above 1
+        assert (factors_above_one[0] >= 60 and factors_above_one[1] >= 48
+                and factors_above_one[2] + factors_above_one[3] >= 8), factors_above_one
+
+    def test_from_generators_refuses_what_the_reference_refuses(self):
+        r = rng(2728)
+        accepted = refused = 0
+        for trial in range(300):
+            n = r.randint(1, 3)
+            base = rand_lattice_vectors(r, n, r.randint(1, n))
+            base_values = [rand_value(r) for _ in base]
+            coeffs = [[r.randint(-2, 2) for _ in base] for _ in range(r.randint(0, n + 2))]
+            vectors = [tuple(sum(c * v[j] for c, v in zip(cs, base)) for j in range(n))
+                       for cs in coeffs]
+            values = [scalar_power(base_values, cs) for cs in coeffs]
+            if trial % 2 and values:
+                k = r.randrange(len(values))
+                values[k] = values[k] * rand_value(r)
+            expected = reference_from_generators(n, vectors, values)
+            if expected is None:
+                with pytest.raises(InconsistentCharacterError):
+                    PartialCharacter.from_generators(n, vectors, values)
+                refused += 1
+            else:
+                assert PartialCharacter.from_generators(n, vectors, values) == expected
+                accepted += 1
+        assert accepted >= 160 and refused >= 60, (accepted, refused)
+
+    def test_is_saturated_matches_the_reference(self):
+        r = rng(2729)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            n = r.randint(1, 4)
+            L = Lattice.from_vectors(n, rand_lattice_vectors(r, n, r.randint(1, n + 1)))
+            got = is_saturated(L)
+            assert got == reference_is_saturated(L), L
+            seen[got] += 1
+        assert is_saturated(Lattice.from_vectors(3, []))
+        assert min(seen.values()) >= 70, seen
+
+    def test_read_off_without_the_old_steps(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a step the transforms replace was run")
+        for name in ("invert_unimodular", "mat_mul", "saturations"):
+            monkeypatch.setattr(lattices, name, refuse)
+        monkeypatch.setattr(PartialCharacter, "from_generators", classmethod(refuse))
+        L = Lattice.from_vectors(2, [(2, 0), (0, 6)])
+        M = Lattice.from_vectors(2, [(1, 0), (0, 1)])
+        assert len(extend_character(PartialCharacter.trivial(L), M)) == 12
+        assert (is_saturated(L), is_saturated(M)) == (False, True)
+
+    @pytest.mark.parametrize("call", [
+        lambda two: PartialCharacter.from_generators(3, [(1, 2)], [two]),
+        lambda two: PartialCharacter.from_generators(2, [(1, 2), (2, 4)], [two]),
+        lambda two: PartialCharacter.from_generators(2, [(1, 2)], [two, two]),
+        lambda two: Lattice.from_vectors(2, [(1, 2)]).express((1, 2, 3)),
+        lambda two: PartialCharacter.trivial(Lattice.from_vectors(2, [(1, 2)]))((1, 2, 3)),
+        lambda two: hnf([(1, 2), (3,)]),
+        lambda two: smith_normal_form([[1, 2], [3]]),
+        lambda two: kernel_basis([[1, 2], [3]]),
+    ], ids=["short-vector", "few-values", "many-values", "express", "evaluate",
+            "hnf", "smith", "kernel"])
+    def test_malformed_vectors_are_refused(self, call):
+        with pytest.raises(InputError) as raised:
+            call(Scalar.from_rational(2))
+        assert raised.type is InputError
 
 
 class TestLatticeIntersect:

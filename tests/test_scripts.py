@@ -3,6 +3,7 @@
 import hashlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the breakdowns ("name N, name N") that follow the first line
 BREAKDOWNS = {"reference_check.py": ["  Buchberger runs by order: grevlex ",
                                      "  Buchberger runs by caller: lattices._lattice_ideals "]}
+# the line after the breakdowns; the toric ideals evaluate no character
+AFTER = {"reference_check.py": r"  Lattice work: _hnf_rows \d+, smith_normal_form \d+, "
+                               r"invert_unimodular \d+, character evaluations 0"}
 
 
 @pytest.mark.parametrize("argv, first", [
@@ -35,6 +39,8 @@ def test_script_runs(argv, first):
         parts = line.split(": ", 1)[1].split(", ")
         assert (sum(int(part.rsplit(" ", 1)[1]) for part in parts)
                 == int(lines[0].split(", ")[2].split()[0])), line
+    if argv[0] in AFTER:
+        assert re.fullmatch(AFTER[argv[0]], lines[1 + len(heads)]), lines[1 + len(heads)]
 
 
 # sha256 of the stdout of worked_examples.py: its results change only on purpose

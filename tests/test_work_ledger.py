@@ -1,8 +1,10 @@
-"""The work ledger: Buchberger runs of the seed-0 benchmark passes.
+"""The work ledger: Buchberger runs and lattice work of the seed-0
+benchmark passes.
 
 The seed-0 pass of each workload runs in this process, as
 ``scripts/reference_check.py`` runs the reference space, with every call of
-``engine._reduced_basis`` counted and every output checked against
+``engine._reduced_basis`` and ``lattices._hnf_rows`` and every
+``PartialCharacter`` evaluation counted, and every output checked against
 ``perfbench/reference.json``.  Seeds change only coefficients, names and
 pass order, not the algebra, so one seed covers the work.  The counts are
 exact where times are not; a change that moves one updates LEDGER and names
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from binomials import engine
+from binomials import engine, lattices
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -35,6 +37,16 @@ LEDGER = {
 }
 
 
+# workload: (_hnf_rows calls, character evaluations) of the whole pass
+LATTICE_WORK = {"decompose": (89, 88), "quotient": (0, 0), "toric": (21, 0)}
+
+
+def _counted(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: calls.append(args) or real(*args))
+
+
 @pytest.mark.parametrize("workload", sorted(LEDGER))
 def test_buchberger_runs(workload, tmp_path, monkeypatch):
     total, pinned = LEDGER[workload]
@@ -42,9 +54,10 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     run.write_sessions(tmp_path, cmds)
     runner = run.InProcessRunner(ROOT, tmp_path)
     checker = run.Checker(run.load_reference())
-    calls, real = [], engine._reduced_basis
-    monkeypatch.setattr(engine, "_reduced_basis",
-                        lambda gens, order: calls.append(order) or real(gens, order))
+    calls, hnfs, evaluations = [], [], []
+    _counted(monkeypatch, engine, "_reduced_basis", calls)
+    _counted(monkeypatch, lattices, "_hnf_rows", hnfs)
+    _counted(monkeypatch, lattices.PartialCharacter, "__call__", evaluations)
     runs = {}
     for cmd in cmds:
         before = len(calls)
@@ -53,3 +66,4 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
         runs[label] = runs.get(label, 0) + len(calls) - before
     assert checker.problems == []
     assert (len(calls), {label: runs[label] for label in pinned}) == (total, pinned)
+    assert (len(hnfs), len(evaluations)) == LATTICE_WORK[workload]
