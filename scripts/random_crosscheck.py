@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Randomized cross-check of the binomial engine against the rational oracle.
 
-For each trial: draw a random binomial ideal with rational coefficients,
-compute its reduced Groebner basis with the binomial engine, and ask the
-independent rational Buchberger whether the two generate the same ideal.
-Also exercises colon, elimination and saturation against their oracle
-counterparts, including the exponent at which the colon chain of one
-variable stops growing.  Every other trial draws a positively graded ideal
-(``rand_graded_ideal`` from tests/gen.py).  An ideal with an inhomogeneous
-generator has its colons and saturations read off its homogenization; the
-closing line counts those trials.
+For each trial: draw a random binomial ideal with rational coefficients
+(``rand_ideal`` from tests/gen.py), compute its reduced Groebner basis with
+the binomial engine, and ask the independent rational Buchberger whether
+the two generate the same ideal.  Also exercises colon, elimination and
+saturation against their oracle counterparts, including the exponent at
+which the colon chain of one variable stops growing.  Every other trial
+draws a positively graded ideal (``rand_graded_ideal``).  An ideal with
+an inhomogeneous generator has its colons and saturations read off its
+homogenization; the closing line counts those trials.
 
 Each trial also draws a rational ideal with a finite quotient monoid
 (``rand_artinian_ideal``) from a second seeded stream and samples entries of
@@ -29,39 +29,11 @@ from pathlib import Path
 from binomials import (NIL, colon_monomial, congruence, eliminate, quotient_table,
                        saturate_vars, saturation)
 from binomials import oracle as orc
-from binomials.orders import e_add, e_deg, elim, grevlex
+from binomials.orders import e_add, e_deg, elim, grevlex, unit
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from gen import rand_artinian_ideal, rand_graded_ideal  # noqa: E402
-
-
-def rand_exponent(r, n, maxdeg):
-    total = r.randint(0, maxdeg)
-    e = [0] * n
-    for _ in range(total):
-        e[r.randrange(n)] += 1
-    return tuple(e)
-
-
-def power(i, k, n):
-    return tuple(k if j == i else 0 for j in range(n))
-
-
-def rand_ideal(r, n, maxdeg):
-    from binomials import BinomialIdeal, Scalar, binomial, monomial
-    gens = []
-    for _ in range(r.randint(1, 3)):
-        lead = rand_exponent(r, n, maxdeg)
-        if r.random() < 0.2:
-            gens.append(monomial(lead if any(lead) else (1,) + (0,) * (n - 1)))
-            continue
-        trail = rand_exponent(r, n, maxdeg)
-        while trail == lead:
-            trail = rand_exponent(r, n, maxdeg)
-        c = Scalar.from_rational(r.choice([1, -1, 2, -2, 3]),
-                                 r.choice([1, 1, 2]))
-        gens.append(binomial(lead, trail, c))
-    return BinomialIdeal(tuple("XYZW"[:n]), tuple(gens))
+from gen import (rand_artinian_ideal, rand_exponent, rand_graded_ideal,  # noqa: E402
+                 rand_ideal)
 
 
 def table_entries_agree(r, I, samples=8):
@@ -99,7 +71,7 @@ def main():
         if trial % 2:
             I = rand_graded_ideal(r, args.vars, maxdeg=args.maxdeg)
         else:
-            I = rand_ideal(r, args.vars, args.maxdeg)
+            I = rand_ideal(r, args.vars, maxdeg=args.maxdeg)
         inhomogeneous += any(g.trail is not None and e_deg(g.lead) != e_deg(g.trail)
                              for g in I.gens)
         raw = orc.from_binomial_ideal(I)
@@ -142,9 +114,9 @@ def main():
             return 1
 
         i = r.randrange(args.vars)
-        d, sat = saturation(I, power(i, 1, args.vars))
+        d, sat = saturation(I, unit(args.vars, i))
         stops = [orc.ideal_equal(orc.from_binomial_ideal(sat), orc.rational_colon_poly(
-                     raw, orc.poly([(power(i, k, args.vars), 1)]), args.vars))
+                     raw, orc.poly([(unit(args.vars, i, k), 1)]), args.vars))
                  for k in (d - 1, d, d + 1) if k >= 0]
         # I : X_i^k reaches the saturation at k = d, not before
         if stops != [False] * (d > 0) + [True, True]:

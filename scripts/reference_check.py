@@ -12,8 +12,8 @@ counted at ``engine._reduced_basis`` and divisor tests counted at
 grevlex with X_i last, lex, elim), then the Buchberger runs per nearest
 caller outside ``engine.py`` as ``module.function``, most runs first
 (``cli.cmd_eliminate 18``), then the lattice work (calls of
-``lattices._hnf_rows``, ``smith_normal_form`` and ``invert_unimodular``,
-and ``PartialCharacter`` evaluations), then the Buchberger runs of
+``lattices._hnf_rows`` and ``smith_normal_form``, and
+``PartialCharacter`` evaluations), then the Buchberger runs of
 each slot and command (``decompose-cubic lattice-decomp: 27 commands, 189
 runs, 7 each``), then one line per mismatch: an exit code or stdout digest
 that differs from the reference, a traceback or a timeout.  Exits 1 when
@@ -96,7 +96,7 @@ def main(argv=None):
         before = len(checker.problems)
         runs, kinds = {}, collections.Counter(dict.fromkeys(ORDER_KINDS, 0))
         callers = collections.Counter()
-        work = dict.fromkeys(("_hnf_rows", "smith_normal_form", "invert_unimodular"), 0)
+        work = dict.fromkeys(("_hnf_rows", "smith_normal_form"), 0)
         evaluations = {"__call__": 0}
         with counting(engine, counts, kinds, callers), counting(lattices, work), \
                 counting(lattices.PartialCharacter, evaluations):

@@ -106,12 +106,15 @@ def cellular_decompose(I, prune_components=False):
 
 
 def _dedupe(components):
-    """The components in order, dropping any whose ideal equals an earlier one."""
-    unique = []
+    """The components in order, dropping any whose ideal equals an earlier
+    one: ideals of one ring are equal iff their reduced grevlex bases are,
+    as the reduced basis is unique (Cox-Little-O'Shea Ch. 2 Sec. 7 Prop. 6)."""
+    if len({comp.ideal.names for comp in components}) > 1:
+        raise InputError("ideals live in different rings")
+    unique = {}
     for comp in components:
-        if not any(ideal_equals(comp.ideal, kept.ideal) for kept in unique):
-            unique.append(comp)
-    return unique
+        unique.setdefault(comp.ideal.groebner().elements, comp)
+    return list(unique.values())
 
 
 def prune(components):

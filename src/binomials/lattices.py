@@ -3,12 +3,12 @@
 All linear algebra is exact over Python's arbitrary-precision integers.
 One row-style Hermite normal form answers the integer-matrix questions:
 it canonicalizes lattices (equality is plain tuple comparison), gives
-kernels, inverses of unimodular matrices and indices.  The Smith form gives
-saturations and character extensions.  Both elimination loops keep their
-transforms inside the work matrix, as blocks that each row or column
-operation carries along, so every operation is written once.  Positivity
-of a degree matrix is one Fourier-Motzkin search for a positive
-functional; only its back-substitution (``_fm_point``) uses ``Fraction``.
+kernels and indices.  The Smith form gives saturations and character
+extensions.  Both elimination loops keep their transforms inside the work
+matrix, as blocks that each row or column operation carries along, so
+every operation is written once.  Positivity of a degree matrix is one
+Fourier-Motzkin search for a positive functional; only its
+back-substitution (``_fm_point``) uses ``Fraction``.
 """
 
 import itertools
@@ -103,15 +103,6 @@ def kernel_basis(A):
         return []
     rows, T, rank = _hnf_rows(cols)
     return [T[i] for i in range(rank, len(cols))]
-
-
-def invert_unimodular(V):
-    """Inverse of an integer matrix with determinant +-1: its HNF is the
-    identity, so the HNF transform T has T * V = I."""
-    rows, T, _ = _hnf_rows(V)
-    if rows != [tuple(row) for row in identity(len(V))]:
-        raise AssertionError("the matrix is not unimodular")
-    return [list(row) for row in T]
 
 
 class SmithForm(namedtuple("SmithForm", "U D V")):
@@ -286,26 +277,31 @@ def _p_valuation(d, p):
 
 def saturations(L, p=0):
     """(Sat, Sat_p, Sat'_p) of a lattice for p = 0 or a prime; p = 0 follows
-    the convention Sat_0(L) = L and Sat'_0(L) = Sat(L)."""
+    the convention Sat_0(L) = L and Sat'_0(L) = Sat(L).  With U * B * V = D
+    the Smith form of L's basis B, the first rank rows of V^-1 span Sat(L),
+    each scaled by the p-free (p-power) part of d_i for Sat_p (Sat'_p).  Row
+    i of U * B = D * V^-1 is d_i times row i of V^-1, and d_i != 0 below
+    the rank, so those rows are U * B's divided exactly."""
     if p != 0 and (not isinstance(p, int) or p < 2 or factor_positive(p) != {p: 1}):
         raise InputError("p must be 0 or a prime, got %r" % (p,))
     if not L.basis:
         empty = Lattice(L.n, ())
         return empty, empty, empty
     S = smith_normal_form(L.basis)
-    Vinv = invert_unimodular(S.V)
     diag = [d for d in S.diagonal() if d != 0]
-    sat = Lattice.from_vectors(L.n, Vinv[:len(diag)])
+    UB = mat_mul(S.U, L.basis)
+    if any(x % d for d, row in zip(diag, UB) for x in row):
+        raise AssertionError("a row of U*B is not a multiple of its invariant factor")
+    Vinv = [[x // d for x in row] for d, row in zip(diag, UB)]
+    sat = Lattice.from_vectors(L.n, Vinv)
     if p == 0:
         return sat, L, sat
     sat_p_rows, sat_cop_rows = [], []
-    for i, d in enumerate(diag):
+    for d, row in zip(diag, Vinv):
         coprime, v = _p_valuation(d, p)
-        sat_p_rows.append([coprime * x for x in Vinv[i]])
-        sat_cop_rows.append([p ** v * x for x in Vinv[i]])
-    return (sat,
-            Lattice.from_vectors(L.n, sat_p_rows),
-            Lattice.from_vectors(L.n, sat_cop_rows))
+        sat_p_rows.append([coprime * x for x in row])
+        sat_cop_rows.append([p ** v * x for x in row])
+    return sat, Lattice.from_vectors(L.n, sat_p_rows), Lattice.from_vectors(L.n, sat_cop_rows)
 
 
 def is_saturated(L):

@@ -1,13 +1,14 @@
 import pytest
 
-from binomials import (as_cellular, binomial, cellular_component,
-                       cellular_decompose, ideal, ideal_contains, ideal_equals,
-                       ideal_member, is_cellular, monomial, prune,
-                       saturate_vars)
+from binomials import (BinomialIdeal, CellularComponent, Scalar, as_cellular,
+                       binomial, cellular_component, cellular_decompose, elim,
+                       ideal, ideal_contains, ideal_equals, ideal_member,
+                       is_cellular, lex, monomial, prune, saturate_vars)
 from binomials.errors import InputError, UnitIdealError
+from binomials import cellular
 from binomials import oracle as orc
 
-from gen import rand_ideal, rng
+from gen import rand_ideal, rand_mixed_ideal, rng
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -161,3 +162,85 @@ class TestPrune:
     def test_paper_decomposition_unchanged(self):
         components = cellular_decompose(paper_cellular_input())
         assert prune(components) == components
+
+
+def pairwise_dedupe(components):
+    """The dedupe that reduced-basis keys replaced: each component is
+    compared with every one kept before it."""
+    unique = []
+    for comp in components:
+        if not any(ideal_equals(comp.ideal, kept.ideal) for kept in unique):
+            unique.append(comp)
+    return unique
+
+
+def copy_of(comp, order=None):
+    """The component on a new ideal with the same generators, holding its
+    basis under ``order`` before any other."""
+    fresh = BinomialIdeal(comp.ideal.names, comp.ideal.gens)
+    if order is not None:
+        fresh.groebner(order)
+    return CellularComponent(comp.delta, fresh, comp.nilpotency)
+
+
+def shape(components):
+    return [(c.delta, c.ideal.groebner().elements, c.nilpotency) for c in components]
+
+
+def seeded_ideals(seed, count):
+    r = rng(seed)
+    while count:
+        I = rand_mixed_ideal(r) if count % 2 else rand_ideal(r, 4, maxdeg=3)
+        if not (I.is_unit() or I.is_zero()):
+            count -= 1
+            yield I
+
+
+class TestDedupeByReducedBasis:
+    def test_decompositions_match_the_pairwise_reference(self, monkeypatch):
+        for I in seeded_ideals(3030, 60):
+            for prune_components in (False, True):
+                got = cellular_decompose(BinomialIdeal(I.names, I.gens), prune_components)
+                with monkeypatch.context() as m:
+                    m.setattr(cellular, "_dedupe", pairwise_dedupe)
+                    expected = cellular_decompose(BinomialIdeal(I.names, I.gens),
+                                                  prune_components)
+                assert shape(got) == shape(expected)
+
+    def test_copies_match_the_pairwise_reference(self):
+        """Components mixed with fresh copies, some holding a lex or
+        elimination basis first: the first of each ideal is kept, in order."""
+        r = rng(3031)
+        dropped = 0
+        for I in seeded_ideals(3032, 40):
+            components = cellular_decompose(I)
+            mixed = components + [copy_of(c, r.choice((None, lex(), elim([0]))))
+                                  for c in components if r.random() < 0.7]
+            r.shuffle(mixed)
+            kept = cellular._dedupe(mixed)
+            expected = pairwise_dedupe(mixed)
+            assert len(kept) == len(expected)
+            assert all(a is b for a, b in zip(kept, expected))
+            assert shape(prune(mixed)) == shape(prune(expected))
+            dropped += len(mixed) - len(kept)
+        assert dropped >= 40, dropped
+
+    def test_copy_holding_another_order_is_dropped(self):
+        # X - Y^2 leads with Y^2 under grevlex and with X under lex
+        comp = as_cellular(ideal(XY, [binomial((1, 0), (0, 2))]))
+        copy = copy_of(comp, lex())
+        assert copy.ideal.groebner(lex()).elements != comp.ideal.groebner().elements
+        assert prune([comp, copy]) == [comp]
+
+    def test_same_leads_and_trails_are_kept_apart(self):
+        # <X - 1> and <X + 1> share every lead and trail but differ
+        minus = as_cellular(ideal(XY, [binomial((1, 0), (0, 0))]))
+        plus = as_cellular(ideal(XY, [binomial((1, 0), (0, 0), Scalar.minus_one())]))
+        assert prune([minus, plus]) == sorted([minus, plus], key=cellular.component_sort_key)
+
+    def test_components_from_two_rings_are_refused(self):
+        X = as_cellular(ideal(XY, [monomial((1, 0))]))
+        A = as_cellular(ideal(("A", "B"), [monomial((1, 0))]))
+        for components in ([X, A], [X, X, A], [A, X]):
+            with pytest.raises(InputError, match="different rings"):
+                prune(components)

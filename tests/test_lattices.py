@@ -17,8 +17,8 @@ from binomials.errors import (ExtensionRankError, InconsistentCharacterError,
 from binomials import engine, lattices
 from binomials.engine import saturate_vars, scalar_power
 from binomials.lattices import (_basis_binomial, _coefficients, _degree_vector,
-                                _hnf_rows, hnf, identity, invert_unimodular,
-                                mat_mul, positive_witness, transpose)
+                                _hnf_rows, hnf, identity, mat_mul,
+                                positive_witness, transpose)
 from binomials import oracle as orc
 
 from gen import rand_lattice_vectors, rand_matrix, rand_mixed_ideal, rng
@@ -53,9 +53,9 @@ class TestSmithNormalForm:
         S = smith_normal_form(A)
         U, D, V = [list(map(list, M)) for M in (S.U, S.D, S.V)]
         assert mat_mul(mat_mul(U, A), V) == D
-        # an integer matrix is unimodular exactly when its inverse is integral
-        assert mat_mul(invert_unimodular(U), U) == identity(len(U))
-        assert mat_mul(invert_unimodular(V), V) == identity(len(V))
+        # an integer matrix is unimodular exactly when its HNF is the identity
+        assert _hnf_rows(U)[0] == [tuple(row) for row in identity(len(U))]
+        assert _hnf_rows(V)[0] == [tuple(row) for row in identity(len(V))]
         diag = [d for d in S.diagonal() if d != 0]
         assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
         assert all(d > 0 for d in diag)
@@ -84,25 +84,6 @@ class TestHermite:
         assert (4, -4) in L
         assert (1, -1) not in L
         assert (2, 2) not in L
-
-    def test_unimodular_inverse(self):
-        V = [[1, 1], [0, 1]]
-        assert mat_mul(invert_unimodular(V), V) == [[1, 0], [0, 1]]
-
-    def test_inverse_of_smith_factors(self):
-        r = rng(1919)
-        for _ in range(150):
-            S = smith_normal_form(rand_matrix(r, 5, 5, 9))
-            for X in (S.U, S.V):
-                X = [list(row) for row in X]
-                inverse = invert_unimodular(X)
-                assert mat_mul(inverse, X) == identity(len(X))
-                assert mat_mul(X, inverse) == identity(len(X))
-
-    def test_non_unimodular_rejected(self):
-        for V in ([[2, 0], [0, 1]], [[1, 1], [1, 1]]):
-            with pytest.raises(AssertionError):
-                invert_unimodular(V)
 
     def test_quotient_index_is_abs_det(self):
         r = rng(1818)
@@ -136,7 +117,7 @@ class TestPinnedTransforms:
     ``extend_character`` orders the components by them.  Any change to the
     order of the integer row or column operations changes the digest."""
 
-    DIGEST = "86ccf0207384e82ffb492f29f4f22d02c0ecbff230c0cb094ca3fdc1b7f0dc4a"
+    DIGEST = "41cee862acd657f10a8b082fef5a232c153fc6341e73ffb569fe4c634368c3c8"
 
     def test_transforms_are_pinned(self):
         r = rng(2024)
@@ -144,9 +125,7 @@ class TestPinnedTransforms:
         for _ in range(300):
             A = _pinned_matrix(r)
             S = smith_normal_form(A)
-            for part in (hnf(A), kernel_basis(A), S,
-                         invert_unimodular([list(row) for row in S.U]),
-                         invert_unimodular([list(row) for row in S.V])):
+            for part in (hnf(A), kernel_basis(A), S):
                 h.update(repr(part).encode())
         assert h.hexdigest() == self.DIGEST
 
@@ -192,6 +171,62 @@ class TestSaturations:
                 ic = quotient_index(L, sat_cop)
                 assert ip * ic == quotient_index(L, sat)
             checked += 1
+
+
+def reference_saturations(L, p=0):
+    """Sat(L), Sat_p(L) and Sat'_p(L) from the rows of V^-1, taken as the
+    transform of V's HNF, for U * B * V = D the Smith form of L's basis."""
+    if not L.basis:
+        empty = Lattice(L.n, ())
+        return empty, empty, empty
+    S = smith_normal_form(L.basis)
+    diag = [d for d in S.diagonal() if d != 0]
+    rows = _hnf_rows(S.V)[1][:len(diag)]
+    sat = Lattice.from_vectors(L.n, rows)
+    if p == 0:
+        return sat, L, sat
+    powers = []  # the largest power of p dividing each d_i
+    for d in diag:
+        power = 1
+        while d % (power * p) == 0:
+            power *= p
+        powers.append(power)
+    return (sat,
+            Lattice.from_vectors(L.n, [[d // q * x for x in row]
+                                       for d, q, row in zip(diag, powers, rows)]),
+            Lattice.from_vectors(L.n, [[q * x for x in row]
+                                       for q, row in zip(powers, rows)]))
+
+
+class TestSaturationsOffSmithForm:
+    def test_saturations_match_the_reference(self):
+        r = rng(2929)
+        ranks, factors_above_one = set(), 0
+        for _ in range(200):
+            n = r.randint(1, 4)
+            # scaled vectors make invariant factors above 1
+            vectors = [[r.choice((1, 1, 2, 3, 4, 6)) * x for x in v]
+                       for v in rand_lattice_vectors(r, n, r.randint(0, n), bound=3)]
+            L = Lattice.from_vectors(n, vectors)
+            for p in (0, 2, 3, 5):
+                assert saturations(L, p) == reference_saturations(L, p), (L, p)
+            ranks.add(L.rank)
+            factors_above_one += any(d > 1 for d in smith_normal_form(L.basis).diagonal())
+        assert ranks == {0, 1, 2, 3, 4}
+        assert factors_above_one >= 140, factors_above_one
+
+    def test_one_smith_form_and_no_inverse(self, monkeypatch):
+        calls = []
+        for name in ("_hnf_rows", "smith_normal_form"):
+            real = getattr(lattices, name)
+            monkeypatch.setattr(lattices, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
+        L = Lattice.from_vectors(3, [(2, 4, 0), (0, 6, 12)])
+        for p, hnfs in ((0, 1), (2, 3)):
+            del calls[:]
+            saturations(L, p)
+            # one HNF per new lattice returned, none for an inverse
+            assert sorted(calls) == ["_hnf_rows"] * hnfs + ["smith_normal_form"]
 
 
 class TestLatticeIdeal:
@@ -536,8 +571,7 @@ def reference_extensions(rho, M):
         return [rho]
     S = smith_normal_form(_coefficients(L, M))
     diag = S.diagonal()
-    m_rows = mat_mul(invert_unimodular([list(row) for row in S.V]),
-                     [list(v) for v in M.basis])
+    m_rows = mat_mul(_hnf_rows(S.V)[1], [list(v) for v in M.basis])
     target = [scalar_power(rho.values, row) for row in S.U]
     return [reference_from_generators(M.n, m_rows, [t.root(d, k) for t, d, k
                                                     in zip(target, diag, branches)])
@@ -634,7 +668,7 @@ class TestCharactersOffTransforms:
     def test_read_off_without_the_old_steps(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a step the transforms replace was run")
-        for name in ("invert_unimodular", "mat_mul", "saturations"):
+        for name in ("mat_mul", "saturations"):
             monkeypatch.setattr(lattices, name, refuse)
         monkeypatch.setattr(PartialCharacter, "from_generators", classmethod(refuse))
         L = Lattice.from_vectors(2, [(2, 0), (0, 6)])

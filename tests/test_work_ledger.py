@@ -3,8 +3,8 @@ benchmark passes.
 
 The seed-0 pass of each workload runs in this process, as
 ``scripts/reference_check.py`` runs the reference space, with every call of
-``engine._reduced_basis`` and ``lattices._hnf_rows`` and every
-``PartialCharacter`` evaluation counted, and every output checked against
+``engine._reduced_basis``, ``lattices._hnf_rows`` and ``ideal_equals`` and
+every ``PartialCharacter`` evaluation counted, and every output checked against
 ``perfbench/reference.json``.  Seeds change only coefficients, names and
 pass order, not the algebra, so one seed covers the work.  The counts are
 exact where times are not; a change that moves one updates LEDGER and names
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from binomials import engine, lattices
+from binomials import cellular, engine, lattices
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -38,7 +38,10 @@ LEDGER = {
 
 
 # workload: (_hnf_rows calls, character evaluations) of the whole pass
-LATTICE_WORK = {"decompose": (89, 88), "quotient": (0, 0), "toric": (21, 0)}
+LATTICE_WORK = {"decompose": (84, 88), "quotient": (0, 0), "toric": (21, 0)}
+
+# workload: ideal_equals calls of the whole pass, through any module's binding
+IDEAL_EQUALS = {"decompose": 2, "quotient": 0, "toric": 0}
 
 
 def _counted(monkeypatch, owner, name, calls):
@@ -54,10 +57,12 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     run.write_sessions(tmp_path, cmds)
     runner = run.InProcessRunner(ROOT, tmp_path)
     checker = run.Checker(run.load_reference())
-    calls, hnfs, evaluations = [], [], []
+    calls, hnfs, evaluations, equals = [], [], [], []
     _counted(monkeypatch, engine, "_reduced_basis", calls)
     _counted(monkeypatch, lattices, "_hnf_rows", hnfs)
     _counted(monkeypatch, lattices.PartialCharacter, "__call__", evaluations)
+    for owner in (engine, cellular):
+        _counted(monkeypatch, owner, "ideal_equals", equals)
     runs = {}
     for cmd in cmds:
         before = len(calls)
@@ -67,3 +72,4 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     assert checker.problems == []
     assert (len(calls), {label: runs[label] for label in pinned}) == (total, pinned)
     assert (len(hnfs), len(evaluations)) == LATTICE_WORK[workload]
+    assert len(equals) == IDEAL_EQUALS[workload]
