@@ -8,7 +8,9 @@ precondition), 2 input error, 141 when the reader of stdout went away.
 A process loads only what its command runs: this module imports the
 parsing layer (with ``engine``, ``orders``, ``scalars`` and ``errors``),
 and each command imports the algebra modules it calls.  ``main`` builds the
-parser of the named command alone.
+parser of the named command alone, reads that command's input once
+(``_read_input``) and passes it on: the selected ideal, or the degree
+matrix.
 
 ``run`` is the process entry (``python -m binomials.cli`` and the
 ``binomials`` script): it calls ``main`` and then freezes the garbage
@@ -33,41 +35,39 @@ from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
                       parse_single_term, table_json, table_text)
 
 
-def _read_session(args):
-    try:
-        if args.file and args.file != "-":
-            with open(args.file) as handle:
-                text = handle.read()
-        elif not sys.stdin.isatty():
-            text = sys.stdin.read()
-        else:
-            raise InputError("no input: pass a file or pipe a session on stdin")
-    except UnicodeDecodeError as exc:
-        raise InputError("input is not text: %s" % exc) from None
-    return parse_input(text)
-
-
-def _get_ideal(args):
-    return _read_session(args).only_ideal(args.ideal)
-
-
-def _is_matrix_literal(spec):
-    return re.fullmatch(r"[\d\s;\-]+", spec) is not None
-
-
-def _get_matrix(args, session=None):
-    if _is_matrix_literal(args.matrix):
-        return parse_matrix_literal(args.matrix)
-    session = session or _read_session(args)
-    return session.named("matrix", args.matrix)
-
-
-def _at_least_one(args, *flags):
-    """Refuse a budget or bound flag below 1 as an input error."""
-    for flag in flags:
-        value = getattr(args, flag)
+def _read_input(args):
+    """The input of the command of ``args``, read once and in one order: the
+    budget flags, the session, ``--ideal``, ``--with``.  An ideal command
+    gets the ideal ``--ideal`` selects (intersect-monomial also the one
+    ``--with`` selects); a matrix command gets the degree matrix and the
+    session, which is None for a literal ``--matrix`` without a file:
+    stdin may then be a pipe that never closes, so it is not read."""
+    for flag in ("max", "bound"):
+        value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError("--%s must be at least 1, got %d" % (flag, value))
+    matrix = getattr(args, "matrix", None)
+    literal = matrix is not None and re.fullmatch(r"[\d\s;\-]+", matrix)
+    session = None
+    if args.file or not literal:
+        try:
+            if args.file and args.file != "-":
+                with open(args.file) as handle:
+                    text = handle.read()
+            elif not sys.stdin.isatty():
+                text = sys.stdin.read()
+            else:
+                raise InputError("no input: pass a file or pipe a session on stdin")
+        except UnicodeDecodeError as exc:
+            raise InputError("input is not text: %s" % exc) from None
+        session = parse_input(text)
+    if matrix is not None:
+        return (parse_matrix_literal(matrix) if literal
+                else session.named("matrix", matrix)), session
+    ideals = [session.only_ideal(args.ideal)]
+    if "with_ideal" in args:
+        ideals.append(session.only_ideal(args.with_ideal))
+    return ideals
 
 
 def _order(args, names):
@@ -164,16 +164,14 @@ def _oracle_check(args, target, sources, construct):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gb(args):
-    I = _get_ideal(args)
+def cmd_gb(args, I):
     order = _order(args, I.names)
     _emit_ideal(args, I, order)
     result = eng.BinomialIdeal(I.names, I.groebner(order).elements)
     _oracle_check(args, result, [I], lambda orc, g: g)
 
 
-def cmd_nf(args):
-    I = _get_ideal(args)
+def cmd_nf(args, I):
     order = _order(args, I.names)
     coeff, exponent = parse_single_term(args.term, I.names)
     nf = eng.normal_form(eng.Term(coeff, exponent), I.groebner(order))
@@ -185,8 +183,7 @@ def cmd_nf(args):
           lambda: [c + monomial_str(nf.exponent, I.names)])
 
 
-def cmd_eliminate(args):
-    I = _get_ideal(args)
+def cmd_eliminate(args, I):
     keep = _keep_indices(args.keep, I.names)
     if not keep:
         raise InputError("--keep must name at least one variable")
@@ -200,8 +197,7 @@ def cmd_eliminate(args):
     _oracle_check(args, out, [I], kept)
 
 
-def cmd_colon(args):
-    I = _get_ideal(args)
+def cmd_colon(args, I):
     b = _monomial_arg(args.monomial, I.names, "colon")
     out = eng.colon(I, b)  # refuses a binomial
     _emit_ideal(args, out)
@@ -209,22 +205,18 @@ def cmd_colon(args):
                   lambda orc, g, f: orc.rational_colon_poly(g, f[0], I.n))
 
 
-def cmd_saturate(args):
-    I = _get_ideal(args)
+def cmd_saturate(args, I):
     sigma = _keep_indices(args.vars, I.names)
     _emit_ideal(args, eng.saturate_vars(I, sigma))
 
 
-def cmd_intersect_monomial(args):
-    session = _read_session(args)
-    I, M = session.only_ideal(args.ideal), session.only_ideal(args.with_ideal)
+def cmd_intersect_monomial(args, I, M):
     out = eng.intersect(I, M)
     _emit_ideal(args, out)
     _oracle_check(args, out, [I, M], lambda orc, g, m: orc.rational_intersect(g, m, I.n))
 
 
-def cmd_pure_part(args):
-    I = _get_ideal(args)
+def cmd_pure_part(args, I):
     lambdas = [parse_scalar(chunk.strip() or "1")
                for chunk in args.lambdas.split(",")]
     out = eng.pure_part(I, lambdas)
@@ -235,18 +227,15 @@ def cmd_pure_part(args):
     _oracle_check(args, out, [I, aug], lambda orc, g, a: orc.rational_intersect(g, a, I.n))
 
 
-def cmd_maximal(args):
+def cmd_maximal(args, I):
     from . import congruences as cg
-    _at_least_one(args, "bound")
-    I = _get_ideal(args)
     out, complete = cg.maximal_ideal(I, args.bound)
     _emit(args, lambda: dict(ideal_json(out), complete=complete),
           lambda: ideal_text(out) + ["complete: %s" % ("yes" if complete else "unknown")])
 
 
-def cmd_cellular(args):
+def cmd_cellular(args, I):
     from .cellular import cellular_decompose
-    I = _get_ideal(args)
     components = cellular_decompose(I, prune_components=args.prune)
     _emit_parts(args, "components", [
         ("component %d (delta = %s)" % (k + 1, _var_list(I.names, c.delta) or "-"),
@@ -257,10 +246,9 @@ def cmd_cellular(args):
                   lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
-def cmd_mesoprimes(args):
+def cmd_mesoprimes(args, I):
     from . import mesoprimary as meso
     from .cellular import as_cellular
-    I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("ideal is not cellular; associated mesoprimes are "
@@ -271,9 +259,8 @@ def cmd_mesoprimes(args):
         for m, witness, J in meso.associated_mesoprimes(comp)])
 
 
-def cmd_is_cellular(args):
+def cmd_is_cellular(args, I):
     from .cellular import is_cellular
-    I = _get_ideal(args)
     delta = is_cellular(I)
     if delta is None:
         raise Refusal("ideal is not cellular: some variable is a "
@@ -282,9 +269,8 @@ def cmd_is_cellular(args):
           lambda: ["cellular: delta = {%s}" % _var_list(I.names, delta)])
 
 
-def cmd_is_mesoprimary(args):
+def cmd_is_mesoprimary(args, I):
     from . import mesoprimary as meso
-    I = _get_ideal(args)
     ok, witness = meso.is_mesoprimary(I)
     if not ok:
         detail = ("not cellular" if witness is None else
@@ -294,9 +280,8 @@ def cmd_is_mesoprimary(args):
     _emit(args, lambda: {"mesoprimary": True}, lambda: ["mesoprimary"])
 
 
-def cmd_is_mesoprime(args):
+def cmd_is_mesoprime(args, I):
     from . import mesoprimary as meso
-    I = _get_ideal(args)
     m = meso.is_mesoprime(I)
     if m is None:
         raise Refusal("ideal is not mesoprime: it is not of the form "
@@ -306,36 +291,32 @@ def cmd_is_mesoprime(args):
           lambda: ["mesoprime: delta = {%s}" % _var_list(I.names, m.delta)])
 
 
-def cmd_is_prime(args):
+def cmd_is_prime(args, I):
     from . import mesoprimary as meso
-    I = _get_ideal(args)
     if not meso.is_prime(I):
         raise Refusal("ideal is not prime: not a mesoprime with saturated lattice")
     _emit(args, lambda: {"prime": True}, lambda: ["prime"])
 
 
-def cmd_radical(args):
+def cmd_radical(args, I):
     from . import mesoprimary as meso
     from .cellular import as_cellular
-    I = _get_ideal(args)
     comp = as_cellular(I)
     if comp is None:
         raise Refusal("radical is computed for cellular ideals; decompose first")
     _emit_ideal(args, meso.delta_part(comp.ideal, comp.delta))
 
 
-def cmd_meso_primary_decomp(args):
+def cmd_meso_primary_decomp(args, I):
     from . import mesoprimary as meso
-    I = _get_ideal(args)
     components = meso.mesoprimary_primary_decomposition(I)
     _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
                                       for k, c in enumerate(components)])
     _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
-def cmd_lattice_decomp(args):
+def cmd_lattice_decomp(args, I):
     from . import lattices as lat
-    I = _get_ideal(args)
     rho = lat.character_of(I)
     if not lat.is_lattice_ideal(I):
         raise Refusal("ideal is not a lattice ideal; lattice decomposition "
@@ -346,14 +327,8 @@ def cmd_lattice_decomp(args):
     _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
-def cmd_toric(args):
+def cmd_toric(args, A, session):
     from . import lattices as lat
-    # read the session at most once, and only for a named matrix or a given
-    # file: stdin may be a pipe that never closes
-    session = None
-    if not _is_matrix_literal(args.matrix) or args.file:
-        session = _read_session(args)
-    A = _get_matrix(args, session)
     if args.vars:
         names = check_names(tuple(_listed(args.vars)))
     else:
@@ -364,18 +339,16 @@ def cmd_toric(args):
     _emit_ideal(args, I)
 
 
-def cmd_is_positive(args):
+def cmd_is_positive(args, A, _session):
     from . import lattices as lat
-    A = _get_matrix(args)
     positive = lat.is_positive(A)
     _emit(args, lambda: {"positive": positive},
           lambda: ["positive" if positive else "not positive"])
     return 0 if positive else 1
 
 
-def cmd_fibers(args):
+def cmd_fibers(args, A, _session):
     from . import lattices as lat
-    A = _get_matrix(args)
     target = []
     for entry in _listed(args.target):
         try:
@@ -387,19 +360,16 @@ def cmd_fibers(args):
           lambda: (" ".join(map(str, u)) for u in out))
 
 
-def cmd_snf(args):
+def cmd_snf(args, A, _session):
     from . import lattices as lat
-    A = _get_matrix(args)
     form = lat.smith_normal_form(A)
     _emit(args, form._asdict,
           lambda: _indented(("%s:" % tag, [" ".join(map(str, row)) for row in M])
                             for tag, M in zip(form._fields, form)))
 
 
-def cmd_congruence(args):
+def cmd_congruence(args, I):
     from . import congruences as cg
-    _at_least_one(args, "max", "bound")
-    I = _get_ideal(args)
     keys = ("cancellative", "prime", "primary", "mesoprimary", "toric")
     if args.action == "classify":
         c = cg.congruence(I)
@@ -441,9 +411,9 @@ def _arg(*flags, **options):
 MATRIX = _arg("--matrix", required=True)
 PREDICATE = "predicate; exit 1 when it fails"
 
-# name, function, help, own arguments, kind: "ideal" reads an ideal
-# (--ideal), "checked" reads one and cross-checks the result (--oracle),
-# "matrix" reads a degree matrix (--matrix)
+# name, function, help, own arguments, kind: "ideal" takes an ideal
+# (--ideal), "checked" takes one and cross-checks the result (--oracle),
+# "matrix" takes a degree matrix (--matrix)
 COMMANDS = (
     ("gb", cmd_gb, "reduced Groebner basis",
      [_arg("--order", help="lex | grevlex, optionally with a "
@@ -548,7 +518,7 @@ def main(argv=None):
     if unrecognized:
         args = build_parser().parse_args(argv)  # prints the error, exits 2
     try:
-        code = args.func(args) or 0
+        code = args.func(args, *_read_input(args)) or 0
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

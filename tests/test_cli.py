@@ -49,6 +49,20 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+class PipedStdin:
+    """A stdin that is not a terminal: each read returns ``text`` and is counted."""
+
+    def __init__(self, text):
+        self.text, self.reads = text, 0
+
+    def isatty(self):
+        return False
+
+    def read(self, *args):
+        self.reads += 1
+        return self.text
+
+
 class TestBasics:
     def test_gb(self, capsys, session_file):
         code, out, err = run(capsys, ["gb", session_file(UM)])
@@ -258,10 +272,29 @@ class TestPredicatesAndExitCodes:
         assert code == 2 and out == ""
         assert err == "error: line 6: ideal 'I' is already defined\n"
 
+    def test_intersect_monomial_reads_stdin_once(self, capsys, monkeypatch, session_file):
+        text = "ring X Y\nideal I\nX^2 - Y^2\nideal M\nX*Y\n"
+        argv = ["intersect-monomial", "--ideal", "I", "--with", "M"]
+        from_file = run(capsys, argv + [session_file(text)])
+        stdin = PipedStdin(text)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, argv + ["-"]) == from_file
+        assert from_file[0] == 0 and stdin.reads == 1
+
     def test_radical(self, capsys, session_file):
         code, out, _ = run(capsys, ["radical", session_file(NILQ)])
         assert code == 0
         assert out.splitlines() == ["X", "Y"]
+
+
+# each matrix command with a literal matrix, and what it prints
+MATRIX_COMMANDS = [
+    (["toric", "--matrix", "3 4 5"], "X1^3 - X2*X3\nX1^2*X2 - X3^2\nX2^2 - X1*X3\n"),
+    (["is-positive", "--matrix", "3 4 5"], "positive\n"),
+    (["fibers", "--matrix", "3 4 5", "--target", "12"], "0 3 0\n1 1 1\n4 0 0\n"),
+    (["snf", "--matrix", "3 4 5"], "U:\n  1\nD:\n  1 0 0\nV:\n  -1 4 1\n  1 -3 -2\n  0 0 1\n")]
+MATRIX_ARGVS = [argv for argv, _ in MATRIX_COMMANDS]
+MATRIX_IDS = [argv[0] for argv in MATRIX_ARGVS]
 
 
 class TestMatrixCommands:
@@ -271,18 +304,12 @@ class TestMatrixCommands:
         assert code == 0
         assert out.splitlines() == ["X^3 - Y*Z", "X^2*Y - Z^2", "Y^2 - X*Z"]
 
-    def test_toric_literal_never_reads_stdin(self, capsys, monkeypatch):
-        class OpenPipe:
-            def isatty(self):
-                return False
-
-            def read(self, *args):
-                pytest.fail("toric with a literal matrix read stdin")
-
-        monkeypatch.setattr("sys.stdin", OpenPipe())
-        code, out, _ = run(capsys, ["toric", "--matrix", "3 4 5"])
-        assert code == 0
-        assert out.splitlines() == ["X1^3 - X2*X3", "X1^2*X2 - X3^2", "X2^2 - X1*X3"]
+    @pytest.mark.parametrize("argv, out", MATRIX_COMMANDS, ids=MATRIX_IDS)
+    def test_literal_matrix_never_reads_stdin(self, capsys, monkeypatch, argv, out):
+        stdin = PipedStdin("")  # a pipe that never closes would block a read
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, argv) == (0, out, "")
+        assert stdin.reads == 0
 
     def test_toric_names_from_file(self, capsys, session_file):
         code, out, _ = run(capsys, ["toric", "--matrix", "3 4 5",
@@ -295,16 +322,18 @@ class TestMatrixCommands:
                                     session_file(text)])
         assert code == 0 and "Y^2 - X*Z" in out
 
-    @pytest.mark.parametrize("names", [[], ["--vars", "X,Y,Z"]])
-    def test_toric_missing_file_is_exit_2(self, capsys, tmp_path, names):
+    @pytest.mark.parametrize("argv", MATRIX_ARGVS + [["toric", "--matrix", "3 4 5",
+                                                      "--vars", "X,Y,Z"]],
+                             ids=MATRIX_IDS + ["toric-vars"])
+    def test_literal_matrix_missing_file_is_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "missing.txt")
-        code, out, err = run(capsys, ["toric", "--matrix", "3 4 5", missing] + names)
+        code, out, err = run(capsys, argv + [missing])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "missing.txt" in err
 
-    def test_toric_malformed_file_is_exit_2(self, capsys, session_file):
-        code, out, err = run(capsys, ["toric", "--matrix", "3 4 5",
-                                      session_file("ring X Y\nideal I\nX ++ Y\n")])
+    @pytest.mark.parametrize("argv", MATRIX_ARGVS, ids=MATRIX_IDS)
+    def test_literal_matrix_malformed_file_is_exit_2(self, capsys, session_file, argv):
+        code, out, err = run(capsys, argv + [session_file("ring X Y\nideal I\nX ++ Y\n")])
         assert code == 2 and out == ""
         assert err == "error: line 3: misplaced operator '+'\n"
 
@@ -408,6 +437,16 @@ class TestCongruenceCommand:
         code, out, err = run(capsys, command + [session_file(CELLULAR)] + option)
         assert code == 2 and out == ""
         assert err == "error: %s must be at least 1, got %s\n" % tuple(option)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["congruence", "table", "FILE", "--max", "0", "--bound", "0"],
+         "--max must be at least 1, got 0"),
+        (["maximal", "FILE", "--bound", "0"], "--bound must be at least 1, got 0")],
+        ids=["congruence", "maximal"])
+    def test_budget_is_checked_before_input(self, capsys, tmp_path, argv, error):
+        missing = str(tmp_path / "missing.txt")
+        argv = [missing if a == "FILE" else a for a in argv]
+        assert run(capsys, argv) == (2, "", "error: %s\n" % error)
 
     def test_related(self, capsys, session_file):
         code, out, _ = run(capsys, ["congruence", "related",

@@ -64,6 +64,27 @@ def test_only_the_engine_touches_held_bases():
     assert not found, "held bases touched in %s" % ", ".join(found)
 
 
+def test_cli_reads_input_in_one_function():
+    # ``main`` reads a command's input once and passes it on: one function
+    # reads the session (a file or stdin), selects its ideals and reads the
+    # degree matrix, only ``main`` calls it, and no command reads its own
+    readers = {"open", ".stdin", "parse_input", ".only_ideal", ".named",
+               "parse_matrix_literal"}
+    users = {}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for func in functions:
+        for node in ast.walk(func):
+            name = ("." + node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else None)
+            users.setdefault(name, set()).add(func.name)
+    reading = set().union(*(users.get(name, set()) for name in readers))
+    assert len(reading) == 1, "input read in %s" % ", ".join(sorted(reading))
+    reader, = reading
+    assert all(name in users for name in readers)
+    assert not reader.startswith("cmd_") and users[reader] == {"main"}
+
+
 def _loaded(code, *args):
     """The lines ``code`` prints when run with ``args`` in a fresh
     interpreter, and the modules it adds to the bare interpreter's own."""
