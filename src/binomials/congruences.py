@@ -14,14 +14,14 @@ search, which reports an explicit completeness flag.
 
 from collections import namedtuple
 
-from .cellular import is_cellular
+from .cellular import as_cellular, is_cellular
 from .engine import (BinomialIdeal, Term, _check_exponent, colon_monomial,
                      ideal_sum, monomial, normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
 from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
                        is_saturated, lattice_ideal, lattice_intersect)
-from .mesoprimary import delta_character, is_mesoprime, is_mesoprimary
+from .mesoprimary import _base_and_witness, delta_character, is_mesoprime
 from .orders import NIL, e_add, e_deg, e_divides, unit, zero
 from .scalars import ONE
 
@@ -115,14 +115,15 @@ def classify_congruence(c):
         raise NonMaximalCongruenceError(
             "congruence classification needs a maximal congruence")
     I = c.ideal
-    meso = is_mesoprime(I)
+    component = as_cellular(I)  # one classification answers every flag
+    meso = component and is_mesoprime(I, component)
     # a mesoprime's only standard monomial is 0, so it is mesoprimary
-    ok, witness = (True, None) if meso is not None else is_mesoprimary(I)
+    base, witness = (meso, None) if meso else _base_and_witness(component)
     flags = CongruenceFlags(
         cancellative=meso is not None and len(meso.delta) == I.n,  # lattice ideal
         prime=meso is not None,
-        primary=ok or witness is not None,  # cellular
-        mesoprimary=ok,
+        primary=component is not None,  # cellular
+        mesoprimary=base is not None and witness is None,
         toric=meso is not None and is_saturated(meso.character.lattice),
     )
     if flags.toric and not flags.prime:

@@ -7,8 +7,8 @@ kernels and indices.  The Smith form gives saturations and character
 extensions.  Both elimination loops keep their transforms inside the work
 matrix, as blocks that each row or column operation carries along, so
 every operation is written once.  Positivity of a degree matrix is one
-Fourier-Motzkin search for a positive functional; only its
-back-substitution (``_fm_point``) uses ``Fraction``.
+integer simplex run for a positive functional (``_fm_feasible``); only its
+ratio test uses ``Fraction``.
 """
 
 import itertools
@@ -435,53 +435,46 @@ def toric_ideal(A, names):
     return lattice_ideal(PartialCharacter.trivial(kernel), names)
 
 
-def _fm_eliminate(constraints, k):
-    """Eliminate variable k from constraints sum(c[i] x_i) <= b."""
-    zero_rows, pos, neg = [], [], []
-    for c, b in constraints:
-        if c[k] == 0:
-            zero_rows.append((c, b))
-        elif c[k] > 0:
-            pos.append((c, b))
-        else:
-            neg.append((c, b))
-    for cp, bp in pos:
-        for cn, bn in neg:
-            scale_p, scale_n = -cn[k], cp[k]
-            c = tuple(scale_p * a + scale_n * d for a, d in zip(cp, cn))
-            zero_rows.append((c, scale_p * bp + scale_n * bn))
-    return zero_rows
-
-
-def _fm_feasible(constraints, nvars):
-    stages = [constraints]
-    for k in range(nvars):
-        constraints = _fm_eliminate(constraints, k)
-        stages.append(constraints)
-    return all(b >= 0 for _, b in stages[-1]), stages
-
-
-def _fm_point(stages, nvars):
-    """Back-substitute a rational feasible point from elimination stages."""
-    point = [Fraction(0)] * nvars
-    for k in range(nvars - 1, -1, -1):
-        lower, upper = None, None
-        for c, b in stages[k]:
-            if c[k] == 0:
-                continue
-            rest = b - sum(ci * point[i] for i, ci in enumerate(c) if i != k)
-            bound = Fraction(rest, c[k])
-            if c[k] > 0:
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None:
-            point[k] = lower
-        elif upper is not None:
-            point[k] = upper
-        else:
-            point[k] = Fraction(0)
-    return point
+def _fm_feasible(cols):
+    """An integer w with w . a_j >= 1 on every column a_j, or None, from one
+    simplex run: maximize t subject to t - w . a_j <= 0 and t <= 1, with
+    w = w+ - w- and w+, w-, t >= 0.  The origin is a vertex, so no first
+    phase is needed, and t is bounded, so every ratio test finds a row.  Some
+    w > 0 on every column scales to t = 1, so the optimum is 1 when A is
+    positive and 0 otherwise.  Bland's rule (least index enters, least basic
+    index leaves a tie) cannot cycle (Bland, Math. Oper. Res. 2, 1977).  The
+    tableau is integral (Edmonds, Bareiss): each entry is D times its
+    rational value, D > 0 the last pivot, and each row step divides by the
+    previous D exactly.  So D * w is integral, and w . a_j >= t = 1 keeps
+    D * w . a_j >= D; divided by its gcd g, each D * w . a_j / g is a
+    positive integer.  Unlike a Fourier-Motzkin elimination, whose rows can
+    square at every eliminated variable (Schrijver, Theory of Linear and
+    Integer Programming, 1986, Sec. 12.2), this always ends; the ``fm``
+    name stays because ``perfbench/tracing.py`` counts calls to it as
+    ``lattices.fm_calls``."""
+    # columns w+, w-, t, a slack per row, the right-hand side; the rows of
+    # t - w . a_j <= 0 and t <= 1, then the objective -t
+    d, m = len(cols[0]), len(cols) + 1
+    slack = identity(m)
+    rows = [[-x for x in a] + a + [1] + e + [0] for a, e in zip(cols, slack)]
+    rows += [[0] * 2 * d + [1] + slack[-1] + [1], [0] * 2 * d + [-1] + [0] * (m + 1)]
+    basis, D = list(range(2 * d + 1, 2 * d + 1 + m)), 1
+    while True:
+        c = next((k for k, x in enumerate(rows[-1][:-1]) if x < 0), None)
+        if c is None:
+            break
+        r = min((i for i in range(m) if rows[i][c] > 0),
+                key=lambda i: (Fraction(rows[i][-1], rows[i][c]), basis[i]))
+        p, pivot = rows[r][c], rows[r]
+        rows = [row if row is pivot else [(p * x - row[c] * y) // D for x, y in zip(row, pivot)]
+                for row in rows]
+        basis[r], D = c, p
+    if rows[-1][-1] == 0:
+        return None
+    value = {k: row[-1] for k, row in zip(basis, rows)}
+    w = [value.get(i, 0) - value.get(d + i, 0) for i in range(d)]
+    g = math.gcd(*w)
+    return [x // g for x in w]
 
 
 def is_positive(A):
@@ -494,15 +487,7 @@ def is_positive(A):
 def positive_witness(A):
     """Integer w with w . a_j >= 1 for every column a_j, or None."""
     _validate_columns(A)
-    d = len(A)
-    cols = transpose(A)
-    constraints = [(tuple(-x for x in col), -1) for col in cols]
-    feasible, stages = _fm_feasible(constraints, d)
-    if not feasible:
-        return None
-    w = _fm_point(stages, d)
-    scale = math.lcm(*(x.denominator for x in w))
-    return [int(x * scale) for x in w]
+    return _fm_feasible(transpose(A))
 
 
 def fibers(A, target):
@@ -523,13 +508,14 @@ def fibers(A, target):
     out = []
 
     def search(j, remaining, budget, partial):
-        if budget < 0:
-            return
-        if j == n:
-            if all(x == 0 for x in remaining):
-                out.append(tuple(partial))
-            return
         col, wt = cols[j], weights[j]
+        if j == n - 1:
+            # the last count is forced: remaining = c * col, with c read off
+            # the first nonzero entry of the column
+            c = next(r // x for r, x in zip(remaining, col) if x)
+            if c >= 0 and all(r == c * x for r, x in zip(remaining, col)):
+                out.append(tuple(partial + [c]))
+            return
         for c in range(budget // wt + 1):
             rest = [r - c * x for r, x in zip(remaining, col)]
             search(j + 1, rest, budget - c * wt, partial + [c])

@@ -113,13 +113,18 @@ def associated_mesoprimes(component):
     return sorted(found.values(), key=lambda t: t[0].sort_key())
 
 
-def _base_and_witness(I):
-    """(base, witness) where base is the mesoprime of I itself and witness
-    the first standard monomial whose colon has another mesoprime (None
-    when there is none); (None, None) when I is not cellular."""
+def _cellular_view(I):
+    """``as_cellular(I)``, refusing the unit ideal as the mesoprimary test does."""
     if I.is_unit():
         raise UnitIdealError("mesoprimary test is undefined for the unit ideal")
-    component = as_cellular(I)
+    return as_cellular(I)
+
+
+def _base_and_witness(component):
+    """(base, witness) for the ``as_cellular`` view of I: base is the
+    mesoprime of I itself and witness the first standard monomial whose
+    colon has another mesoprime (None when there is none); (None, None)
+    when I is not cellular (the view is None)."""
     if component is None:
         return None, None
     leaves = _mesoprimes(component)
@@ -131,17 +136,17 @@ def is_mesoprimary(I):
     """(True, None) for mesoprimary ideals; otherwise (False, witness)
     where the witness monomial exhibits a second associated mesoprime
     (None when I is not even cellular)."""
-    base, witness = _base_and_witness(I)
+    base, witness = _base_and_witness(_cellular_view(I))
     return base is not None and witness is None, witness
 
 
-def is_mesoprime(I):
+def is_mesoprime(I, component=None):
     """The Mesoprime structure when I = I_L(rho) + p_deltac, else None: a
     delta-cellular I that holds its nilpotent variables is its delta part
-    plus them (``delta_character``), so it equals its cellular radical."""
-    if I.is_unit():
-        return None
-    component = as_cellular(I)
+    plus them (``delta_character``), so it equals its cellular radical.
+    ``component`` is I's ``as_cellular`` view, when the caller holds it."""
+    if component is None and not I.is_unit():
+        component = as_cellular(I)
     if component is None or any(d != 1 for _, d in component.nilpotency):
         return None
     return cellular_radical(component)
@@ -163,7 +168,7 @@ def cellular_radical(component):
 def mesoprimary_primary_decomposition(I):
     """I = intersection of (I + I_j) over the lattice decomposition of its
     delta part; each component is primary."""
-    base, witness = _base_and_witness(I)
+    base, witness = _base_and_witness(_cellular_view(I))
     if base is None or witness is not None:
         raise NotMesoprimaryError(
             "ideal is not mesoprimary" if witness is None else

@@ -222,6 +222,24 @@ class TestClassifyCongruence:
         assert flags == (True, True, True, True, False)
         assert is_mesoprimary(I) == (True, None)
 
+    @pytest.mark.parametrize("gens, flags", [
+        # X nilpotent of order 2, Y^2 = 1 on every colon: one mesoprime
+        ([monomial((2, 0)), binomial((0, 2), (0, 0))], (False, False, True, True, False)),
+        # Y is a zerodivisor and not nilpotent
+        ([monomial((2, 0)), monomial((1, 1))], (False,) * 5),
+        # the colon by Y has another mesoprime
+        ([binomial((2, 0), (0, 0)), binomial((1, 1), (0, 1)), monomial((0, 2))],
+         (False, False, True, False, False)),
+    ], ids=["mesoprimary", "not cellular", "cellular"])
+    def test_classified_once(self, monkeypatch, gens, flags):
+        # every flag is read off one cellular view, mesoprime or not
+        from binomials import cellular
+        calls, classify = [], cellular._classify
+        monkeypatch.setattr(cellular, "_classify",
+                            lambda I: calls.append(I) or classify(I))
+        assert classify_congruence(congruence(ideal(XY, gens))) == flags
+        assert len(calls) == 1
+
     def test_nilpotent_quotient(self, c_nilpotent):
         flags = classify_congruence(c_nilpotent)
         assert flags.mesoprimary and flags.primary

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -807,16 +808,86 @@ class TestPositivity:
                 seen.add(self._check_against_box(A, 3))
         # both answers, and kernel vectors in the box, occur among the 3-row cases
         assert {(True, False), (False, True)} <= seen
-        # Fourier-Motzkin over the 6 column variables blows up on these; the
-        # search for w runs over the 3 row variables
+        # an elimination over the 6 column variables blows up on these; the
+        # simplex searches for w over the 3 row variables
         for A in ([[-2, 9, -6, 1, -9, -9], [-9, 8, -9, 3, -3, 4], [-9, 7, -2, 5, 6, 8]],
                   [[-9, -3, 8, 8, -2, 3], [7, 2, 9, 2, 5, -1], [8, -9, 3, 7, -5, 7]]):
             assert self._check_against_box(A, 3) == (True, False)
 
 
+def fourier_motzkin_positive(A):
+    """The elimination ``positive_witness`` ran before the simplex, kept as a
+    reference: w . a_j >= 1 on every column is feasible iff eliminating each
+    w_k in turn, combining every pair of rows c . w <= b whose coefficients
+    of w_k have opposite signs, leaves no row 0 <= b with b < 0.  The row
+    count can square at every step."""
+    constraints = [([-x for x in col], -1) for col in zip(*A)]
+    for k in range(len(A)):
+        kept = [(c, b) for c, b in constraints if c[k] == 0]
+        pos = [(c, b) for c, b in constraints if c[k] > 0]
+        neg = [(c, b) for c, b in constraints if c[k] < 0]
+        kept += [([-cn[k] * x + cp[k] * y for x, y in zip(cp, cn)], -cn[k] * bp + cp[k] * bn)
+                 for cp, bp in pos for cn, bn in neg]
+        constraints = kept
+    return all(b >= 0 for _, b in constraints)
+
+
+def column_ladder(seed, shapes):
+    """A d x n matrix per shape, entries -3..6, drawn one column at a time
+    from one seeded stream."""
+    r = rng(seed)
+    for d, n in shapes:
+        cols = [[r.randint(-3, 6) for _ in range(d)] for _ in range(n)]
+        yield [list(row) for row in zip(*cols)]
+
+
+def is_witness(w, A):
+    return all(sum(wi * a for wi, a in zip(w, col)) >= 1 for col in zip(*A))
+
+
+class TestSimplexPositivity:
+    def test_agrees_with_fourier_motzkin(self):
+        r = rng(3131)
+        answers = []
+        while len(answers) < 320:
+            rows, cols = r.randint(1, 4), r.randint(1, 7)
+            A = [[r.randint(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            if any(not any(col) for col in zip(*A)):
+                continue
+            w = positive_witness(A)
+            assert (w is not None) == fourier_motzkin_positive(A), A
+            assert w is None or is_witness(w, A)
+            answers.append(w is not None)
+        assert 30 < sum(answers) < 290
+
+    # the fifth matrix of a 3 x 8 ... 7 x 16 ladder, then a d x 2d ladder for
+    # d = 2..10; the elimination ran past 10 s on the first and on 6 x 12
+    LADDERS = [(3, [(d, 2 * d + 2) for d in range(3, 8)], 4, [True]),
+               (31, [(d, 2 * d) for d in range(2, 11)], 0,
+                [True, False] + [True] * 7)]
+
+    @pytest.mark.parametrize("seed, shapes, skip, answers", LADDERS,
+                             ids=["7x16", "dx2d"])
+    def test_ladder_decides_within_a_second(self, seed, shapes, skip, answers):
+        got = []
+        for A in list(column_ladder(seed, shapes))[skip:]:
+            start = time.perf_counter()
+            w = positive_witness(A)
+            assert time.perf_counter() - start < 1.0, (len(A), len(A[0]))
+            assert w is None or is_witness(w, A)
+            if len(A) <= 4:
+                assert (w is not None) == fourier_motzkin_positive(A)
+            got.append(w is not None)
+        assert got == answers
+
+
 class TestFibers:
     def test_eight(self):
         assert fibers([[3, 4, 5]], [8]) == [(0, 2, 0), (1, 0, 1)]
+
+    def test_forced_last_count(self):
+        # the last count is read off the remainder, not searched for
+        assert fibers([[1]], [10**14]) == [(10**14,)]
 
     def test_zero(self):
         assert fibers([[3, 4, 5]], [0]) == [(0, 0, 0)]

@@ -158,9 +158,12 @@ def test_every_command_has_an_import_case():
     assert {argv[0] for argv, _ in COMMAND_LOADS} == NAMES
 
 
+def _case_id(argv):
+    return " ".join(argv[:2] if argv[0] == "congruence" else argv[:1])
+
+
 @pytest.mark.parametrize("argv, extra", COMMAND_LOADS,
-                         ids=[" ".join(a[:2] if a[0] == "congruence" else a[:1])
-                              for a, _ in COMMAND_LOADS])
+                         ids=[_case_id(a) for a, _ in COMMAND_LOADS])
 def test_command_loads_only_its_modules(tmp_path, argv, extra):
     # each command loads the parsing layer and the algebra it runs, and
     # never the oracle; the set is exact, so a new import shows here
@@ -171,6 +174,31 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
                               "print('exit', main(sys.argv[1:]))", *argv)
     assert printed[-1] == "exit 0"
     assert _own(loaded) == BASE | extra
+
+
+# AST nodes each command compiles from source: ast.walk over each module in
+# its set above, summed.  Exact and machine-free; a change that moves one
+# names the move in CHANGES.md
+NODES = {"gb": 12540, "nf": 12540, "eliminate": 12540, "colon": 12540,
+         "saturate": 12540, "intersect-monomial": 12540, "pure-part": 12540,
+         "cellular": 13288, "is-cellular": 13288,
+         "mesoprimes": 18837, "is-mesoprimary": 18837, "is-mesoprime": 18837,
+         "is-prime": 18837, "radical": 18837, "meso-primary-decomp": 18837,
+         "lattice-decomp": 17093, "toric": 17093, "is-positive": 17093,
+         "fibers": 17093, "snf": 17093,
+         "maximal": 20358, "congruence classify": 20358,
+         "congruence related": 20358, "congruence table": 20358}
+
+
+def _nodes(module):
+    name = "__init__" if module == "binomials" else module.rpartition(".")[2]
+    return sum(1 for _ in ast.walk(ast.parse((PACKAGE / (name + ".py")).read_text())))
+
+
+def test_compiled_nodes_per_command():
+    nodes = {m: _nodes(m) for m in BASE | ALL}
+    assert {_case_id(argv): sum(nodes[m] for m in BASE | extra)
+            for argv, extra in COMMAND_LOADS} == NODES
 
 
 @pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)])

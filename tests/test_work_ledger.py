@@ -3,9 +3,9 @@ benchmark passes.
 
 The seed-0 pass of each workload runs in this process, as
 ``scripts/reference_check.py`` runs the reference space, with every call of
-``engine._reduced_basis``, ``lattices._hnf_rows`` and ``ideal_equals`` and
-every ``PartialCharacter`` evaluation counted, and every output checked against
-``perfbench/reference.json``.  Seeds change only coefficients, names and
+``engine._reduced_basis``, ``lattices._hnf_rows``, ``ideal_equals`` and
+``cellular._classify`` and every ``PartialCharacter`` evaluation counted,
+and every output checked against ``perfbench/reference.json``.  Seeds change only coefficients, names and
 pass order, not the algebra, so one seed covers the work.  The counts are
 exact where times are not; a change that moves one updates LEDGER and names
 the count in CHANGES.md.
@@ -43,6 +43,9 @@ LATTICE_WORK = {"decompose": (84, 88), "quotient": (0, 0), "toric": (21, 0)}
 # workload: ideal_equals calls of the whole pass, through any module's binding
 IDEAL_EQUALS = {"decompose": 2, "quotient": 0, "toric": 0}
 
+# workload: cellular classifications (``cellular._classify``) of the whole pass
+CLASSIFICATIONS = {"decompose": 30, "quotient": 0, "toric": 0}
+
 
 def _counted(monkeypatch, owner, name, calls):
     real = getattr(owner, name)
@@ -57,12 +60,13 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     run.write_sessions(tmp_path, cmds)
     runner = run.InProcessRunner(ROOT, tmp_path)
     checker = run.Checker(run.load_reference())
-    calls, hnfs, evaluations, equals = [], [], [], []
+    calls, hnfs, evaluations, equals, classified = [], [], [], [], []
     _counted(monkeypatch, engine, "_reduced_basis", calls)
     _counted(monkeypatch, lattices, "_hnf_rows", hnfs)
     _counted(monkeypatch, lattices.PartialCharacter, "__call__", evaluations)
     for owner in (engine, cellular):
         _counted(monkeypatch, owner, "ideal_equals", equals)
+    _counted(monkeypatch, cellular, "_classify", classified)
     runs = {}
     for cmd in cmds:
         before = len(calls)
@@ -73,3 +77,4 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     assert (len(calls), {label: runs[label] for label in pinned}) == (total, pinned)
     assert (len(hnfs), len(evaluations)) == LATTICE_WORK[workload]
     assert len(equals) == IDEAL_EQUALS[workload]
+    assert len(classified) == CLASSIFICATIONS[workload]
