@@ -8,7 +8,8 @@ precondition), 2 input error, 141 when the reader of stdout went away.
 A process loads only what its command runs: this module imports the
 parsing layer (with ``engine``, ``orders``, ``scalars`` and ``errors``),
 and each command imports the algebra modules it calls.  ``main`` builds the
-parser of the named command alone, reads that command's input once
+parser of the named command alone (the full one only for top-level help and
+a missing or unknown command), reads that command's input once
 (``_read_input``) and passes it on: the selected ideal, or the degree
 matrix.
 
@@ -471,6 +472,11 @@ def build_parser(command=None):
         description="Exact computations with binomial ideals and the "
                     "monoid congruences they induce.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # written out, so that it reads the same on every Python, and set after
+    # add_subparsers, which derives each command's prog from the usage; the
+    # lines after the first are indented past "usage: binomials "
+    parser.usage = "%%(prog)s [-h]\n%17s{%s,congruence}\n%17s..." % (
+        "", ",".join(name for name, *_ in COMMANDS), "")
 
     for name, func, text, arguments, kind in COMMANDS:
         if command not in (None, name):
@@ -509,14 +515,12 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named command's parser is built: its help and its errors read
-    # the same in the full parser.  Unrecognized arguments are reported
-    # through the top-level usage line, which lists every command, so the
-    # full parser reports those, no command and an unknown one.
+    # Only the named command's parser is built: its help and its errors,
+    # unrecognized arguments included, read as in the full parser, whose
+    # written-out usage it shares.  The full parser is built only for
+    # top-level help and a missing or unknown command.
     named = argv and argv[0] in NAMES
-    args, unrecognized = build_parser(argv[0] if named else None).parse_known_args(argv)
-    if unrecognized:
-        args = build_parser().parse_args(argv)  # prints the error, exits 2
+    args = build_parser(argv[0] if named else None).parse_args(argv)
     try:
         code = args.func(args, *_read_input(args)) or 0
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -173,35 +173,35 @@ def _nf_exponent(u, c, elements):
     Returns (exponent, coeff) or None when the term reduces to zero.
     The exponent of the result depends only on u, never on c.
     """
-    progress = True
-    while progress:
-        progress = False
+    while True:
         for g in elements:
             if e_divides(g.lead, u):
                 if g.trail is None:
                     return None
                 u = e_add(e_sub(u, g.lead), g.trail)
                 c = c * g.coeff
-                progress = True
                 break
-    return u, c
+        else:
+            return u, c
+
+
+def _term_sum(t1, t2):
+    """a*X^u + b*X^v for the terms t1 = (u, a) and t2 = (v, b): the binomial
+    X^u - (-b/a)*X^v up to the unit a, or for u = v a monomial or None."""
+    (u, a), (v, b) = t1, t2
+    if u == v:  # the single additive event
+        return None if a == b.negate() else monomial(u)
+    return Binomial(u, v, (b * a.inv()).negate())
 
 
 def _combine(t1, t2, order):
     """Assemble a reduced binomial from up to two irreducible terms."""
-    if t1 is None and t2 is None:
-        return None
-    if t2 is None:
-        return monomial(t1[0])
-    if t1 is None:
-        return monomial(t2[0])
-    (u, a), (v, b) = t1, t2
-    if u == v:
-        # the single additive event: a*X^u + b*X^u
-        return None if a == b.negate() else monomial(u)
-    if order.key(u) < order.key(v):
-        (u, a), (v, b) = (v, b), (u, a)
-    return Binomial(u, v, (b * a.inv()).negate())
+    if t1 is None or t2 is None:
+        t = t1 or t2
+        return t and monomial(t[0])
+    if t1[0] != t2[0] and order.key(t1[0]) < order.key(t2[0]):
+        t1, t2 = t2, t1
+    return _term_sum(t1, t2)
 
 
 def _spair_terms(f, g, m):

@@ -5,8 +5,9 @@ One row-style Hermite normal form answers the integer-matrix questions:
 it canonicalizes lattices (equality is plain tuple comparison), gives
 kernels and indices.  The Smith form gives saturations and character
 extensions.  Both elimination loops keep their transforms inside the work
-matrix, as blocks that each row or column operation carries along, so
-every operation is written once.  Positivity of a degree matrix is one
+matrix, as blocks that each row operation carries along, and both subtract
+a pivot row through one function (``_reduce``); Smith's column operations
+are row operations on the transpose.  Positivity of a degree matrix is one
 integer simplex run for a positive functional (``_fm_feasible``); only its
 ratio test uses ``Fraction``.
 """
@@ -51,6 +52,17 @@ def _check_vectors(vectors, n=None, what="vector"):
     return vectors
 
 
+def _reduce(rows, r, col, others):
+    """Subtract row r times q = rows[i][col] // rows[r][col] from each row i
+    of ``others``, skipping q = 0; True when all their ``col`` entries are 0."""
+    pivot = rows[r]
+    for i in others:
+        q = rows[i][col] // pivot[col]
+        if q:
+            rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+    return all(rows[i][col] == 0 for i in others)
+
+
 def _hnf_rows(vectors):
     """Row HNF: positive pivots in echelon position, entries above a pivot
     reduced into [0, pivot).  Returns (H, T, rank) with H = T * input, T
@@ -60,10 +72,6 @@ def _hnf_rows(vectors):
     vectors = [list(v) for v in vectors]
     m, n = len(vectors), len(vectors[0]) if vectors else 0
     rows = [v + e for v, e in zip(vectors, identity(m))]
-
-    def combine(dst, src, q):
-        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-
     r = 0
     for col in range(n):
         while True:
@@ -72,20 +80,12 @@ def _hnf_rows(vectors):
                 break
             pivot = min(live, key=lambda i: (abs(rows[i][col]), i))
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            done = True
-            for i in range(r + 1, m):
-                if rows[i][col] != 0:
-                    combine(i, r, rows[i][col] // rows[r][col])
-                    done = done and rows[i][col] == 0
-            if done:
+            if _reduce(rows, r, col, range(r + 1, m)):
                 break
         if r < m and rows[r][col] != 0:
             if rows[r][col] < 0:
                 rows[r] = [-a for a in rows[r]]
-            for i in range(r):
-                q = rows[i][col] // rows[r][col]
-                if q:
-                    combine(i, r, q)
+            _reduce(rows, r, col, range(r))
             r += 1
     return [tuple(v[:n]) for v in rows], [tuple(v[n:]) for v in rows], r
 
@@ -115,20 +115,14 @@ class SmithForm(namedtuple("SmithForm", "U D V")):
 def smith_normal_form(A):
     """U*A*V = D diagonal with d1 | d2 | ...; U, V unimodular.  The work
     matrix is [[A, I_m], [I_n, 0]]: row operations on its first m rows carry
-    U along and column operations on its first n columns carry V, while the
-    pivots come from the top-left block only."""
+    U, column operations on its first n columns (row operations on its
+    transpose) carry V, and pivots come from the top-left block only.  The
+    column step runs first at each pivot; the two commute, as each reads
+    only the pivot row or column, which the other leaves unchanged."""
     A = _check_vectors(A, what="matrix row")
     m, n = len(A), len(A[0]) if A else 0
     B = ([list(row) + e for row, e in zip(A, identity(m))]
          + [e + [0] * m for e in identity(n)])
-
-    def row_comb(dst, src, q):
-        B[dst] = [a - q * b for a, b in zip(B[dst], B[src])]
-
-    def col_comb(dst, src, q):
-        for row in B:
-            row[dst] -= q * row[src]
-
     t = 0
     while True:
         entries = [(abs(B[i][j]), i, j) for i in range(t, m)
@@ -137,23 +131,16 @@ def smith_normal_form(A):
             break
         _, pi, pj = min(entries)
         B[t], B[pi] = B[pi], B[t]
-        for row in B:
-            row[t], row[pj] = row[pj], row[t]
-        cleared = True
-        for i in range(t + 1, m):
-            if B[i][t] != 0:
-                row_comb(i, t, B[i][t] // B[t][t])
-                cleared = cleared and B[i][t] == 0
-        for j in range(t + 1, n):
-            if B[t][j] != 0:
-                col_comb(j, t, B[t][j] // B[t][t])
-                cleared = cleared and B[t][j] == 0
-        if not cleared:
+        C = transpose(B)
+        C[t], C[pj] = C[pj], C[t]
+        cleared = _reduce(C, t, t, range(t + 1, n))
+        B = transpose(C)
+        if not (_reduce(B, t, t, range(t + 1, m)) and cleared):
             continue  # a remainder becomes the new, strictly smaller pivot
-        offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
                          if B[i][j] % B[t][t] != 0), None)
-        if offender is not None:
-            row_comb(t, offender[0], -1)  # pull the row in; next pass shrinks the pivot
+        if offender is not None:  # pull its row in; the next pass shrinks the pivot
+            B[t] = [a + b for a, b in zip(B[t], B[offender])]
             continue
         if B[t][t] < 0:
             B[t] = [-a for a in B[t]]

@@ -19,7 +19,7 @@ printed output always re-parses).
 import re
 from fractions import Fraction
 
-from .engine import BinomialIdeal, binomial
+from .engine import BinomialIdeal, _term_sum, binomial
 from .errors import ParseError
 from .orders import NIL, grevlex, lex
 from .scalars import Scalar, ONE
@@ -120,13 +120,10 @@ def parse_binomial(text, names, line=None):
     parsed = []
     for s, toks in terms:
         coeff, exponent = parse_term(toks, names, line)
-        parsed.append((coeff.negate() if s < 0 else coeff, exponent))
-    c1, u1 = parsed[0]
+        parsed.append((exponent, coeff.negate() if s < 0 else coeff))
     if len(parsed) == 1:
-        return binomial(u1)
-    c2, u2 = parsed[1]
-    # c1 X^u1 + c2 X^u2  ==  X^u1 - (-c2/c1) X^u2  up to the unit c1
-    b = binomial(u1, u2, (c2 * c1.inv()).negate())
+        return binomial(parsed[0][0])
+    b = _term_sum(*parsed)
     if b is None:
         raise ParseError("generator cancels to zero", line)
     return b

@@ -50,6 +50,26 @@ class TestIsCellular:
         with pytest.raises(InputError):
             cellular_component(I, frozenset({0}), {1: 2})
 
+    @pytest.mark.parametrize("nilpotency, message", [
+        ({0: 2}, "nilpotency exponents must cover the complement of delta"),
+        ({0: 1, 1: 2}, "X_0\\^1 is not in the ideal")])
+    def test_component_checks_nilpotency(self, nilpotency, message):
+        I = ideal(XY, [binomial((1, 0), (0, 1)), monomial((0, 2))])
+        with pytest.raises(InputError, match=message):
+            cellular_component(I, frozenset(), nilpotency)
+
+    def test_component_of_each_cellular_ideal(self):
+        # the constructor accepts the view as_cellular reads off a cellular
+        # ideal and returns that view
+        r, found = rng(7), 0
+        for _ in range(300):
+            I = rand_ideal(r, 3, maxdeg=3)
+            c = None if I.is_unit() else as_cellular(I)
+            if c is not None:
+                assert cellular_component(I, c.delta, dict(c.nilpotency)) == c, I
+                found += 1
+        assert found == 153
+
     @pytest.mark.parametrize("delta, nilpotency", [({5}, {0: 1, 1: 1}), ({-1}, {0: 1, 1: 1})])
     def test_component_checks_delta_indices(self, delta, nilpotency):
         I = ideal(XY, [binomial((1, 0), (0, 1))])

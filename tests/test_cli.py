@@ -372,6 +372,52 @@ class TestMatrixCommands:
         assert payload["D"] == [[2, 0]]
 
 
+class Terminal:
+    """A stdin that is a terminal; reading it is a test failure."""
+
+    def isatty(self):
+        return True
+
+    def read(self, *args):
+        raise AssertionError("a terminal was read")
+
+
+class TestInputRefusals:
+    """Each malformed input exits 2 with its own message: the session text
+    (None for no file), the arguments, and the message."""
+
+    CASES = [
+        ("ring X Y\nideal I\nX - $\n", ["gb"],
+         "line 3: unexpected character '$'"),
+        ("ring X Y\nideal I\nX - zeta(0,1)*Y\n", ["gb"],
+         "line 3: zeta order must be positive"),
+        ("ring X Y\nideal I\nX - 0^(1/2)*Y\n", ["gb"], "line 3: zero coefficient"),
+        ("ring X Y\nideal I\nX* - Y\n", ["gb"], "line 3: empty term"),
+        ("ring X Y\nideal I\nX - Y\n", ["colon", "--monomial", ""], "empty generator"),
+        ("ring X Y\nmatrix A\n1 x\n", ["toric", "--matrix", "A"],
+         "line 3: bad matrix row '1 x'"),
+        (None, ["snf", "--matrix", ";"], "empty matrix"),
+        ("ring X Y\nmatrix A\n", ["toric", "--matrix", "A"], "matrix 'A' has no rows"),
+        ("ring X Y\nideal\nX - Y\n", ["gb"], "line 2: ideal needs a name"),
+        ("ring X Y\nX - Y\n", ["gb"], "line 2: expected ring/ideal/matrix, got 'X - Y'"),
+        ("ring X Y\nideal I\nX - Y\n", ["eliminate", "--keep", ","],
+         "--keep must name at least one variable"),
+    ]
+
+    @pytest.mark.parametrize("text, argv, message", CASES,
+                             ids=[message.partition(": ")[2] or message
+                                  for _, _, message in CASES])
+    def test_exit_2_with_its_message(self, capsys, session_file, text, argv, message):
+        if text is not None:
+            argv = argv + [session_file(text)]
+        assert run(capsys, argv) == (2, "", "error: %s\n" % message)
+
+    def test_no_file_and_a_terminal_on_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", Terminal())
+        assert run(capsys, ["gb"]) == (
+            2, "", "error: no input: pass a file or pipe a session on stdin\n")
+
+
 EVERY_COMMAND = [name for name, *_ in COMMANDS] + ["congruence"]
 
 
@@ -379,8 +425,9 @@ class TestParser:
     @pytest.mark.parametrize("argv, built", [
         (["snf", "--matrix", "1"], ["snf"]),
         (["congruence", "table", "--max", "0"], ["congruence"]),
-        # the full parser reports an unrecognized argument and an unknown command
-        (["snf", "--matrix", "1", "--bogus"], ["snf"] + EVERY_COMMAND),
+        # the named command's parser reports an unrecognized argument, with
+        # the written-out usage; the full parser reports an unknown command
+        (["snf", "--matrix", "1", "--bogus"], ["snf"]),
         (["frobnicate"], EVERY_COMMAND)])
     def test_main_builds_only_the_named_subparser(self, capsys, monkeypatch, argv, built):
         names = []

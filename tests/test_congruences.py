@@ -9,7 +9,7 @@ from binomials import (NIL, BinomialIdeal, QuotientTable, Scalar, binomial,
                        table_text)
 from binomials.errors import (BudgetExceededError, InputError,
                               NonMaximalCongruenceError, NotCancellativeError,
-                              UnitIdealError)
+                              NotPrimaryError, UnitIdealError)
 from binomials import congruences
 from binomials.mesoprimary import _mesoprimes
 from binomials import oracle as orc
@@ -143,6 +143,13 @@ class TestClassifyElement:
         c = c_over([binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))])
         assert not c.maximal
         with pytest.raises(NonMaximalCongruenceError):
+            classify_element(c, (1, 0))
+
+    def test_partly_cancellable_needs_a_primary_congruence(self):
+        # <X^2, X*Y> is maximal (it holds monomials) and not cellular; X is
+        # neither nil nor cancellable, as X*Y is in I and Y is not
+        c = c_over([monomial((2, 0)), monomial((1, 1))])
+        with pytest.raises(NotPrimaryError, match="needs a primary congruence"):
             classify_element(c, (1, 0))
 
     def test_nil_flag_is_the_absorbing_test(self):
@@ -545,6 +552,12 @@ class TestCancellativeIntersect:
         c1 = c_over([binomial((1, 0), (0, 1)), monomial((0, 2))])
         c2 = c_over([binomial((2, 0), (0, 2))])
         with pytest.raises(NotCancellativeError):
+            cancellative_intersect(c1, c2)
+
+    def test_refuses_different_rings(self):
+        c1 = c_over([binomial((1, 0), (0, 1))])
+        c2 = c_over([binomial((2, 0), (0, 2))], ("X", "Z"))
+        with pytest.raises(InputError, match="congruences live in different rings"):
             cancellative_intersect(c1, c2)
 
     def test_pairwise_decision_for_general_inputs(self):

@@ -731,6 +731,22 @@ class TestIntersectMonomial:
         assert ideal_equals(intersect(I, J), ideal(XY, [b2((1, 1), (0, 2))]))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("operation", [ideal_equals, ideal_sum, intersect_monomial],
+                             ids=lambda f: f.__name__)
+    def test_ideals_in_different_rings(self, operation):
+        with pytest.raises(InputError, match="ideals live in different rings"):
+            operation(ideal(XY, [monomial((1, 0))]), ideal(("X", "Z"), [monomial((1, 0))]))
+
+    def test_intersect_monomial_with_a_binomial(self, um_ideal):
+        with pytest.raises(NonBinomialOperationError, match="only supported with a monomial"):
+            intersect_monomial(um_ideal, ideal(XY, [b2((1, 0), (0, 1))]))
+
+    def test_pure_part_with_too_few_values(self, um_ideal):
+        with pytest.raises(InputError, match="expected 2 scale values, got 1"):
+            pure_part(um_ideal, (ONE,))
+
+
 class TestPurePart:
     def test_paper_pair(self):
         I = ideal(XY, [b2((1, 0), (0, 1)), monomial((0, 2))])

@@ -35,6 +35,36 @@ int_matrices = st.integers(min_value=1, max_value=5).flatmap(
             min_size=rows, max_size=rows)))
 
 
+class TestRefusals:
+    def test_kernel_of_no_rows(self):
+        assert kernel_basis([]) == []
+
+    @pytest.mark.parametrize("operation", [lattice_intersect, quotient_index],
+                             ids=lambda f: f.__name__)
+    def test_different_ambient_dimensions(self, operation):
+        with pytest.raises(InputError, match="different ambient dimensions"):
+            operation(Lattice.from_vectors(2, [(1, 0)]), Lattice.from_vectors(3, [(1, 0, 0)]))
+
+    def test_index_outside_the_target(self):
+        with pytest.raises(InputError, match="not contained in the target lattice"):
+            quotient_index(Lattice.from_vectors(2, [(1, 0)]), Lattice.from_vectors(2, [(2, 0)]))
+
+    def test_character_outside_its_lattice(self):
+        rho = PartialCharacter.trivial(Lattice.from_vectors(2, [(2, 0)]))
+        with pytest.raises(InputError, match="outside the character's lattice"):
+            rho((1, 0))
+
+    def test_lattice_ideal_with_the_wrong_names(self):
+        rho = PartialCharacter.trivial(Lattice.from_vectors(2, [(1, -1)]))
+        with pytest.raises(InputError, match="ring has 1 variables, lattice ambient is 2"):
+            lattice_ideal(rho, ("X",))
+
+    @pytest.mark.parametrize("A", [[], [[]]], ids=["no rows", "no columns"])
+    def test_empty_degree_matrix(self, A):
+        with pytest.raises(InputError, match="degree matrix must be nonempty"):
+            is_positive(A)
+
+
 class TestSmithNormalForm:
     def test_single_row(self):
         S = smith_normal_form([[2, -2]])

@@ -312,6 +312,26 @@ class TestIsMesoprime:
         with pytest.raises(InputError, match="variable index"):
             mesoprime(XY, delta, trivial)
 
+    def test_validated_constructor_of_each_mesoprime(self):
+        # the constructor accepts the structure is_mesoprime reads off a
+        # mesoprime ideal and returns that structure
+        r, found = rng(7), 0
+        for _ in range(300):
+            I = rand_ideal(r, 3, maxdeg=3)
+            m = is_mesoprime(I)
+            if m is not None:
+                assert mesoprime(I.names, m.delta, m.character) == m, I
+                found += 1
+        assert found == 138
+
+    def test_validated_constructor_refuses_a_zerodivisor(self, monkeypatch):
+        # I_L(rho) + <X_j : j not in delta> leaves no delta variable a
+        # zerodivisor for any character on Z^delta, so the materialized ideal
+        # is replaced by <X*Y>, modulo which X is one
+        monkeypatch.setattr(Mesoprime, "ideal", lambda self: ideal(XY, [monomial((1, 1))]))
+        with pytest.raises(InputError, match="variable 0 is a zerodivisor"):
+            mesoprime(XY, {0, 1}, PartialCharacter.trivial(Lattice(2, ())))
+
     def test_against_the_definition(self):
         # random ideals with rational, root-of-unity and prime-power
         # coefficients, half of them with some X_j or X_j^2 added so that

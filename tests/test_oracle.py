@@ -61,6 +61,10 @@ class TestIntersect:
         got = intersect_all(gens, 1)
         assert ideal_equal(got, [uni(1, -6, 11, -6)])
 
+    def test_intersect_nothing(self):
+        with pytest.raises(InputError, match="nothing to intersect"):
+            intersect_all([], 1)
+
 
 class TestColon:
     def test_cyclotomic_counterexample(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from binomials import elim, grevlex, lex
+from binomials import MonomialOrder, elim, grevlex, lex
 from binomials.errors import InputError
 from binomials.orders import e_add, zero
 
@@ -37,6 +37,10 @@ class TestFixtures:
             lex((1, 0)).key((1, 0, 0))
         with pytest.raises(InputError):
             grevlex((2, 0, 1)).key((1, 0))
+
+    def test_unknown_kind(self):
+        with pytest.raises(InputError, match="unknown order kind 'foo'"):
+            MonomialOrder("foo").key((1, 0))
 
     def test_elim_blocks_dominate(self):
         order = elim([0])

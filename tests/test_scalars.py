@@ -46,6 +46,24 @@ class TestConstruction:
         assert Scalar.from_rational(2) != Scalar.from_rational(-2)
 
 
+class TestRefusals:
+    def test_factor_zero(self):
+        with pytest.raises(ValueError, match="expected a positive integer"):
+            factor_positive(0)
+
+    def test_zeta_of_order_zero(self):
+        with pytest.raises(ValueError, match="zeta order must be positive"):
+            Scalar.zeta(0)
+
+    def test_root_of_degree_zero(self):
+        with pytest.raises(ValueError, match="root degree must be >= 1"):
+            Scalar.from_rational(2).root(0)
+
+    def test_fractional_power(self):
+        with pytest.raises(TypeError):
+            Scalar.from_rational(2) ** 0.5
+
+
 class TestMultiplication:
     def test_i_times_i(self):
         i = Scalar.zeta(4, 1)

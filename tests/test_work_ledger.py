@@ -3,9 +3,10 @@ benchmark passes.
 
 The seed-0 pass of each workload runs in this process, as
 ``scripts/reference_check.py`` runs the reference space, with every call of
-``engine._reduced_basis``, ``lattices._hnf_rows``, ``ideal_equals`` and
-``cellular._classify`` and every ``PartialCharacter`` evaluation counted,
-and every output checked against ``perfbench/reference.json``.  Seeds change only coefficients, names and
+``engine._reduced_basis``, ``lattices._hnf_rows``, ``ideal_equals``,
+``cellular._classify``, ``engine.e_divides`` and ``engine._nf_exponent`` and
+every ``PartialCharacter`` evaluation counted, and every output checked
+against ``perfbench/reference.json``.  Seeds change only coefficients, names and
 pass order, not the algebra, so one seed covers the work.  The counts are
 exact where times are not; a change that moves one updates LEDGER and names
 the count in CHANGES.md.
@@ -46,6 +47,11 @@ IDEAL_EQUALS = {"decompose": 2, "quotient": 0, "toric": 0}
 # workload: cellular classifications (``cellular._classify``) of the whole pass
 CLASSIFICATIONS = {"decompose": 30, "quotient": 0, "toric": 0}
 
+# workload: (divisor tests, normal forms) of the whole pass, counted at
+# engine's bindings of ``e_divides`` and ``_nf_exponent``
+REDUCTION = {"decompose": (12699, 1445), "quotient": (13937, 1589),
+             "toric": (35164, 1844)}
+
 
 def _counted(monkeypatch, owner, name, calls):
     real = getattr(owner, name)
@@ -61,12 +67,15 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     runner = run.InProcessRunner(ROOT, tmp_path)
     checker = run.Checker(run.load_reference())
     calls, hnfs, evaluations, equals, classified = [], [], [], [], []
+    divisor_tests, normal_forms = [], []
     _counted(monkeypatch, engine, "_reduced_basis", calls)
     _counted(monkeypatch, lattices, "_hnf_rows", hnfs)
     _counted(monkeypatch, lattices.PartialCharacter, "__call__", evaluations)
     for owner in (engine, cellular):
         _counted(monkeypatch, owner, "ideal_equals", equals)
     _counted(monkeypatch, cellular, "_classify", classified)
+    _counted(monkeypatch, engine, "e_divides", divisor_tests)
+    _counted(monkeypatch, engine, "_nf_exponent", normal_forms)
     runs = {}
     for cmd in cmds:
         before = len(calls)
@@ -78,3 +87,4 @@ def test_buchberger_runs(workload, tmp_path, monkeypatch):
     assert (len(hnfs), len(evaluations)) == LATTICE_WORK[workload]
     assert len(equals) == IDEAL_EQUALS[workload]
     assert len(classified) == CLASSIFICATIONS[workload]
+    assert (len(divisor_tests), len(normal_forms)) == REDUCTION[workload]
