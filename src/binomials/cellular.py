@@ -10,8 +10,8 @@ variable) and by sorting the resulting components.
 from collections import namedtuple
 
 from .engine import (BinomialIdeal, _check_indices, ideal_contains,
-                     ideal_equals, ideal_member, ideal_sum, monomial,
-                     saturate_vars, saturation)
+                     ideal_member, ideal_sum, monomial, saturate_vars,
+                     saturation)
 from .errors import InputError, UnitIdealError
 from .orders import unit
 
@@ -93,16 +93,16 @@ def cellular_decompose(I, prune_components=False):
         i, d, left = offender
         power = monomial(unit(J.n, i, d))
         right = ideal_sum(J, BinomialIdeal(J.names, (power,)))
-        if ideal_equals(left, J):
+        # a colon is its input iff it equals it (``engine._colons``), and J
+        # holds the basis _classify read, so the sum is J iff power is in J
+        if left is J:
             raise AssertionError("colon branch did not grow")
-        # J holds the basis _classify read, so the sum is J iff power is in J
         if right is J:
             raise AssertionError("monomial branch did not grow")
         work.append(right)
         work.append(left)
-    unique = _dedupe(out)
-    unique.sort(key=component_sort_key)
-    return prune(unique) if prune_components else unique
+    return (prune(out) if prune_components else
+            sorted(_dedupe(out), key=component_sort_key))
 
 
 def _dedupe(components):

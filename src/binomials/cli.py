@@ -29,7 +29,7 @@ import sys
 
 from . import engine as eng
 from .errors import InputError, NotMesoprimaryError, ParseError, Refusal
-from .orders import elim as elim_order, unit
+from .orders import unit
 from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
                       monomial_str, parse_binomial, parse_input,
                       parse_matrix_literal, parse_order, parse_scalar,
@@ -191,11 +191,7 @@ def cmd_eliminate(args, I):
     out = eng.eliminate(I, keep)
     _emit_ideal(args, out)
     block = [i for i in range(I.n) if i not in keep]
-
-    def kept(orc, gens):
-        gb = orc.rational_gb(gens, elim_order(block))
-        return [f for f in gb if all(all(u[i] == 0 for i in block) for u in f)]
-    _oracle_check(args, out, [I], kept)
+    _oracle_check(args, out, [I], lambda orc, gens: orc.rational_eliminate(gens, block))
 
 
 def cmd_colon(args, I):

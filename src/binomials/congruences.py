@@ -119,20 +119,13 @@ def classify_congruence(c):
     meso = component and is_mesoprime(I, component)
     # a mesoprime's only standard monomial is 0, so it is mesoprimary
     base, witness = (meso, None) if meso else _base_and_witness(component)
-    flags = CongruenceFlags(
+    return CongruenceFlags(
         cancellative=meso is not None and len(meso.delta) == I.n,  # lattice ideal
         prime=meso is not None,
         primary=component is not None,  # cellular
         mesoprimary=base is not None and witness is None,
         toric=meso is not None and is_saturated(meso.character.lattice),
     )
-    if flags.toric and not flags.prime:
-        raise AssertionError("toric congruence that is not prime")
-    if flags.prime and not flags.primary:
-        raise AssertionError("prime congruence that is not primary")
-    if flags.mesoprimary and not flags.primary:
-        raise AssertionError("mesoprimary congruence that is not primary")
-    return flags
 
 
 def _total_degree_exponents(n, degree):

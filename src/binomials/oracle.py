@@ -110,6 +110,14 @@ def ideal_equal(gens1, gens2, order=None):
             and all(member(f, gb1, order) for f in gb2))
 
 
+def rational_eliminate(gens, block):
+    """Generators of <gens> n Q[X_i : i not in block]: the elements of the
+    reduced basis under the block elimination order that are free of the
+    block (Cox-Little-O'Shea, Ch. 3 Sec. 1, Thm. 2)."""
+    gb = rational_gb(gens, elim(block))
+    return [f for f in gb if all(all(u[i] == 0 for i in block) for u in f)]
+
+
 def _lift(f, tag):
     """f * t^tag viewed in one more (final) variable."""
     return {u + (tag,): c for u, c in f.items()}

@@ -229,14 +229,15 @@ class Scalar(namedtuple("Scalar", "torsion primes")):
         return Scalar(torsion, _merge_primes(self.primes, other.primes))
 
     def inv(self):
-        return Scalar.from_prime_powers(-self.torsion,
-                                        {p: -e for p, e in self.primes})
+        return self ** -1
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return Scalar.from_prime_powers(self.torsion * k,
-                                        {p: e * k for p, e in self.primes})
+        if not k:
+            return ONE
+        # a nonzero k keeps the primes sorted and every exponent nonzero
+        return Scalar(self.torsion * k % 1, tuple((p, e * k) for p, e in self.primes))
 
     def root(self, d, branch=0):
         """A d-th root; branch k in [0, d) adds k/d of torsion.
@@ -248,9 +249,9 @@ class Scalar(namedtuple("Scalar", "torsion primes")):
             raise ValueError("root degree must be >= 1")
         if not 0 <= branch < d:
             raise ValueError("branch %d outside [0, %d)" % (branch, d))
-        torsion = (self.torsion / d + Fraction(branch, d)) % 1
-        return Scalar.from_prime_powers(torsion,
-                                        {p: e / d for p, e in self.primes})
+        # (t + branch) / d < 1 as t < 1 and branch <= d - 1
+        return Scalar((self.torsion + branch) / d,
+                      tuple((p, e / d) for p, e in self.primes))
 
     def negate(self):
         torsion = self.torsion + _HALF

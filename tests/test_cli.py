@@ -11,7 +11,7 @@ import time
 import pytest
 
 from binomials.cli import COMMANDS, main
-from test_cli_golden import DATA, FILE, SESSIONS
+from golden import DATA, FILE, SESSIONS
 
 UM = """ring X Y
 ideal I

@@ -12,7 +12,7 @@ from binomials import (BinomialIdeal, Lattice, Mesoprime, PartialCharacter,
                        mesoprimary_primary_decomposition, monomial,
                        quotient_index, saturations)
 from binomials.errors import InputError, NotMesoprimaryError, UnitIdealError
-from binomials import mesoprimary
+from binomials import engine, mesoprimary
 from binomials.mesoprimary import delta_character, _mesoprimes
 from binomials.orders import e_deg, unit
 from binomials import oracle as orc
@@ -324,13 +324,38 @@ class TestIsMesoprime:
                 found += 1
         assert found == 138
 
-    def test_validated_constructor_refuses_a_zerodivisor(self, monkeypatch):
-        # I_L(rho) + <X_j : j not in delta> leaves no delta variable a
-        # zerodivisor for any character on Z^delta, so the materialized ideal
-        # is replaced by <X*Y>, modulo which X is one
-        monkeypatch.setattr(Mesoprime, "ideal", lambda self: ideal(XY, [monomial((1, 1))]))
-        with pytest.raises(InputError, match="variable 0 is a zerodivisor"):
-            mesoprime(XY, {0, 1}, PartialCharacter.trivial(Lattice(2, ())))
+    def test_validated_constructor_on_seeded_lattices(self, monkeypatch):
+        # I_L(rho) is saturated and generated in k[delta], so every delta
+        # variable is a nonzerodivisor modulo I_L(rho) + <X_j : j not in
+        # delta> for any lattice L in Z^delta: the constructor checks only
+        # where L lives, with no Groebner basis, and still refuses a
+        # lattice vector off delta
+        r, runs, refused = rng(3), [], 0
+        for _ in range(60):
+            n = r.randint(2, 4)
+            names = tuple("X%d" % i for i in range(n))
+            delta = set(r.sample(range(n), r.randint(1, n)))
+            vectors = [tuple(r.randint(-3, 3) if i in delta else 0 for i in range(n))
+                       for _ in range(r.randint(1, len(delta)))]
+            L = Lattice.from_vectors(n, vectors)
+            rho = PartialCharacter(L, tuple(
+                Scalar.from_rational(r.choice([-1, 1]) * r.randint(1, 6), r.randint(1, 6))
+                for _ in range(L.rank)))
+            with monkeypatch.context() as patch:
+                real = engine._reduced_basis
+                patch.setattr(engine, "_reduced_basis",
+                              lambda *args: runs.append(args) or real(*args))
+                m = mesoprime(names, delta, rho)
+            I = m.ideal()
+            assert all(colon_monomial(I, unit(n, i)) is I for i in delta), m
+            off = sorted(set(range(n)) - delta)
+            if off:
+                v = tuple(1 if i == off[0] else 0 for i in range(n))
+                with pytest.raises(InputError, match="not supported on delta"):
+                    mesoprime(names, delta, PartialCharacter.trivial(
+                        Lattice.from_vectors(n, vectors + [v])))
+                refused += 1
+        assert len(runs) == 0 and refused > 20
 
     def test_against_the_definition(self):
         # random ideals with rational, root-of-unity and prime-power

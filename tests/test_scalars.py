@@ -205,6 +205,23 @@ class TestFastPaths:
         assert MINUS_ONE.negate().is_one()
         assert ONE.negate() == MINUS_ONE
 
+    def test_inverse_power_and_root_match_construction(self):
+        # each is built in canonical form; the general constructor, which
+        # sorts the primes, drops zero exponents and reduces the torsion,
+        # must give the same value
+        r = rng(34)
+        for _ in range(200):
+            a = rand_prime_power_scalar(r)
+            t, exps = a.torsion, dict(a.primes)
+            assert a.inv() == Scalar.from_prime_powers(-t, {p: -e for p, e in exps.items()})
+            for k in range(-6, 7):
+                assert a ** k == Scalar.from_prime_powers(
+                    t * k, {p: e * k for p, e in exps.items()})
+            for d in range(1, 7):
+                for b in range(d):
+                    assert a.root(d, b) == Scalar.from_prime_powers(
+                        (t / d + Fraction(b, d)) % 1, {p: e / d for p, e in exps.items()})
+
 
 def _trial_division(m):
     out, d = {}, 2

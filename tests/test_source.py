@@ -179,15 +179,15 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
 # AST nodes each command compiles from source: ast.walk over each module in
 # its set above, summed.  Exact and machine-free; a change that moves one
 # names the move in CHANGES.md
-NODES = {"gb": 12518, "nf": 12518, "eliminate": 12518, "colon": 12518,
-         "saturate": 12518, "intersect-monomial": 12518, "pure-part": 12518,
-         "cellular": 13266, "is-cellular": 13266,
-         "mesoprimes": 18621, "is-mesoprimary": 18621, "is-mesoprime": 18621,
-         "is-prime": 18621, "radical": 18621, "meso-primary-decomp": 18621,
-         "lattice-decomp": 16877, "toric": 16877, "is-positive": 16877,
-         "fibers": 16877, "snf": 16877,
-         "maximal": 20142, "congruence classify": 20142,
-         "congruence related": 20142, "congruence table": 20142}
+NODES = {"gb": 12455, "nf": 12455, "eliminate": 12455, "colon": 12455,
+         "saturate": 12455, "intersect-monomial": 12455, "pure-part": 12455,
+         "cellular": 13193, "is-cellular": 13193,
+         "mesoprimes": 18501, "is-mesoprimary": 18501, "is-mesoprime": 18501,
+         "is-prime": 18501, "radical": 18501, "meso-primary-decomp": 18501,
+         "lattice-decomp": 16814, "toric": 16814, "is-positive": 16814,
+         "fibers": 16814, "snf": 16814,
+         "maximal": 19963, "congruence classify": 19963,
+         "congruence related": 19963, "congruence table": 19963}
 
 
 def _nodes(module):
