@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from binomials import Binomial, BinomialIdeal, Scalar, binomial, monomial
+from binomials import BinomialIdeal, Scalar, binomial, monomial
 
 SMALL_PRIMES = (2, 3, 5, 7)
 

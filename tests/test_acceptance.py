@@ -3,21 +3,19 @@ suites.  Each criterion prints one PASS line (run with ``pytest -s`` to see
 them); a failed assertion surfaces as the usual pytest FAILED line.
 """
 
-import itertools
 import time
 
 import pytest
 
 from binomials import (Binomial, Lattice, NIL, PartialCharacter, Scalar,
                        binomial, cancellative_intersect, cellular_decompose,
-                       class_id, classify_congruence, colon, congruence,
-                       eliminate, ideal, ideal_contains, ideal_equals,
-                       ideal_member, intersect, is_cellular, is_mesoprimary,
-                       is_mesoprime, is_prime, lattice_primary_decomposition,
-                       maximal_ideal, monomial, project_ideal, pure_part,
-                       quotient_index, quotient_table, saturations,
-                       smith_normal_form, toric_ideal,
-                       associated_mesoprimes, as_cellular, character_of)
+                       classify_congruence, colon, congruence, eliminate,
+                       ideal, ideal_contains, ideal_equals, intersect,
+                       is_cellular, is_mesoprimary, is_prime,
+                       lattice_primary_decomposition, maximal_ideal, monomial,
+                       project_ideal, pure_part, quotient_index,
+                       quotient_table, saturations, smith_normal_form,
+                       toric_ideal, associated_mesoprimes, as_cellular)
 from binomials.errors import NonBinomialOperationError
 from binomials.lattices import _hnf_rows, identity, mat_mul
 from binomials import oracle as orc

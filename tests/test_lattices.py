@@ -19,7 +19,7 @@ from binomials import engine, lattices
 from binomials.engine import saturate_vars, scalar_power
 from binomials.lattices import (_basis_binomial, _coefficients, _degree_vector,
                                 _hnf_rows, hnf, identity, mat_mul,
-                                positive_witness, transpose)
+                                positive_witness)
 from binomials import oracle as orc
 
 from gen import rand_lattice_vectors, rand_matrix, rand_mixed_ideal, rng

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomials import binomial, ideal, monomial
+from binomials import binomial, ideal
 from binomials.errors import InputError
 from binomials.oracle import (from_binomial_ideal, ideal_equal, intersect_all,
                               member, p_divide, poly, rational_colon_poly,

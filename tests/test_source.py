@@ -45,6 +45,37 @@ def test_no_dataclasses_import():
     assert not found, "dataclasses imported in %s" % ", ".join(found)
 
 
+def _unused_imports(text):
+    """(line, name) of each name an import in ``text`` binds that the module
+    never reads, but on imports marked ``# noqa: F401``."""
+    lines, tree = text.splitlines(), ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(node.lineno, bound) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not any("# noqa: F401" in line
+                        for line in lines[node.lineno - 1:node.end_lineno])
+            for bound in ((alias.asname or alias.name).split(".")[0]
+                          for alias in node.names)
+            if bound not in read]
+
+
+def test_unused_imports_are_found():
+    assert _unused_imports("import os.path\nfrom a import (b,\n  c)  # noqa: F401\n"
+                           "from d import e as f, g\nimport h  # noqa: F401\ng()\n") \
+        == [(1, "os"), (4, "f")]
+
+
+def test_every_import_is_used():
+    # every name a module under src/, scripts/ or tests/ imports is read
+    # there; an import kept for its side effect says so with # noqa: F401
+    root = PACKAGE.parent.parent
+    found = ["%s:%d %s" % (path.relative_to(root), line, name)
+             for top in ("src", "scripts", "tests")
+             for path in sorted((root / top).rglob("*.py"))
+             for line, name in _unused_imports(path.read_text())]
+    assert not found, "unused imports: %s" % ", ".join(found)
+
+
 def test_only_the_engine_touches_held_bases():
     # an ideal answers from the reduced bases it holds (``_gb``) and keeps
     # its homogenization (``_hom``); only engine.py reads or writes either,

@@ -1,15 +1,15 @@
-"""The work ledger: Buchberger runs and lattice work of the seed-0
-benchmark passes.
+"""The work ledger: the counts of the seed-0 benchmark passes.
 
-The seed-0 pass of each workload runs in this process, as
-``scripts/reference_check.py`` runs the reference space, with every call of
-``engine._reduced_basis``, ``lattices._hnf_rows``, ``ideal_equals``,
-``cellular._classify``, ``engine.e_divides`` and ``engine._nf_exponent`` and
-every ``PartialCharacter`` evaluation and ``Scalar`` construction counted,
-and every output checked against ``perfbench/reference.json``.  Seeds change
-only coefficients, names and pass order, not the algebra, so one seed covers
-the work.  The counts are exact where times are not; a change that moves one
-updates LEDGER and names the count in CHANGES.md.
+The seed-0 pass of each workload runs through ``count_pass`` of
+``scripts/reference_check.py``, the pass that script runs over the
+reference space: every output is checked against
+``perfbench/reference.json`` and every callable in its COUNTED table is
+counted, Buchberger runs of single commands included.  LEDGER pins all of
+those counts but ``Fraction`` constructions, which differ across Python
+versions.  Seeds change only coefficients, names and pass order, not the
+algebra, so one seed covers the work.  The counts are exact where times
+are not; a change that moves one updates LEDGER and names the count in
+CHANGES.md.
 """
 
 import sys
@@ -17,80 +17,42 @@ from pathlib import Path
 
 import pytest
 
-from binomials import cellular, engine, lattices
-from binomials.scalars import Scalar
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import run  # noqa: E402
+import reference_check  # noqa: E402
 import workloads  # noqa: E402
 
-# workload: (Buchberger runs of the whole pass, runs of single commands)
+
+def _counts(buchberger, divisor_tests, normal_forms, equals, hnfs, smiths,
+            evaluations, classifications, scalars, queued, reduced):
+    """A workload's counts, keyed as in reference_check.COUNTED."""
+    return {"engine._reduced_basis": buchberger, "engine.e_divides": divisor_tests,
+            "engine._nf_exponent": normal_forms, "engine.ideal_equals": equals,
+            "lattices._hnf_rows": hnfs, "lattices.smith_normal_form": smiths,
+            "lattices.PartialCharacter.__call__": evaluations,
+            "cellular._classify": classifications, "scalars.Scalar.__new__": scalars,
+            "engine.heapq.heappush": queued, "engine.heapq.heappop": reduced}
+
+
+# workload: (counts of the whole pass, Buchberger runs of single commands)
 LEDGER = {
-    "decompose": (126, {"decompose-lat6 lattice-decomp": 6,
-                        "decompose-lat6 meso-primary-decomp": 6,
-                        "decompose-latidx meso-primary-decomp": 6,
-                        "decompose-mesoB mesoprimes": 3,
-                        "decompose-paper cellular": 10,
-                        "decompose-unmixed radical": 2}),
-    "quotient": (12, {}),
-    "toric": (40, {"toric-elim eliminate": 3}),
+    "decompose": (_counts(126, 12621, 1429, 0, 84, 15, 88, 30, 2586, 428, 419),
+                  {"decompose-lat6 lattice-decomp": 6,
+                   "decompose-lat6 meso-primary-decomp": 6,
+                   "decompose-latidx meso-primary-decomp": 6,
+                   "decompose-mesoB mesoprimes": 3,
+                   "decompose-paper cellular": 10,
+                   "decompose-unmixed radical": 2}),
+    "quotient": (_counts(12, 13937, 1589, 0, 0, 0, 0, 0, 186, 56, 56), {}),
+    "toric": (_counts(40, 35164, 1844, 0, 21, 0, 0, 0, 1960, 805, 731),
+              {"toric-elim eliminate": 3}),
 }
 
 
-# workload: (_hnf_rows calls, character evaluations) of the whole pass
-LATTICE_WORK = {"decompose": (84, 88), "quotient": (0, 0), "toric": (21, 0)}
-
-# workload: ideal_equals calls of the whole pass, at engine's binding, the
-# only one the package's modules call it through
-IDEAL_EQUALS = {"decompose": 0, "quotient": 0, "toric": 0}
-
-# workload: Scalar constructions (``Scalar.__new__``) of the whole pass
-SCALARS = {"decompose": 2586, "quotient": 186, "toric": 1960}
-
-# workload: cellular classifications (``cellular._classify``) of the whole pass
-CLASSIFICATIONS = {"decompose": 30, "quotient": 0, "toric": 0}
-
-# workload: (divisor tests, normal forms) of the whole pass, counted at
-# engine's bindings of ``e_divides`` and ``_nf_exponent``
-REDUCTION = {"decompose": (12621, 1429), "quotient": (13937, 1589),
-             "toric": (35164, 1844)}
-
-
-def _counted(monkeypatch, owner, name, calls):
-    real = getattr(owner, name)
-    monkeypatch.setattr(owner, name,
-                        lambda *args: calls.append(args) or real(*args))
-
-
 @pytest.mark.parametrize("workload", sorted(LEDGER))
-def test_buchberger_runs(workload, tmp_path, monkeypatch):
-    total, pinned = LEDGER[workload]
-    cmds = workloads.commands(workload, 0)
-    run.write_sessions(tmp_path, cmds)
-    runner = run.InProcessRunner(ROOT, tmp_path)
-    checker = run.Checker(run.load_reference())
-    calls, hnfs, evaluations, equals, classified = [], [], [], [], []
-    divisor_tests, normal_forms, scalars = [], [], []
-    _counted(monkeypatch, engine, "_reduced_basis", calls)
-    _counted(monkeypatch, lattices, "_hnf_rows", hnfs)
-    _counted(monkeypatch, lattices.PartialCharacter, "__call__", evaluations)
-    _counted(monkeypatch, engine, "ideal_equals", equals)
-    _counted(monkeypatch, cellular, "_classify", classified)
-    _counted(monkeypatch, engine, "e_divides", divisor_tests)
-    _counted(monkeypatch, engine, "_nf_exponent", normal_forms)
-    _counted(monkeypatch, Scalar, "__new__", scalars)
-    runs = {}
-    for cmd in cmds:
-        before = len(calls)
-        checker.check(cmd, runner.run(cmd), workload)
-        label = "%s %s" % (cmd.slot, cmd.name)
-        runs[label] = runs.get(label, 0) + len(calls) - before
-    assert checker.problems == []
-    assert (len(calls), {label: runs[label] for label in pinned}) == (total, pinned)
-    assert (len(hnfs), len(evaluations)) == LATTICE_WORK[workload]
-    assert len(equals) == IDEAL_EQUALS[workload]
-    assert len(classified) == CLASSIFICATIONS[workload]
-    assert (len(divisor_tests), len(normal_forms)) == REDUCTION[workload]
-    assert len(scalars) == SCALARS[workload]
+def test_buchberger_runs(workload, tmp_path):
+    counts, pinned = LEDGER[workload]
+    tally = reference_check.count_pass(workloads.commands(workload, 0), tmp_path)
+    assert tally.problems == []
+    del tally.counts["scalars.Fraction.__new__"]
+    assert (tally.counts, {label: sum(tally.runs[label]) for label in pinned}) == (counts, pinned)
