@@ -276,10 +276,7 @@ def saturations(L, p=0):
         return empty, empty, empty
     S = smith_normal_form(L.basis)
     diag = [d for d in S.diagonal() if d != 0]
-    UB = mat_mul(S.U, L.basis)
-    if any(x % d for d, row in zip(diag, UB) for x in row):
-        raise AssertionError("a row of U*B is not a multiple of its invariant factor")
-    Vinv = [[x // d for x in row] for d, row in zip(diag, UB)]
+    Vinv = [[x // d for x in row] for d, row in zip(diag, mat_mul(S.U, L.basis))]
     sat = Lattice.from_vectors(L.n, Vinv)
     if p == 0:
         return sat, L, sat
@@ -311,39 +308,39 @@ def _degree_vector(basis, n):
     if all(sum(b) == 0 for b in basis):
         return (1,) * n
     kernel = kernel_basis(basis)
-    # a coordinate that every kernel vector misses is 0 in each such w
-    if not kernel or any(not any(v[j] for v in kernel) for j in range(n)):
-        return None
-    y = positive_witness(kernel)
+    # a coordinate that every kernel vector misses bounds t by 0: no witness
+    y = _fm_feasible(transpose(kernel)) if kernel else None
     return y and tuple(sum(a * v[j] for a, v in zip(y, kernel)) for j in range(n))
 
 
 def _lattice_ideals(characters, names):
-    """I_L(rho) for each rho in ``characters``, all on one L, off one
-    saturation of I_L(1) = <X^(b+) - X^(b-) : b basis> at all variables, run
-    on the image under X_i -> X_i^(w_i) for a degree vector w >= 1 of L: it
-    is homogeneous (no homogenizing variable) and flat (exponents divide back
-    by w).  With lambda^v = rho(v) on L (k* is divisible), X_i -> X_i/lambda_i
-    maps X^(b+) - X^(b-) to a unit times X^(b+) - rho(b) X^(b-), so I_L(1)
-    onto I_L(rho) (Eisenbud-Sturmfels), and X^a - X^b to a unit times
-    X^a - rho(a - b) X^b; it fixes exponents, so lambda is never needed.
-    Nor does it move a lead: for w = 1, each I_L(rho) holds the rescaled
-    reduced grevlex basis of I_L(1); the basis divided back by another w
-    is reduced under the w-weighted order only."""
+    """I_L(rho) for each rho in ``characters``, all on one L, each holding
+    its reduced grevlex basis, off one saturation of I_L(1) = <X^(b+) -
+    X^(b-) : b basis> at all variables.  The saturation runs on the image
+    under X_i -> X_i^(w_i) for a degree vector w >= 1 of L: it is
+    homogeneous (no homogenizing variable) and flat, so its exponents
+    divide back by w to generators of I_L(1); for w other than all ones one
+    Buchberger run then gives their reduced grevlex basis.  With lambda^v =
+    rho(v) on L (k* is divisible), X_i -> X_i/lambda_i maps X^(b+) - X^(b-)
+    to a unit times X^(b+) - rho(b) X^(b-), so I_L(1) onto I_L(rho)
+    (Eisenbud-Sturmfels), and X^a - X^b to a unit times X^a - rho(a - b)
+    X^b.  It fixes exponents, so lambda is never needed, and it moves no
+    lead: the reduced basis of I_L(1), rescaled, is that of I_L(rho)."""
     L = characters[0].lattice
     if len(names) != L.n:
         raise InputError("ring has %d variables, lattice ambient is %d" % (len(names), L.n))
     w = _degree_vector(L.basis, L.n) or (1,) * L.n
     gens = [_basis_binomial([x * y for x, y in zip(v, w)], ONE) for v in L.basis]
     S = saturate_vars(BinomialIdeal(names, gens), range(L.n))
-    gb = S.groebner() if w == (1,) * L.n else None
-    pairs = [tuple(tuple(x // y for x, y in zip(e, w)) for e in (g.lead, g.trail))
-             for g in (gb.elements if gb else S.gens)]
-    coords = [L.express(e_sub(a, b)) for a, b in pairs]
-    bases = [tuple(binomial(a, b, scalar_power(rho.values, c)) for (a, b), c in zip(pairs, coords))
-             for rho in characters]
-    return [_from_basis(names, ReducedGB(gb.order, g)) if gb else BinomialIdeal(names, g)
-            for g in bases]
+    if w != (1,) * L.n:
+        S = BinomialIdeal(names, [binomial(*(tuple(x // y for x, y in zip(e, w))
+                                             for e in (g.lead, g.trail))) for g in S.gens])
+    gb = S.groebner()
+    coords = [L.express(e_sub(g.lead, g.trail)) for g in gb.elements]
+    return [_from_basis(names, ReducedGB(gb.order, tuple(
+                binomial(g.lead, g.trail, scalar_power(rho.values, c))
+                for g, c in zip(gb.elements, coords))))
+            for rho in characters]
 
 
 def lattice_ideal(rho, names):
@@ -385,11 +382,7 @@ def extend_character(rho, M):
     out = []
     for branches in itertools.product(*(range(d) for d in diag)):
         roots = [t.root(d, k) for t, d, k in zip(target, diag, branches)]
-        ext = PartialCharacter(M, tuple(scalar_power(roots, row) for row in S.V))
-        for v, s in zip(L.basis, rho.values):
-            if ext(v) != s:
-                raise AssertionError("extension disagrees with the character on %r" % (v,))
-        out.append(ext)
+        out.append(PartialCharacter(M, tuple(scalar_power(roots, row) for row in S.V)))
     return out
 
 
@@ -479,12 +472,11 @@ def positive_witness(A):
 
 def fibers(A, target):
     """All factorizations deg^(-1)(target), enumerated by bounded search."""
-    _validate_columns(A)
+    w = positive_witness(A)
     target = list(target)
     if len(target) != len(A):
         raise InputError("target has dimension %d, matrix has %d rows"
                          % (len(target), len(A)))
-    w = positive_witness(A)
     if w is None:
         raise NotPositiveError("degree matrix is not positive; fibers may be infinite")
     cols = transpose(A)

@@ -16,6 +16,7 @@ from binomials import (Lattice, PartialCharacter, Scalar, binomial,
 from binomials.errors import (ExtensionRankError, InconsistentCharacterError,
                               InputError, NotPositiveError, NotPureError)
 from binomials import engine, lattices
+from binomials.cli import main
 from binomials.engine import saturate_vars, scalar_power
 from binomials.lattices import (_basis_binomial, _coefficients, _degree_vector,
                                 _hnf_rows, hnf, identity, mat_mul,
@@ -241,8 +242,12 @@ class TestSaturationsOffSmithForm:
             L = Lattice.from_vectors(n, vectors)
             for p in (0, 2, 3, 5):
                 assert saturations(L, p) == reference_saturations(L, p), (L, p)
+            S = smith_normal_form(L.basis)
+            # the rows of U * B that saturations divides by their invariant factors
+            assert not any(x % d for d, row in zip(S.diagonal(), mat_mul(S.U, L.basis))
+                           for x in row), L
             ranks.add(L.rank)
-            factors_above_one += any(d > 1 for d in smith_normal_form(L.basis).diagonal())
+            factors_above_one += any(d > 1 for d in S.diagonal())
         assert ranks == {0, 1, 2, 3, 4}
         assert factors_above_one >= 140, factors_above_one
 
@@ -309,10 +314,20 @@ class TestDegreeVector:
                                     zip(char.lattice.basis, char.values)])
         return saturate_vars(basis_ideal, range(len(names))).groebner().elements
 
-    def test_matches_homogenized_saturation(self):
+    def test_matches_homogenized_saturation(self, monkeypatch, tmp_path, capsys):
         """lattice_ideal and every component of lattice_primary_decomposition
         equal the saturated basis ideal of their character, element for
-        element: one chain rescaled against one saturation per character."""
+        element: one chain rescaled against one saturation per character.
+        Each holds that basis, so groebner() runs no Buchberger."""
+        runs, real = [], engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda *a: runs.append(a) or real(*a))
+
+        def held(I):
+            before = len(runs)
+            elements = I.groebner().elements
+            assert len(runs) == before, I
+            return elements
+
         r = rng(1213)
         shapes = dict.fromkeys(("one", "weighted", "none"), 0)
         components = dict.fromkeys(self.VALUES, 0)
@@ -332,15 +347,24 @@ class TestDegreeVector:
                 assert w is None or (min(w) >= 1 and not any(
                     sum(a * b for a, b in zip(w, v)) for v in rho.lattice.basis)), (rho, w)
                 shapes["none" if w is None else "one" if set(w) == {1} else "weighted"] += 1
-                assert lattice_ideal(rho, names).groebner().elements == self.saturated(rho, names)
+                assert held(lattice_ideal(rho, names)) == self.saturated(rho, names)
                 # each extension costs one more saturation; keep the index small
                 if quotient_index(rho.lattice, saturations(rho.lattice)[0]) <= 6:
                     for ext, comp in lattice_primary_decomposition(rho, names):
-                        assert comp.groebner().elements == self.saturated(ext, names), ext
+                        assert held(comp) == self.saturated(ext, names), ext
                         components[kind] += 1
                 done += 1
         assert min(shapes.values()) >= 10, shapes
         assert min(components.values()) >= 40, components
+        # w = (3, 2) and two components: character_of, three colon steps
+        # that the lattice test and the chain share, and one grevlex run
+        # for both components
+        session = tmp_path / "session.txt"
+        session.write_text("ring X Y\nideal I\nX^4 - Y^6\n")
+        del runs[:]
+        assert main(["lattice-decomp", str(session), "--ideal", "I"]) == 0
+        assert capsys.readouterr().out.count("component") == 2
+        assert len(runs) == 5
 
     @pytest.mark.parametrize("degrees", ["3 5 7 10", "3 8 9 10", "4 5 6 7"])
     def test_toric_needs_no_homogenizing_variable(self, degrees, monkeypatch):
@@ -651,7 +675,10 @@ class TestCharactersOffTransforms:
                 continue
             rho = PartialCharacter.from_generators(n, L.basis, [rand_value(r) for _ in L.basis])
             for target in (M, saturations(L)[0]):
-                assert extend_character(rho, target) == reference_extensions(rho, target)
+                exts = extend_character(rho, target)
+                assert exts == reference_extensions(rho, target)
+                for ext in exts:
+                    assert all(ext(v) == s for v, s in zip(L.basis, rho.values)), ext
             ranks.add(L.rank)
             diag = smith_normal_form(_coefficients(L, M)).diagonal()
             factors_above_one[sum(d > 1 for d in diag)] += 1

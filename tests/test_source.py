@@ -213,12 +213,12 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
 NODES = {"gb": 12455, "nf": 12455, "eliminate": 12455, "colon": 12455,
          "saturate": 12455, "intersect-monomial": 12455, "pure-part": 12455,
          "cellular": 13193, "is-cellular": 13193,
-         "mesoprimes": 18501, "is-mesoprimary": 18501, "is-mesoprime": 18501,
-         "is-prime": 18501, "radical": 18501, "meso-primary-decomp": 18501,
-         "lattice-decomp": 16814, "toric": 16814, "is-positive": 16814,
-         "fibers": 16814, "snf": 16814,
-         "maximal": 19963, "congruence classify": 19963,
-         "congruence related": 19963, "congruence table": 19963}
+         "mesoprimes": 18362, "is-mesoprimary": 18362, "is-mesoprime": 18362,
+         "is-prime": 18362, "radical": 18362, "meso-primary-decomp": 18362,
+         "lattice-decomp": 16675, "toric": 16675, "is-positive": 16675,
+         "fibers": 16675, "snf": 16675,
+         "maximal": 19824, "congruence classify": 19824,
+         "congruence related": 19824, "congruence table": 19824}
 
 
 def _nodes(module):

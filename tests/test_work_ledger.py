@@ -36,7 +36,7 @@ def _counts(buchberger, divisor_tests, normal_forms, equals, hnfs, smiths,
 
 # workload: (counts of the whole pass, Buchberger runs of single commands)
 LEDGER = {
-    "decompose": (_counts(126, 12621, 1429, 0, 84, 15, 88, 30, 2586, 428, 419),
+    "decompose": (_counts(126, 12621, 1429, 0, 84, 15, 0, 30, 2430, 428, 419),
                   {"decompose-lat6 lattice-decomp": 6,
                    "decompose-lat6 meso-primary-decomp": 6,
                    "decompose-latidx meso-primary-decomp": 6,
@@ -44,7 +44,7 @@ LEDGER = {
                    "decompose-paper cellular": 10,
                    "decompose-unmixed radical": 2}),
     "quotient": (_counts(12, 13937, 1589, 0, 0, 0, 0, 0, 186, 56, 56), {}),
-    "toric": (_counts(40, 35164, 1844, 0, 21, 0, 0, 0, 1960, 805, 731),
+    "toric": (_counts(40, 35164, 1844, 0, 21, 0, 0, 0, 1989, 805, 731),
               {"toric-elim eliminate": 3}),
 }
 
