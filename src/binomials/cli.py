@@ -367,7 +367,6 @@ def cmd_snf(args, A, _session):
 
 def cmd_congruence(args, I):
     from . import congruences as cg
-    keys = ("cancellative", "prime", "primary", "mesoprimary", "toric")
     if args.action == "classify":
         c = cg.congruence(I)
         if not c.maximal:
@@ -376,9 +375,9 @@ def cmd_congruence(args, I):
             # maximal_ideal certifies completeness only for an I already maximal
             print("note: congruence maximalized (completeness unknown)", file=sys.stderr)
         flags = cg.classify_congruence(c)
-        _emit(args, lambda: {k: getattr(flags, k) for k in keys},
-              lambda: ["%s: %s" % (k, "yes" if getattr(flags, k) else "no")
-                       for k in keys])
+        _emit(args, flags._asdict,
+              lambda: ["%s: %s" % (k, "yes" if v else "no")
+                       for k, v in zip(flags._fields, flags)])
     elif args.action == "related":
         if not args.u or not args.v:
             raise InputError("related needs two monomial arguments")
@@ -456,9 +455,23 @@ COMMANDS = (
     ("snf", cmd_snf, "Smith normal form", [MATRIX], "matrix"),
 )
 
-NAMES = frozenset([name for name, *_ in COMMANDS] + ["congruence"])
+NAMES = tuple(name for name, *_ in COMMANDS) + ("congruence",)
+ACTIONS = ("classify", "related", "table")
 IDEAL_HELP = "name of the ideal to use"
 JSON_HELP = "machine-readable output"
+
+
+def _invalid_choice(value, choices):
+    """argparse's error for a value outside ``choices``, written out: later
+    3.12 and 3.13 releases of argparse (3.13.13) leave the choices unquoted."""
+    return "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
+
+
+def _action(value):
+    """The ``congruence`` action, checked with the written-out error."""
+    if value not in ACTIONS:
+        raise argparse.ArgumentTypeError(_invalid_choice(value, ACTIONS))
+    return value
 
 
 def build_parser(command=None):
@@ -471,8 +484,8 @@ def build_parser(command=None):
     # written out, so that it reads the same on every Python, and set after
     # add_subparsers, which derives each command's prog from the usage; the
     # lines after the first are indented past "usage: binomials "
-    parser.usage = "%%(prog)s [-h]\n%17s{%s,congruence}\n%17s..." % (
-        "", ",".join(name for name, *_ in COMMANDS), "")
+    parser.usage = "%%(prog)s [-h]\n%17s{%s}\n%17s..." % (
+        "", ",".join(NAMES), "")
 
     for name, func, text, arguments, kind in COMMANDS:
         if command not in (None, name):
@@ -496,7 +509,7 @@ def build_parser(command=None):
         "congruence", help="congruence queries",
         usage="binomials congruence {classify,related,table} [file] [u] [v] "
               "[options]   (keep file/u/v together; options before or after)")
-    p.add_argument("action", choices=["classify", "related", "table"])
+    p.add_argument("action", choices=ACTIONS, type=_action)  # choices for -h
     p.add_argument("file", nargs="?", help="session file ('-' for stdin)")
     p.add_argument("u", nargs="?", help="first monomial (related)")
     p.add_argument("v", nargs="?", help="second monomial (related)")
@@ -514,9 +527,13 @@ def main(argv=None):
     # Only the named command's parser is built: its help and its errors,
     # unrecognized arguments included, read as in the full parser, whose
     # written-out usage it shares.  The full parser is built only for
-    # top-level help and a missing or unknown command.
+    # top-level help and a missing or unknown command.  An unknown command
+    # in first place is reported here, in the words of ``_invalid_choice``.
     named = argv and argv[0] in NAMES
-    args = build_parser(argv[0] if named else None).parse_args(argv)
+    parser = build_parser(argv[0] if named else None)
+    if argv and not named and not argv[0].startswith("-"):
+        parser.error("argument command: " + _invalid_choice(argv[0], NAMES))
+    args = parser.parse_args(argv)
     try:
         code = args.func(args, *_read_input(args)) or 0
         sys.stdout.flush()  # a closed pipe shows here, not at exit

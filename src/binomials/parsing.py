@@ -10,7 +10,9 @@ A session file looks like::
     3 4 5
 
 Generators are signed two-term expressions ``coef monomial [+- coef
-monomial]``; the two-term shape is a parse-time guarantee.  Coefficient
+monomial]``; the two-term shape is a parse-time guarantee.  A generator, a
+single term and a scalar read their signs by one rule (``_signed_terms``),
+so a leading ``+`` or ``-`` means the same in each.  Coefficient
 literals are products of signed rationals ``p/q``, ``zeta(m,k)`` for
 e^(2*pi*i*k/m), and fractional prime powers ``p^(a/b)`` (the latter so that
 printed output always re-parses).
@@ -71,11 +73,28 @@ def _scalar_factor(tok, line):
     return Scalar.from_rational(num, den)
 
 
-def parse_term(tokens, names, line):
-    """(coeff, exponent) from factor tokens (numbers, zetas, variables)."""
+def _signed_terms(text, line):
+    """The terms of ``text``, each (negative, factor tokens).  A ``+`` or
+    ``-`` starts a term and signs it, unless the term before it has no token
+    yet: a leading sign signs the first term, and in ``X - -Y`` the second
+    ``-`` is a misplaced operator.  Text without tokens has no terms."""
+    terms = []
+    for tok in _tokenize(text, line):
+        if tok["op"] in ("+", "-") and (not terms or terms[-1][1]):
+            terms.append((tok["op"] == "-", []))
+        elif terms:
+            terms[-1][1].append(tok)
+        else:
+            terms.append((False, [tok]))
+    return terms
+
+
+def parse_term(negative, tokens, names, line):
+    """(coeff, exponent) of a term of ``_signed_terms``: factor tokens
+    (numbers, zetas, variables) joined by ``*``, negated if ``negative``.
+    Without ``names`` the term is a scalar literal."""
     coeff = ONE
     exponent = [0] * len(names)
-    saw_factor = False
     expect_factor = True
     for tok in tokens:
         kind = tok.lastgroup
@@ -87,40 +106,27 @@ def parse_term(tokens, names, line):
         if kind == "name":
             name = tok["var"]
             if name not in names:
-                raise ParseError("unknown variable %r" % name, line)
+                raise ParseError("unknown variable %r" % name if names else
+                                 "expected a scalar literal, found %r" % tok.group(),
+                                 line)
             exponent[names.index(name)] += int(tok["exp"] or 1)
         else:
             coeff = coeff * _scalar_factor(tok, line)
-        saw_factor = True
         expect_factor = False
-    if not saw_factor or expect_factor:
+    if expect_factor:
         raise ParseError("empty term", line)
-    return coeff, tuple(exponent)
+    return (coeff.negate() if negative else coeff), tuple(exponent)
 
 
 def parse_binomial(text, names, line=None):
     """A generator line as a Binomial (at most two terms)."""
-    tokens = _tokenize(text, line)
-    if not tokens:
+    terms = _signed_terms(text, line)
+    if not terms:
         raise ParseError("empty generator", line)
-    # split into signed terms at top-level +/-
-    terms, current, sign = [], [], (-1 if tokens[0]["op"] == "-" else 1)
-    if tokens[0]["op"] in ("-", "+"):
-        tokens = tokens[1:]
-    for tok in tokens:
-        if tok["op"] in ("+", "-") and current:
-            terms.append((sign, current))
-            sign = 1 if tok["op"] == "+" else -1
-            current = []
-        else:
-            current.append(tok)
-    terms.append((sign, current))
     if len(terms) > 2:
         raise ParseError("binomials have at most two terms; got %d" % len(terms), line)
-    parsed = []
-    for s, toks in terms:
-        coeff, exponent = parse_term(toks, names, line)
-        parsed.append((exponent, coeff.negate() if s < 0 else coeff))
+    # (exponent, coeff) pairs, as _term_sum takes them
+    parsed = [parse_term(*term, names, line)[::-1] for term in terms]
     if len(parsed) == 1:
         return binomial(parsed[0][0])
     b = _term_sum(*parsed)
@@ -129,31 +135,17 @@ def parse_binomial(text, names, line=None):
     return b
 
 
-def _unsigned(text, line):
-    """The tokens of ``text`` without a leading minus, and whether it had one."""
-    tokens = _tokenize(text, line)
-    if tokens and tokens[0]["op"] == "-":
-        return tokens[1:], True
-    return tokens, False
-
-
 def parse_single_term(text, names, line=None):
     """A one-term expression as (coeff, exponent)."""
-    tokens, negative = _unsigned(text, line)
-    if any(tok["op"] in ("+", "-") for tok in tokens):
+    terms = _signed_terms(text, line)
+    if len(terms) != 1:
         raise ParseError("expected a single term", line)
-    coeff, exponent = parse_term(tokens, names, line)
-    return (coeff.negate() if negative else coeff), exponent
+    return parse_term(*terms[0], names, line)
 
 
 def parse_scalar(text, line=None):
     """A bare coefficient literal (no variables), e.g. ``-2/3*zeta(4,1)``."""
-    tokens, negative = _unsigned(text, line)
-    for tok in tokens:
-        if tok.lastgroup == "name":
-            raise ParseError("expected a scalar literal, found %r" % tok.group(), line)
-    coeff, _ = parse_term(tokens, (), line)
-    return coeff.negate() if negative else coeff
+    return parse_single_term(text, (), line)[0]
 
 
 def _matrix_row(text, line=None):

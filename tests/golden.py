@@ -6,7 +6,8 @@ subcommand, ``--oracle`` on the commands that cross-check, refusals (exit 1)
 and parse errors (exit 2).  This module imports no test framework, so every
 supported interpreter can replay the file:
 
-    PYTHONPATH=src python tests/golden.py --check   # exit 1 on any mismatch
+    PYTHONPATH=src python tests/golden.py --check   # exit 1 on any mismatch,
+                                                    # naming the fields that differ
     PYTHONPATH=src python tests/golden.py           # record the file again
 
 Record only from a version whose outputs are trusted: the file is the
@@ -181,9 +182,11 @@ def _check(workdir):
     mismatches = 0
     for case in cases:
         got = run_case(case["session"], case["argv"], workdir)
-        if got != {k: case[k] for k in ("code", "stdout", "stderr")}:
+        differ = [k for k in ("code", "stdout", "stderr") if got[k] != case[k]]
+        if differ:
             mismatches += 1
-            print("MISMATCH binomials %s" % " ".join(case["argv"]))
+            print("MISMATCH binomials %s (%s differs)"
+                  % (" ".join(case["argv"]), ", ".join(differ)))
     print("%d cases replayed, %d mismatches (Python %s)"
           % (len(cases), mismatches, sys.version.split()[0]))
     return 1 if mismatches else 0

@@ -125,6 +125,21 @@ Y^3 - Y^2
         assert "complete: unknown" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["nf", "FILE", "--term", "+X"],
+    ["colon", "FILE", "--monomial", "+X"],
+    ["pure-part", "FILE", "--lambda", "+1,1"],
+    ["congruence", "related", "FILE", "+X", "Y"]], ids=lambda argv: argv[0])
+def test_leading_plus_in_a_term_argument(capsys, session_file, argv):
+    # a term argument reads a leading + as a session file does
+    path = session_file(NILQ)
+    signed = [path if a == "FILE" else a for a in argv]
+    plain = [a[1:] if a.startswith("+") else a for a in signed]
+    expected = run(capsys, plain)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, signed) == expected
+
+
 class TestDecompositions:
     def test_cellular_oracle(self, capsys, session_file):
         code, out, _ = run(capsys, ["cellular", "--oracle",

@@ -57,6 +57,28 @@ class TestGeneratorGrammar:
         b = parse_binomial("-X + Y", XY)
         assert b == Binomial((1, 0), (0, 1), ONE)
 
+    def test_leading_plus_in_a_term_or_scalar(self):
+        # one sign rule for generators, single terms and scalars
+        assert parse_single_term("+X", XY) == parse_single_term("X", XY) == (ONE, (1, 0))
+        assert parse_single_term("-X", XY) == (Scalar.minus_one(), (1, 0))
+        assert parse_scalar("+2") == parse_scalar("2") == Scalar.from_rational(2)
+        assert parse_scalar("-2") == Scalar.from_rational(-2)
+
+    @pytest.mark.parametrize("parse, message", [
+        (lambda: parse_single_term("X + Y", XY), "expected a single term"),
+        (lambda: parse_single_term("", XY), "expected a single term"),
+        (lambda: parse_single_term("- - X", XY), "misplaced operator '-'"),
+        (lambda: parse_scalar("2+"), "expected a single term"),
+        (lambda: parse_scalar("X - 1"), "expected a single term"),
+        (lambda: parse_scalar("-X^2"), "expected a scalar literal, found 'X\\^2'"),
+        (lambda: parse_scalar("0*X"), "zero coefficient")],
+        ids=["two-terms", "empty", "double-sign", "trailing-plus", "binomial-scalar",
+             "variable", "first-error-in-order"])
+    def test_term_errors(self, parse, message):
+        # a term count is checked first, then each factor in reading order
+        with pytest.raises(ParseError, match=message):
+            parse()
+
     def test_repeated_variable(self):
         assert parse_binomial("X*X*Y", XY) == Binomial((2, 1))
 

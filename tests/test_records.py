@@ -7,7 +7,7 @@ import pytest
 
 from binomials import (Binomial, BinomialIdeal, CellularComponent, Lattice,
                        Mesoprime, PartialCharacter, QuotientTable, ReducedGB,
-                       Scalar, SmithForm, Term, grevlex, elim, lex)
+                       Scalar, SmithForm, Term, binomial, grevlex, elim, lex)
 from binomials.congruences import NIL, CongruenceFlags, ElementFlags
 from binomials.errors import InputError
 from binomials.orders import MonomialOrder
@@ -83,6 +83,13 @@ def test_scalar_rejects_invalid_fields(torsion, primes):
 def test_binomial_rejects_invalid_fields(trail, coeff):
     with pytest.raises(InputError):
         Binomial((1, 0), trail, coeff)
+
+
+@pytest.mark.parametrize("coeff, expected", [(None, None), (Scalar.one(), None),
+                                             (TWO, Binomial((1, 2)))])
+def test_binomial_with_lead_equal_to_trail(coeff, expected):
+    # X^u - c*X^u is zero when c is 1, and otherwise X^u up to a unit
+    assert binomial((1, 2), (1, 2), coeff) == expected
 
 
 def test_binomial_ideal_is_mutable_with_identity_equality():
