@@ -162,6 +162,14 @@ def _oracle_check(args, target, sources, construct):
     print("oracle: verified")
 
 
+def _emit_components(args, I, parts):
+    """``_emit_parts`` under "components", then with --oracle the check that
+    the part ideals intersect to I."""
+    _emit_parts(args, "components", parts)
+    _oracle_check(args, I, [J for _, J, _ in parts],
+                  lambda orc, *gens: orc.intersect_all(gens, I.n))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -233,14 +241,11 @@ def cmd_maximal(args, I):
 
 def cmd_cellular(args, I):
     from .cellular import cellular_decompose
-    components = cellular_decompose(I, prune_components=args.prune)
-    _emit_parts(args, "components", [
+    _emit_components(args, I, [
         ("component %d (delta = %s)" % (k + 1, _var_list(I.names, c.delta) or "-"),
          c.ideal, {"delta": sorted(c.delta),
                    "nilpotency": [list(x) for x in c.nilpotency]})
-        for k, c in enumerate(components)])
-    _oracle_check(args, I, [c.ideal for c in components],
-                  lambda orc, *gens: orc.intersect_all(gens, I.n))
+        for k, c in enumerate(cellular_decompose(I, prune_components=args.prune))])
 
 
 def cmd_mesoprimes(args, I):
@@ -306,10 +311,8 @@ def cmd_radical(args, I):
 
 def cmd_meso_primary_decomp(args, I):
     from . import mesoprimary as meso
-    components = meso.mesoprimary_primary_decomposition(I)
-    _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
-                                      for k, c in enumerate(components)])
-    _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
+    _emit_components(args, I, [("component %d" % (k + 1), c, {}) for k, c in
+                               enumerate(meso.mesoprimary_primary_decomposition(I))])
 
 
 def cmd_lattice_decomp(args, I):
@@ -318,10 +321,8 @@ def cmd_lattice_decomp(args, I):
     if not lat.is_lattice_ideal(I):
         raise Refusal("ideal is not a lattice ideal; lattice decomposition "
                       "needs a pure variable-saturated ideal")
-    components = [c for _, c in lat.lattice_primary_decomposition(rho, I.names)]
-    _emit_parts(args, "components", [("component %d" % (k + 1), c, {})
-                                      for k, c in enumerate(components)])
-    _oracle_check(args, I, components, lambda orc, *gens: orc.intersect_all(gens, I.n))
+    _emit_components(args, I, [("component %d" % (k + 1), c, {}) for k, (_, c) in
+                               enumerate(lat.lattice_primary_decomposition(rho, I.names))])
 
 
 def cmd_toric(args, A, session):
@@ -367,8 +368,10 @@ def cmd_snf(args, A, _session):
 
 def cmd_congruence(args, I):
     from . import congruences as cg
+    if args.action == "related" and not (args.u and args.v):
+        raise InputError("related needs two monomial arguments")
+    c = cg.congruence(I)
     if args.action == "classify":
-        c = cg.congruence(I)
         if not c.maximal:
             maximalized, _ = cg.maximal_ideal(I, args.bound)
             c = cg.congruence(maximalized)
@@ -379,9 +382,6 @@ def cmd_congruence(args, I):
               lambda: ["%s: %s" % (k, "yes" if v else "no")
                        for k, v in zip(flags._fields, flags)])
     elif args.action == "related":
-        if not args.u or not args.v:
-            raise InputError("related needs two monomial arguments")
-        c = cg.congruence(I)
         exps = []
         for text in (args.u, args.v):
             b = _monomial_arg(text, I.names, "related")
@@ -392,7 +392,6 @@ def cmd_congruence(args, I):
         _emit(args, lambda: {"related": ok},
               lambda: ["related" if ok else "not related"])
     elif args.action == "table":
-        c = cg.congruence(I)
         qt = cg.quotient_table(c, args.max)
         _emit(args, lambda: table_json(qt, I.names),
               lambda: [table_text(qt, I.names)])
@@ -406,10 +405,26 @@ def _arg(*flags, **options):
 
 MATRIX = _arg("--matrix", required=True)
 PREDICATE = "predicate; exit 1 when it fails"
+ACTIONS = ("classify", "related", "table")
+
+
+def _invalid_choice(value, choices):
+    """argparse's error for a value outside ``choices``, written out: later
+    3.12 and 3.13 releases of argparse (3.13.13) leave the choices unquoted."""
+    return "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
+
+
+def _action(value):
+    """The ``congruence`` action, checked with the written-out error."""
+    if value not in ACTIONS:
+        raise argparse.ArgumentTypeError(_invalid_choice(value, ACTIONS))
+    return value
+
 
 # name, function, help, own arguments, kind: "ideal" takes an ideal
 # (--ideal), "checked" takes one and cross-checks the result (--oracle),
-# "matrix" takes a degree matrix (--matrix)
+# "matrix" takes a degree matrix (--matrix), "congruence" takes an action
+# and its own file and monomial positionals
 COMMANDS = (
     ("gb", cmd_gb, "reduced Groebner basis",
      [_arg("--order", help="lex | grevlex, optionally with a "
@@ -453,25 +468,31 @@ COMMANDS = (
     ("fibers", cmd_fibers, "all factorizations of a degree",
      [MATRIX, _arg("--target", required=True, help="degree vector")], "matrix"),
     ("snf", cmd_snf, "Smith normal form", [MATRIX], "matrix"),
+    ("congruence", cmd_congruence, "congruence queries",
+     [_arg("action", choices=ACTIONS, type=_action),  # choices for -h
+      _arg("file", nargs="?", help="session file ('-' for stdin)"),
+      _arg("u", nargs="?", help="first monomial (related)"),
+      _arg("v", nargs="?", help="second monomial (related)"),
+      _arg("--max", type=int, default=64, help="class budget (table)"),
+      _arg("--bound", type=int, help="nil-search bound (classify)")], "congruence"),
 )
 
-NAMES = tuple(name for name, *_ in COMMANDS) + ("congruence",)
-ACTIONS = ("classify", "related", "table")
-IDEAL_HELP = "name of the ideal to use"
-JSON_HELP = "machine-readable output"
+NAMES = tuple(name for name, *_ in COMMANDS)
 
+# the arguments each kind adds after a command's own
+IDEAL = _arg("--ideal", help="name of the ideal to use")
+FILE = _arg("file", nargs="?", help="session file (default: stdin)")
+JSON = _arg("--json", action="store_true", help="machine-readable output")
+KINDS = {"ideal": [IDEAL, FILE, JSON], "matrix": [FILE, JSON],
+         "checked": [IDEAL, FILE, JSON,
+                     _arg("--oracle", action="store_true",
+                          help="cross-check the result with the rational oracle")],
+         "congruence": [IDEAL, JSON]}
 
-def _invalid_choice(value, choices):
-    """argparse's error for a value outside ``choices``, written out: later
-    3.12 and 3.13 releases of argparse (3.13.13) leave the choices unquoted."""
-    return "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
-
-
-def _action(value):
-    """The ``congruence`` action, checked with the written-out error."""
-    if value not in ACTIONS:
-        raise argparse.ArgumentTypeError(_invalid_choice(value, ACTIONS))
-    return value
+# written-out usage: congruence's positionals are read in one order, the
+# action, then the file and the two monomials
+USAGE = {"congruence": "binomials congruence {classify,related,table} [file] [u] [v] "
+                       "[options]   (keep file/u/v together; options before or after)"}
 
 
 def build_parser(command=None):
@@ -486,39 +507,12 @@ def build_parser(command=None):
     # lines after the first are indented past "usage: binomials "
     parser.usage = "%%(prog)s [-h]\n%17s{%s}\n%17s..." % (
         "", ",".join(NAMES), "")
-
     for name, func, text, arguments, kind in COMMANDS:
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        if kind != "matrix":
-            p.add_argument("--ideal", help=IDEAL_HELP)
-        p.add_argument("file", nargs="?", help="session file (default: stdin)")
-        p.add_argument("--json", action="store_true", help=JSON_HELP)
-        if kind == "checked":
-            p.add_argument("--oracle", action="store_true",
-                           help="cross-check the result with the rational oracle")
-        p.set_defaults(func=func)
-
-    if command not in (None, "congruence"):
-        return parser
-    # its positionals differ: the action, then the file and two monomials
-    p = sub.add_parser(
-        "congruence", help="congruence queries",
-        usage="binomials congruence {classify,related,table} [file] [u] [v] "
-              "[options]   (keep file/u/v together; options before or after)")
-    p.add_argument("action", choices=ACTIONS, type=_action)  # choices for -h
-    p.add_argument("file", nargs="?", help="session file ('-' for stdin)")
-    p.add_argument("u", nargs="?", help="first monomial (related)")
-    p.add_argument("v", nargs="?", help="second monomial (related)")
-    p.add_argument("--max", type=int, default=64, help="class budget (table)")
-    p.add_argument("--bound", type=int, help="nil-search bound (classify)")
-    p.add_argument("--ideal", help=IDEAL_HELP)
-    p.add_argument("--json", action="store_true", help=JSON_HELP)
-    p.set_defaults(func=cmd_congruence)
-
+        if command in (None, name):
+            p = sub.add_parser(name, help=text, usage=USAGE.get(name))
+            for flags, options in arguments + KINDS[kind]:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func)
     return parser
 
 

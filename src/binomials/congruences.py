@@ -13,6 +13,7 @@ search, which reports an explicit completeness flag.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .cellular import as_cellular, is_cellular
 from .engine import (BinomialIdeal, Term, _check_exponent, colon_monomial,
@@ -29,19 +30,22 @@ from .scalars import ONE
 class Congruence:
     """View of the relation ~ induced by a binomial ideal on N^n."""
 
-    def __init__(self, ideal, maximal):
+    def __init__(self, ideal):
         self.ideal = ideal
-        self.maximal = maximal
+
+    @cached_property
+    def maximal(self):
+        """True when the ideal is known to contain its nil monomials
+        (monomials present, or a lattice ideal); decided on first read."""
+        return (any(b.is_monomial for b in self.ideal.groebner().elements)
+                or is_lattice_ideal(self.ideal))
 
 
 def congruence(I):
-    """Congruence view of I; the maximality flag is set when I is known to
-    contain its nil monomials (monomials present, or lattice ideal)."""
+    """Congruence view of I, which must not be the unit ideal."""
     if I.is_unit():
         raise UnitIdealError("the unit ideal induces no congruence")
-    gb = I.groebner()
-    maximal = any(b.is_monomial for b in gb.elements) or is_lattice_ideal(I)
-    return Congruence(I, maximal)
+    return Congruence(I)
 
 
 def class_id(c, u):
@@ -268,4 +272,4 @@ def cancellative_intersect(c1, c2):
     L2 = character_of(c2.ideal).lattice
     L = lattice_intersect(L1, L2)
     I = lattice_ideal(PartialCharacter.trivial(L), c1.ideal.names)
-    return Congruence(I, True)
+    return Congruence(I)

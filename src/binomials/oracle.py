@@ -160,19 +160,20 @@ def rational_colon_poly(gens, f, n):
     return [p_divide(g, f) for g in inter]
 
 
-def from_binomial_ideal(I):
-    """The generators of a binomial ideal as rational polynomials.
+def from_binomials(binomials):
+    """Binomials X^u - c*X^v and monomials X^u as rational polynomials.
 
     Only rational coefficients convert; a root-of-unity or irrational
     coefficient raises, since the oracle works over Q only.
     """
-    out = []
-    for b in I.groebner().elements:
-        if b.trail is None:
-            out.append(poly([(b.lead, 1)]))
-        else:
-            out.append(poly([(b.lead, 1), (b.trail, -b.coeff.as_fraction())]))
-    return out
+    return [poly([(b.lead, 1)]) if b.trail is None else
+            poly([(b.lead, 1), (b.trail, -b.coeff.as_fraction())]) for b in binomials]
+
+
+def from_binomial_ideal(I):
+    """The engine's reduced Groebner basis of I as rational polynomials
+    (``from_binomials``)."""
+    return from_binomials(I.groebner().elements)
 
 
 def intersect_all(ideals, n):

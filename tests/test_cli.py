@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from binomials.cli import COMMANDS, main
+from binomials.cli import NAMES, main
 from golden import DATA, FILE, SESSIONS
 
 UM = """ring X Y
@@ -433,7 +433,7 @@ class TestInputRefusals:
             2, "", "error: no input: pass a file or pipe a session on stdin\n")
 
 
-EVERY_COMMAND = [name for name, *_ in COMMANDS] + ["congruence"]
+EVERY_COMMAND = list(NAMES)
 
 
 class TestParser:

@@ -10,7 +10,7 @@ from binomials import (NIL, BinomialIdeal, QuotientTable, Scalar, binomial,
 from binomials.errors import (BudgetExceededError, InputError,
                               NonMaximalCongruenceError, NotCancellativeError,
                               NotPrimaryError, UnitIdealError)
-from binomials import congruences
+from binomials import congruences, engine
 from binomials.mesoprimary import _mesoprimes
 from binomials import oracle as orc
 from binomials.orders import e_add, unit, zero
@@ -58,6 +58,19 @@ class TestClassId:
     def test_unit_ideal_rejected(self):
         with pytest.raises(UnitIdealError):
             c_over([monomial((0, 0))])
+
+    def test_maximality_is_decided_when_read(self, monkeypatch):
+        # a class needs the reduced basis alone; the lattice test behind
+        # ``maximal`` (its saturation runs) waits for the first read
+        runs, real = [], engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda *a: runs.append(a) or real(*a))
+        c = c_over([binomial((1, 0), (0, 1)), binomial((0, 3), (0, 2))])
+        assert related(c, (1, 0), (0, 1))
+        assert len(runs) == 1
+        assert not c.maximal
+        assert len(runs) == 3
+        assert not c.maximal
+        assert len(runs) == 3
 
 
 class TestCongruenceAxioms:
@@ -369,7 +382,7 @@ def _fixed_point_maximal_ideal(J, bound):
         return J, True
     current = J
     while True:
-        c = congruences.Congruence(current, False)
+        c = congruences.Congruence(current)
         zero_class = class_id(c, zero(J.n))
         nils = [u for degree in range(1, bound + 1)
                 for u in congruences._total_degree_exponents(J.n, degree)

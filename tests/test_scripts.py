@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -41,6 +42,25 @@ def test_script_runs(argv, first):
                 == int(lines[0].split(", ")[2].split()[0])), line
     if argv[0] in AFTER:
         assert re.fullmatch(AFTER[argv[0]], lines[1 + len(heads)]), lines[1 + len(heads)]
+
+
+def test_random_crosscheck_catches_a_wrong_basis(capsys, monkeypatch):
+    # a basis with every two-term coefficient negated generates another
+    # ideal; the first check, engine basis against the drawn generators,
+    # must say so
+    from binomials import engine
+    spec = importlib.util.spec_from_file_location(
+        "random_crosscheck", ROOT / "scripts" / "random_crosscheck.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = engine._reduced_basis
+    monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order: tuple(
+        b if b.trail is None else b._replace(coeff=b.coeff.negate())
+        for b in real(gens, order)))
+    assert script.main(["--trials", "10", "--seed", "7"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails[0].startswith("FAIL gb at trial "), fails
 
 
 # sha256 of the stdout of worked_examples.py: its results change only on purpose

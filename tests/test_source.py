@@ -210,15 +210,15 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
 # AST nodes each command compiles from source: ast.walk over each module in
 # its set above, summed.  Exact and machine-free; a change that moves one
 # names the move in CHANGES.md
-NODES = {"gb": 12350, "nf": 12350, "eliminate": 12350, "colon": 12350,
-         "saturate": 12350, "intersect-monomial": 12350, "pure-part": 12350,
-         "cellular": 13088, "is-cellular": 13088,
-         "mesoprimes": 18257, "is-mesoprimary": 18257, "is-mesoprime": 18257,
-         "is-prime": 18257, "radical": 18257, "meso-primary-decomp": 18257,
-         "lattice-decomp": 16570, "toric": 16570, "is-positive": 16570,
-         "fibers": 16570, "snf": 16570,
-         "maximal": 19719, "congruence classify": 19719,
-         "congruence related": 19719, "congruence table": 19719}
+NODES = {"gb": 12251, "nf": 12251, "eliminate": 12251, "colon": 12251,
+         "saturate": 12251, "intersect-monomial": 12251, "pure-part": 12251,
+         "cellular": 12989, "is-cellular": 12989,
+         "mesoprimes": 18158, "is-mesoprimary": 18158, "is-mesoprime": 18158,
+         "is-prime": 18158, "radical": 18158, "meso-primary-decomp": 18158,
+         "lattice-decomp": 16471, "toric": 16471, "is-positive": 16471,
+         "fibers": 16471, "snf": 16471,
+         "maximal": 19615, "congruence classify": 19615,
+         "congruence related": 19615, "congruence table": 19615}
 
 
 def _nodes(module):
@@ -228,8 +228,13 @@ def _nodes(module):
 
 def test_compiled_nodes_per_command():
     nodes = {m: _nodes(m) for m in BASE | ALL}
-    assert {_case_id(argv): sum(nodes[m] for m in BASE | extra)
-            for argv, extra in COMMAND_LOADS} == NODES
+    now = {_case_id(argv): sum(nodes[m] for m in BASE | extra)
+           for argv, extra in COMMAND_LOADS}
+    assert now.keys() == NODES.keys()
+    # one line per moved command, so that a failure lists every one in full
+    moved = ["%s: %d -> %d (%+d)" % (name, NODES[name], now[name], now[name] - NODES[name])
+             for name in NODES if now[name] != NODES[name]]
+    assert not moved, "NODES moved:\n" + "\n".join(moved)
 
 
 @pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)])
@@ -301,6 +306,12 @@ EXPORTS = [
     "saturations", "scalars", "smith_normal_form", "table_json", "table_text",
     "toric_ideal",
 ]
+
+
+def test_dir_lists_every_export_and_loads_no_module():
+    (listed,), loaded = _loaded("import binomials; print(*dir(binomials))")
+    assert set(EXPORTS) <= set(listed.split())
+    assert _own(loaded) == {"binomials"}
 
 
 def test_package_exports_are_pinned():
