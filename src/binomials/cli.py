@@ -30,10 +30,10 @@ import sys
 from . import engine as eng
 from .errors import InputError, NotMesoprimaryError, ParseError, Refusal
 from .orders import unit
-from .parsing import (binomial_json, check_names, ideal_json, ideal_text,
-                      monomial_str, parse_binomial, parse_input,
-                      parse_matrix_literal, parse_order, parse_scalar,
-                      parse_single_term, table_json, table_text)
+from .parsing import (check_names, ideal_json, ideal_text, monomial_str,
+                      parse_binomial, parse_input, parse_matrix_literal,
+                      parse_order, parse_scalar, parse_single_term,
+                      printed_basis, table_json, table_text, term_str)
 
 
 def _read_input(args):
@@ -129,30 +129,34 @@ def _indented(blocks):
 
 
 def _emit_ideal(args, I, order=None):
+    """Print I's ``printed_basis`` under ``order`` and return it."""
     _emit(args, lambda: ideal_json(I, order), lambda: ideal_text(I, order))
+    return printed_basis(I, order)
 
 
 def _emit_parts(args, key, parts):
     """Print ``(header, ideal, extra JSON fields)`` parts: each header and its
     indented basis, or with --json one object listing the parts under ``key``."""
-    _emit(args, lambda: {key: [dict(extra, generators=[binomial_json(b, J.names)
-                                                       for b in J.groebner().elements])
+    _emit(args, lambda: {key: [dict(extra, generators=ideal_json(J)["generators"])
                                for _, J, extra in parts]},
           lambda: _indented((header, ideal_text(J)) for header, J, _ in parts))
 
 
-def _oracle_check(args, target, sources, construct):
-    """With --oracle, recompute ``target`` with the rational oracle:
-    ``construct`` gets the oracle module, then the generators of each ideal
-    of ``sources`` as rational polynomials.  Skipped when a coefficient is
-    outside Q; a mismatch refuses.  The oracle is imported here, so a run
-    without --oracle never loads it."""
+def _oracle_check(args, expected, sources, construct):
+    """With --oracle, check the binomial list ``expected`` with the rational
+    oracle: ``construct`` gets the oracle module, then each binomial list of
+    ``sources`` as rational polynomials, and must return generators of the
+    ideal ``expected`` generates.  Every list is one the command printed or
+    one it was given, so the check runs no engine computation and an engine
+    fault cannot check itself.  Skipped when a coefficient is outside Q; a
+    mismatch refuses.  The oracle is imported here, so a run without
+    --oracle never loads it."""
     if not args.oracle:
         return
     from . import oracle as orc
     try:
-        expected = orc.from_binomial_ideal(target)
-        gens = [orc.from_binomial_ideal(J) for J in sources]
+        expected = orc.from_binomials(expected)
+        gens = [orc.from_binomials(b) for b in sources]
     except ValueError:
         print("oracle: skipped (coefficients outside Q)")
         return
@@ -166,7 +170,7 @@ def _emit_components(args, I, parts):
     """``_emit_parts`` under "components", then with --oracle the check that
     the part ideals intersect to I."""
     _emit_parts(args, "components", parts)
-    _oracle_check(args, I, [J for _, J, _ in parts],
+    _oracle_check(args, I.gens, [printed_basis(J) for _, J, _ in parts],
                   lambda orc, *gens: orc.intersect_all(gens, I.n))
 
 
@@ -174,39 +178,32 @@ def _emit_components(args, I, parts):
 # commands
 
 def cmd_gb(args, I):
-    order = _order(args, I.names)
-    _emit_ideal(args, I, order)
-    result = eng.BinomialIdeal(I.names, I.groebner(order).elements)
-    _oracle_check(args, result, [I], lambda orc, g: g)
+    _oracle_check(args, _emit_ideal(args, I, _order(args, I.names)), [I.gens],
+                  lambda orc, g: g)
 
 
 def cmd_nf(args, I):
     order = _order(args, I.names)
     coeff, exponent = parse_single_term(args.term, I.names)
     nf = eng.normal_form(eng.Term(coeff, exponent), I.groebner(order))
-    if nf is None:
-        return _emit(args, lambda: {"zero": True, "term": None}, lambda: ["0"])
-    c = "" if nf.coeff.is_one() else "%s*" % (nf.coeff,)
-    _emit(args, lambda: {"zero": False, "term": {"coeff": str(nf.coeff),
-                                                 "exponent": nf.exponent}},
-          lambda: [c + monomial_str(nf.exponent, I.names)])
+    _emit(args, lambda: {"zero": nf is None, "term": nf and {"coeff": str(nf.coeff),
+                                                             "exponent": nf.exponent}},
+          lambda: [term_str(*nf, I.names) if nf else "0"])
 
 
 def cmd_eliminate(args, I):
     keep = _keep_indices(args.keep, I.names)
     if not keep:
         raise InputError("--keep must name at least one variable")
-    out = eng.eliminate(I, keep)
-    _emit_ideal(args, out)
+    printed = _emit_ideal(args, eng.eliminate(I, keep))
     block = [i for i in range(I.n) if i not in keep]
-    _oracle_check(args, out, [I], lambda orc, gens: orc.rational_eliminate(gens, block))
+    _oracle_check(args, printed, [I.gens], lambda orc, g: orc.rational_eliminate(g, block))
 
 
 def cmd_colon(args, I):
     b = _monomial_arg(args.monomial, I.names, "colon")
-    out = eng.colon(I, b)  # refuses a binomial
-    _emit_ideal(args, out)
-    _oracle_check(args, out, [I, eng.BinomialIdeal(I.names, (b,))],
+    printed = _emit_ideal(args, eng.colon(I, b))  # refuses a binomial
+    _oracle_check(args, printed, [I.gens, [b]],
                   lambda orc, g, f: orc.rational_colon_poly(g, f[0], I.n))
 
 
@@ -216,20 +213,18 @@ def cmd_saturate(args, I):
 
 
 def cmd_intersect_monomial(args, I, M):
-    out = eng.intersect(I, M)
-    _emit_ideal(args, out)
-    _oracle_check(args, out, [I, M], lambda orc, g, m: orc.rational_intersect(g, m, I.n))
+    _oracle_check(args, _emit_ideal(args, eng.intersect(I, M)), [I.gens, M.gens],
+                  lambda orc, g, m: orc.rational_intersect(g, m, I.n))
 
 
 def cmd_pure_part(args, I):
     lambdas = [parse_scalar(chunk.strip() or "1")
                for chunk in args.lambdas.split(",")]
-    out = eng.pure_part(I, lambdas)
-    _emit_ideal(args, out)
-    # the augmentation ideal <X_i - lambda_i>
-    aug = eng.BinomialIdeal(I.names, tuple(eng.binomial(unit(I.n, i), (0,) * I.n, lam)
-                                           for i, lam in enumerate(lambdas)))
-    _oracle_check(args, out, [I, aug], lambda orc, g, a: orc.rational_intersect(g, a, I.n))
+    printed = _emit_ideal(args, eng.pure_part(I, lambdas))
+    # the generators X_i - lambda_i of the augmentation ideal
+    aug = [eng.binomial(unit(I.n, i), (0,) * I.n, lam) for i, lam in enumerate(lambdas)]
+    _oracle_check(args, printed, [I.gens, aug],
+                  lambda orc, g, a: orc.rational_intersect(g, a, I.n))
 
 
 def cmd_maximal(args, I):

@@ -283,6 +283,12 @@ def monomial_str(exponent, names):
     return "*".join(parts) if parts else "1"
 
 
+def term_str(coeff, exponent, names):
+    """The term c*X^u as it parses back: ``X^u`` alone when c is 1."""
+    head = monomial_str(exponent, names)
+    return head if coeff.is_one() else "%s*%s" % (coeff, head)
+
+
 def binomial_str(b, names):
     head = monomial_str(b.lead, names)
     if b.trail is None:
@@ -292,10 +298,7 @@ def binomial_str(b, names):
     if coeff.torsion == Fraction(1, 2):
         sign = "+"
         coeff = coeff.negate()
-    tail = monomial_str(b.trail, names)
-    if coeff.is_one():
-        return "%s %s %s" % (head, sign, tail)
-    return "%s %s %s*%s" % (head, sign, coeff, tail)
+    return "%s %s %s" % (head, sign, term_str(coeff, b.trail, names))
 
 
 def scalar_json(s):
@@ -315,15 +318,20 @@ def binomial_json(b, names):
     }
 
 
+def printed_basis(I, order=None):
+    """The generators a result prints, as text, as JSON and to the oracle
+    check: the reduced basis of I under ``order`` (grevlex when None),
+    largest lead first."""
+    return I.groebner(order).elements[::-1]
+
+
 def ideal_text(I, order=None):
-    """Generators of the reduced GB, largest lead first under the order."""
-    return [binomial_str(b, I.names) for b in I.groebner(order).elements[::-1]]
+    return [binomial_str(b, I.names) for b in printed_basis(I, order)]
 
 
 def ideal_json(I, order=None):
     return {"ring": list(I.names),
-            "generators": [binomial_json(b, I.names)
-                           for b in I.groebner(order).elements[::-1]]}
+            "generators": [binomial_json(b, I.names) for b in printed_basis(I, order)]}
 
 
 def _class_label(cls, names):

@@ -10,8 +10,10 @@ import time
 
 import pytest
 
+from binomials import engine
 from binomials.cli import NAMES, main
-from golden import DATA, FILE, SESSIONS
+from binomials.scalars import ONE
+from golden import CHECKING, DATA, FILE, SESSIONS, load, run_case
 
 UM = """ring X Y
 ideal I
@@ -31,6 +33,14 @@ NILQ = """ring X Y
 ideal I
 X - Y
 Y^2
+"""
+
+SQUARES = """ring X Y Z
+ideal I
+X^2 - Y*Z
+X*Y - 2*Z^2
+ideal M
+X*Y
 """
 
 
@@ -469,6 +479,77 @@ class TestOracleFlag:
             main(argv + [session_file(UM), "--oracle"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv", [
+        (SQUARES, ["gb", "--ideal", "I"]),
+        (SQUARES, ["gb", "--ideal", "I", "--order", "lex"]),
+        (SQUARES, ["eliminate", "--ideal", "I", "--keep", "Y,Z"]),
+        (SQUARES, ["colon", "--ideal", "I", "--monomial", "Z"]),
+        (SQUARES, ["intersect-monomial", "--ideal", "I", "--with", "M"]),
+        (SQUARES, ["cellular", "--ideal", "I"]),
+        ("ring X Y\nideal I\nX^2 - 4*Y^2\n", ["lattice-decomp"])],
+        ids=["gb", "gb-lex", "eliminate", "colon", "intersect-monomial", "cellular",
+             "lattice-decomp"])
+    def test_an_engine_fault_fails_its_check(self, capsys, session_file, monkeypatch,
+                                             text, argv):
+        # every two-term coefficient of every reduced basis set to 1: the
+        # oracle starts from the given generators, so the printed result fails
+        real = engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order: tuple(
+            b if b.trail is None else b._replace(coeff=ONE) for b in real(gens, order)))
+        code, out, err = run(capsys, argv + ["--oracle", session_file(text)])
+        assert (code, out.splitlines()[-1]) == (1, "oracle: MISMATCH ")
+        assert err == "refused: oracle cross-check failed \n"
+
+    @pytest.mark.parametrize("command", ["gb", "cellular"])
+    def test_skipped_when_a_generator_is_outside_q(self, capsys, session_file, command):
+        # the basis {X, Y} is rational, the generators are not
+        text = "ring X Y\nideal I\nX - 2^(1/2)*Y\nX + 2^(1/2)*Y\n"
+        code, out, _ = run(capsys, [command, "--oracle", session_file(text)])
+        assert (code, out.splitlines()[-1]) == (0, "oracle: skipped (coefficients outside Q)")
+
+    @pytest.mark.parametrize("command", CHECKING)
+    def test_adds_no_engine_run(self, monkeypatch, tmp_path, command):
+        # each successful golden --oracle case runs Buchberger as often as
+        # the same case without --oracle
+        runs, real = [], engine._reduced_basis
+        monkeypatch.setattr(engine, "_reduced_basis", lambda *a: runs.append(a) or real(*a))
+        cases = [c for c in load() if c["argv"][:1] == [command]
+                 and "--oracle" in c["argv"] and c["code"] == 0]
+        assert cases
+        for case in cases:
+            counts = []
+            for argv in (case["argv"], [a for a in case["argv"] if a != "--oracle"]):
+                runs.clear()
+                run_case(case["session"], argv, tmp_path)
+                counts.append(len(runs))
+            assert counts[0] == counts[1], (case["session"], case["argv"], counts)
+
+
+@pytest.mark.parametrize("command, session", [
+    ("gb", "um"), ("maximal", "um"), ("cellular", "um"), ("mesoprimes", "um"),
+    ("meso-primary-decomp", "mpd"), ("lattice-decomp", "param")])
+def test_json_lists_generators_as_the_text_does(capsys, session_file, command, session):
+    path = session_file(SESSIONS[session])
+    code, text, _ = run(capsys, [command, path])
+    assert code == 0
+    payload = json.loads(run(capsys, [command, path, "--json"])[1])
+    parts = payload.get("components") or payload.get("mesoprimes")
+    if parts is None:
+        # one ideal: its lines, maximal's "complete:" line aside
+        parts = [payload]
+        printed = [[line for line in text.splitlines() if not line.startswith("complete: ")]]
+    else:
+        # a header, then its part's generators indented
+        printed = []
+        for line in text.splitlines():
+            if line.startswith("  "):
+                printed[-1].append(line[2:])
+            else:
+                printed.append([])
+    listed = [[g["text"] for g in part["generators"]] for part in parts]
+    assert listed == printed
+    assert max(map(len, listed)) >= 2
 
 
 class TestCongruenceCommand:
