@@ -161,8 +161,8 @@ def _oracle_check(args, expected, sources, construct):
         print("oracle: skipped (coefficients outside Q)")
         return
     if not orc.ideal_equal(construct(orc, *gens), expected):
-        print("oracle: MISMATCH ")
-        raise Refusal("oracle cross-check failed ")
+        print("oracle: MISMATCH")
+        raise Refusal("oracle cross-check failed")
     print("oracle: verified")
 
 

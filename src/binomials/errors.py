@@ -16,13 +16,8 @@ class InputError(BinomialsError):
 
 
 class ParseError(InputError):
-    """Input-text error carrying a line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
+    """Malformed input text; ``parsing.parse_input`` prefixes one found on
+    a session line with ``line N: ``."""
 
 
 class Refusal(BinomialsError):

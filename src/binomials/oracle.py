@@ -130,12 +130,7 @@ def rational_intersect(gens1, gens2, n):
         aux.append(_lift(f, 1))                              # t * f
     for g in gens2:
         aux.append(p_add(_lift(g, 0), p_scale(_lift(g, 1), (0,) * (n + 1), -1)))  # (1-t) * g
-    gb = rational_gb(aux, elim([n]))
-    out = []
-    for f in gb:
-        if all(u[n] == 0 for u in f):
-            out.append({u[:n]: c for u, c in f.items()})
-    return out
+    return [{u[:n]: c for u, c in f.items()} for f in rational_eliminate(aux, [n])]
 
 
 def p_divide(f, g, order=None):

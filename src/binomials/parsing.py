@@ -16,6 +16,10 @@ so a leading ``+`` or ``-`` means the same in each.  Coefficient
 literals are products of signed rationals ``p/q``, ``zeta(m,k)`` for
 e^(2*pi*i*k/m), and fractional prime powers ``p^(a/b)`` (the latter so that
 printed output always re-parses).
+
+The grammar functions raise ``ParseError`` without a position: they read
+flag values as well as session lines.  Only ``parse_input`` numbers lines,
+so only it prefixes an error with ``line N: ``.
 """
 
 import re
@@ -37,7 +41,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(text, line):
+def _tokenize(text):
     """The token matches of ``text``, spaces left out.  A token's kind is
     its ``lastgroup``; its parts are the named groups inside that kind."""
     tokens = []
@@ -46,40 +50,40 @@ def _tokenize(text, line):
         if kind == "space":
             continue
         if kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), line)
+            raise ParseError("unexpected character %r" % m.group())
         tokens.append(m)
     return tokens
 
 
-def _scalar_factor(tok, line):
+def _scalar_factor(tok):
     kind = tok.lastgroup
     if kind == "zeta":
         m, k = int(tok["order"]), int(tok["index"])
         if m <= 0:
-            raise ParseError("zeta order must be positive", line)
+            raise ParseError("zeta order must be positive")
         return Scalar.zeta(m, k)
     if kind == "power":
         base, num, den = int(tok["base"]), int(tok["power_num"]), int(tok["power_den"])
         if base == 0:
-            raise ParseError("zero coefficient", line)
+            raise ParseError("zero coefficient")
         if den == 0:
-            raise ParseError("root degree must be at least 1", line)
+            raise ParseError("root degree must be at least 1")
         return Scalar.from_rational(base).root(den, 0) ** num
     num, den = int(tok["num"]), int(tok["den"] or 1)
     if den == 0:
-        raise ParseError("zero denominator", line)
+        raise ParseError("zero denominator")
     if num == 0:
-        raise ParseError("zero coefficient", line)
+        raise ParseError("zero coefficient")
     return Scalar.from_rational(num, den)
 
 
-def _signed_terms(text, line):
+def _signed_terms(text):
     """The terms of ``text``, each (negative, factor tokens).  A ``+`` or
     ``-`` starts a term and signs it, unless the term before it has no token
     yet: a leading sign signs the first term, and in ``X - -Y`` the second
     ``-`` is a misplaced operator.  Text without tokens has no terms."""
     terms = []
-    for tok in _tokenize(text, line):
+    for tok in _tokenize(text):
         if tok["op"] in ("+", "-") and (not terms or terms[-1][1]):
             terms.append((tok["op"] == "-", []))
         elif terms:
@@ -89,7 +93,7 @@ def _signed_terms(text, line):
     return terms
 
 
-def parse_term(negative, tokens, names, line):
+def parse_term(negative, tokens, names):
     """(coeff, exponent) of a term of ``_signed_terms``: factor tokens
     (numbers, zetas, variables) joined by ``*``, negated if ``negative``.
     Without ``names`` the term is a scalar literal."""
@@ -100,67 +104,66 @@ def parse_term(negative, tokens, names, line):
         kind = tok.lastgroup
         if kind == "op":
             if tok["op"] != "*" or expect_factor:
-                raise ParseError("misplaced operator %r" % tok["op"], line)
+                raise ParseError("misplaced operator %r" % tok["op"])
             expect_factor = True
             continue
         if kind == "name":
             name = tok["var"]
             if name not in names:
                 raise ParseError("unknown variable %r" % name if names else
-                                 "expected a scalar literal, found %r" % tok.group(),
-                                 line)
+                                 "expected a scalar literal, found %r" % tok.group())
             exponent[names.index(name)] += int(tok["exp"] or 1)
         else:
-            coeff = coeff * _scalar_factor(tok, line)
+            coeff = coeff * _scalar_factor(tok)
         expect_factor = False
     if expect_factor:
-        raise ParseError("empty term", line)
+        raise ParseError("empty term")
     return (coeff.negate() if negative else coeff), tuple(exponent)
 
 
-def parse_binomial(text, names, line=None):
+def parse_binomial(text, names):
     """A generator line as a Binomial (at most two terms)."""
-    terms = _signed_terms(text, line)
+    terms = _signed_terms(text)
     if not terms:
-        raise ParseError("empty generator", line)
+        raise ParseError("empty generator")
     if len(terms) > 2:
-        raise ParseError("binomials have at most two terms; got %d" % len(terms), line)
+        raise ParseError("binomials have at most two terms; got %d" % len(terms))
     # (exponent, coeff) pairs, as _term_sum takes them
-    parsed = [parse_term(*term, names, line)[::-1] for term in terms]
+    parsed = [parse_term(*term, names)[::-1] for term in terms]
     if len(parsed) == 1:
         return binomial(parsed[0][0])
     b = _term_sum(*parsed)
     if b is None:
-        raise ParseError("generator cancels to zero", line)
+        raise ParseError("generator cancels to zero")
     return b
 
 
-def parse_single_term(text, names, line=None):
+def parse_single_term(text, names):
     """A one-term expression as (coeff, exponent)."""
-    terms = _signed_terms(text, line)
+    terms = _signed_terms(text)
     if len(terms) != 1:
-        raise ParseError("expected a single term", line)
-    return parse_term(*terms[0], names, line)
+        raise ParseError("expected a single term")
+    return parse_term(*terms[0], names)
 
 
-def parse_scalar(text, line=None):
+def parse_scalar(text):
     """A bare coefficient literal (no variables), e.g. ``-2/3*zeta(4,1)``."""
-    return parse_single_term(text, (), line)[0]
+    return parse_single_term(text, ())[0]
 
 
-def _matrix_row(text, line=None):
+def _matrix_row(text):
     try:
         return [int(x) for x in text.split()]
     except ValueError:
-        raise ParseError("bad matrix row %r" % text, line) from None
+        raise ParseError("bad matrix row %r" % text) from None
 
 
-def _rectangular(rows, empty, ragged, line=None):
+def _rectangular(rows, empty, ragged):
     """``rows``, unless there are none or their lengths differ."""
     if not rows:
-        raise ParseError(empty, line)
+        raise ParseError(empty)
     if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError(ragged, line)
+        raise ParseError(ragged)
     return rows
 
 
@@ -212,30 +215,31 @@ class Session:
         return self.named("ideal", name)
 
 
-def check_names(names, line=None):
+def check_names(names):
     """The ring's variable names, which must be distinct identifiers other
     than ``zeta``, so that every printed generator parses back."""
     if not names or len(set(names)) != len(names):
-        raise ParseError("ring needs distinct variable names", line)
+        raise ParseError("ring needs distinct variable names")
     for n in names:
         if not (n.isascii() and n.isidentifier()) or n == "zeta":
-            raise ParseError("bad variable name %r" % n, line)
+            raise ParseError("bad variable name %r" % n)
     return names
 
 
 def parse_input(text):
-    """Parse a session file; raises ParseError with line positions."""
+    """Parse a session file.  A ParseError from a line names that line,
+    comment and blank lines counted; one found at end of file names none."""
     session = Session()
     mode, current_name, pending = None, None, []
 
-    def flush(line):
+    def flush():
         nonlocal pending
         if mode == "ideal":
             session.ideals[current_name] = BinomialIdeal(session.names, tuple(pending))
         elif mode == "matrix":
             session.matrices[current_name] = _rectangular(
                 pending, "matrix %r has no rows" % current_name,
-                "matrix %r has ragged rows" % current_name, line)
+                "matrix %r has ragged rows" % current_name)
         pending = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -243,30 +247,30 @@ def parse_input(text):
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        if head == "ring":
-            if session.names:
-                raise ParseError("ring already declared", lineno)
-            session.names = check_names(tuple(rest.split()), lineno)
-            continue
-        if head in ("ideal", "matrix"):
-            flush(lineno)
-            if not session.names and head == "ideal":
-                raise ParseError("declare the ring before any ideal", lineno)
-            current_name = rest.strip()
-            if not current_name:
-                raise ParseError("%s needs a name" % head, lineno)
-            if current_name in session.by_kind[head]:
-                raise ParseError("%s %r is already defined" % (head, current_name),
-                                 lineno)
-            mode = head
-            continue
-        if mode == "ideal":
-            pending.append(parse_binomial(line, session.names, lineno))
-        elif mode == "matrix":
-            pending.append(_matrix_row(line, lineno))
-        else:
-            raise ParseError("expected ring/ideal/matrix, got %r" % line, lineno)
-    flush(None)
+        try:
+            if head == "ring":
+                if session.names:
+                    raise ParseError("ring already declared")
+                session.names = check_names(tuple(rest.split()))
+            elif head in ("ideal", "matrix"):
+                flush()
+                if not session.names and head == "ideal":
+                    raise ParseError("declare the ring before any ideal")
+                current_name = rest.strip()
+                if not current_name:
+                    raise ParseError("%s needs a name" % head)
+                if current_name in session.by_kind[head]:
+                    raise ParseError("%s %r is already defined" % (head, current_name))
+                mode = head
+            elif mode == "ideal":
+                pending.append(parse_binomial(line, session.names))
+            elif mode == "matrix":
+                pending.append(_matrix_row(line))
+            else:
+                raise ParseError("expected ring/ideal/matrix, got %r" % line)
+        except ParseError as exc:
+            raise ParseError("line %d: %s" % (lineno, exc)) from None
+    flush()
     return session
 
 

@@ -195,8 +195,12 @@ class Scalar(namedtuple("Scalar", "torsion primes")):
 
     @classmethod
     def from_prime_powers(cls, torsion, prime_map):
+        """e^(2*pi*i*torsion) * prod(p**e); raises unless every p is a prime."""
         primes = tuple(sorted((p, Fraction(e)) for p, e in prime_map.items()
                               if e != 0))
+        for p, _ in primes:
+            if factor_positive(p) != {p: 1}:
+                raise ValueError("%r is not a prime" % (p,))
         return cls(Fraction(torsion) % 1, primes)
 
     @classmethod

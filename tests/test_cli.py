@@ -182,8 +182,8 @@ class TestDecompositions:
         monkeypatch.setattr("binomials.oracle.ideal_equal", lambda f, g: False)
         code, out, err = run(capsys, argv + ["--oracle", session_file(UM)])
         assert code == 1
-        assert out.endswith("oracle: MISMATCH \n")
-        assert err == "refused: oracle cross-check failed \n"
+        assert out.endswith("oracle: MISMATCH\n")
+        assert err == "refused: oracle cross-check failed\n"
 
     def test_meso_primary_decomp(self, capsys, session_file):
         text = "ring X Y\nideal I\nX^2 - 1\nY^2\n"
@@ -407,6 +407,16 @@ class Terminal:
         raise AssertionError("a terminal was read")
 
 
+def _case_ids(cases):
+    """Each case's message without its line number, or in full when an
+    earlier case already has that name."""
+    ids = []
+    for _, _, message in cases:
+        short = message.partition(": ")[2] or message
+        ids.append(message if short in ids else short)
+    return ids
+
+
 class TestInputRefusals:
     """Each malformed input exits 2 with its own message: the session text
     (None for no file), the arguments, and the message."""
@@ -427,11 +437,29 @@ class TestInputRefusals:
         ("ring X Y\nX - Y\n", ["gb"], "line 2: expected ring/ideal/matrix, got 'X - Y'"),
         ("ring X Y\nideal I\nX - Y\n", ["eliminate", "--keep", ","],
          "--keep must name at least one variable"),
+        # every error found on a session line names that line, comment and
+        # blank lines counted; a matrix is checked at the next header, or at
+        # the end of the file, which names no line
+        ("ring X Y\nideal I\nX - 2^(1/0)*Y\n", ["gb"],
+         "line 3: root degree must be at least 1"),
+        ("ring X Y\nideal I\nX - 1/0*Y\n", ["gb"], "line 3: zero denominator"),
+        ("ring X Y\nideal I\nX - W\n", ["gb"], "line 3: unknown variable 'W'"),
+        ("ring X Y\nideal I\nX - Y + 1\n", ["gb"],
+         "line 3: binomials have at most two terms; got 3"),
+        ("ring X Y\nideal I\nX - X\n", ["gb"], "line 3: generator cancels to zero"),
+        ("ring X\nring Y\n", ["gb"], "line 2: ring already declared"),
+        ("ideal I\nX\n", ["gb"], "line 1: declare the ring before any ideal"),
+        ("ring X X\n", ["gb"], "line 1: ring needs distinct variable names"),
+        ("ring X\nmatrix A\n1 2\n3\n", ["toric", "--matrix", "A"],
+         "matrix 'A' has ragged rows"),
+        ("ring X\nmatrix A\n1 2\n3\nideal I\nX\n", ["toric", "--matrix", "A"],
+         "line 5: matrix 'A' has ragged rows"),
+        ("ring X\nmatrix A\nideal I\nX\n", ["gb"], "line 3: matrix 'A' has no rows"),
+        ("# c\n\nring X Y\nideal I\n  X - $  # c\n", ["gb"],
+         "line 5: unexpected character '$'"),
     ]
 
-    @pytest.mark.parametrize("text, argv, message", CASES,
-                             ids=[message.partition(": ")[2] or message
-                                  for _, _, message in CASES])
+    @pytest.mark.parametrize("text, argv, message", CASES, ids=_case_ids(CASES))
     def test_exit_2_with_its_message(self, capsys, session_file, text, argv, message):
         if text is not None:
             argv = argv + [session_file(text)]
@@ -498,8 +526,8 @@ class TestOracleFlag:
         monkeypatch.setattr(engine, "_reduced_basis", lambda gens, order: tuple(
             b if b.trail is None else b._replace(coeff=ONE) for b in real(gens, order)))
         code, out, err = run(capsys, argv + ["--oracle", session_file(text)])
-        assert (code, out.splitlines()[-1]) == (1, "oracle: MISMATCH ")
-        assert err == "refused: oracle cross-check failed \n"
+        assert (code, out.splitlines()[-1]) == (1, "oracle: MISMATCH")
+        assert err == "refused: oracle cross-check failed\n"
 
     @pytest.mark.parametrize("command", ["gb", "cellular"])
     def test_skipped_when_a_generator_is_outside_q(self, capsys, session_file, command):

@@ -44,6 +44,7 @@ class TestConstruction:
     def test_faithful(self):
         assert Scalar.from_rational(6, 4) == Scalar.from_rational(3, 2)
         assert Scalar.from_rational(2) != Scalar.from_rational(-2)
+        assert Scalar.from_prime_powers(0, {2: 2}) == Scalar.from_rational(4)
 
 
 class TestRefusals:
@@ -58,6 +59,12 @@ class TestRefusals:
     def test_root_of_degree_zero(self):
         with pytest.raises(ValueError, match="root degree must be >= 1"):
             Scalar.from_rational(2).root(0)
+
+    @pytest.mark.parametrize("prime_map", [{4: 1}, {6: Fraction(1, 2)}, {1: 1}])
+    def test_prime_powers_of_a_non_prime(self, prime_map):
+        # 4 would print as 4 yet differ from from_rational(4), whose key is 2
+        with pytest.raises(ValueError, match="is not a prime"):
+            Scalar.from_prime_powers(0, prime_map)
 
     def test_fractional_power(self):
         with pytest.raises(TypeError):
