@@ -10,6 +10,9 @@ congruence, one whose ideal contains the monomials of its nil class; an
 ideal with monomials is automatically maximal, a lattice ideal has no nil,
 and the remaining pure ideals go through ``maximal_ideal``'s bounded
 search, which reports an explicit completeness flag.
+
+``lattices`` is imported only inside the functions that build or read a
+lattice, so ``related`` and ``quotient_table`` load no lattice module.
 """
 
 from collections import namedtuple
@@ -20,8 +23,6 @@ from .engine import (BinomialIdeal, Term, _check_exponent, colon_monomial,
                      ideal_sum, monomial, normal_form, saturate_vars)
 from .errors import (BudgetExceededError, InputError, NonMaximalCongruenceError,
                      NotCancellativeError, NotPrimaryError, UnitIdealError)
-from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
-                       is_saturated, lattice_ideal, lattice_intersect)
 from .mesoprimary import _base_and_witness, delta_character, is_mesoprime
 from .orders import NIL, e_add, e_deg, e_divides, unit, zero
 from .scalars import ONE
@@ -37,6 +38,7 @@ class Congruence:
     def maximal(self):
         """True when the ideal is known to contain its nil monomials
         (monomials present, or a lattice ideal); decided on first read."""
+        from .lattices import is_lattice_ideal
         return (any(b.is_monomial for b in self.ideal.groebner().elements)
                 or is_lattice_ideal(self.ideal))
 
@@ -115,6 +117,7 @@ CongruenceFlags = namedtuple("CongruenceFlags",
 def classify_congruence(c):
     """Cancellative / prime / primary / mesoprimary / toric flags, via the
     corresponding ideal predicates; requires a maximal congruence."""
+    from .lattices import is_saturated
     if not c.maximal:
         raise NonMaximalCongruenceError(
             "congruence classification needs a maximal congruence")
@@ -261,6 +264,8 @@ def intersection_related(c1, c2, u, v):
 def cancellative_intersect(c1, c2):
     """The intersection congruence of two cancellative congruences: the
     congruence of the lattice-intersection ideal."""
+    from .lattices import (PartialCharacter, character_of, is_lattice_ideal,
+                           lattice_ideal, lattice_intersect)
     for c in (c1, c2):
         if not is_lattice_ideal(c.ideal):
             raise NotCancellativeError(

@@ -16,8 +16,8 @@ class InputError(BinomialsError):
 
 
 class ParseError(InputError):
-    """Malformed input text; ``parsing.parse_input`` prefixes one found on
-    a session line with ``line N: ``."""
+    """Malformed input text; ``parsing.parse_input`` re-raises any
+    ``InputError`` found on a session line as one prefixed ``line N: ``."""
 
 
 class Refusal(BinomialsError):

@@ -6,6 +6,9 @@ of its colons I : X^u, for the finitely many u with u_i < d_i off delta.
 An ideal is mesoprimary when it is cellular with exactly one associated
 mesoprime; its primary decomposition then comes straight from the lattice
 decomposition of its delta part.
+
+``lattices`` is imported only inside the functions that build or read a
+lattice, so a delta part (``radical``) loads no lattice module.
 """
 
 from collections import namedtuple
@@ -14,8 +17,6 @@ from .cellular import as_cellular
 from .engine import (ReducedGB, _check_indices, _from_basis, colon_monomial,
                      ideal_member, ideal_sum, monomial)
 from .errors import InputError, NotMesoprimaryError, UnitIdealError
-from .lattices import (PartialCharacter, is_saturated, lattice_ideal,
-                       lattice_primary_decomposition)
 from .orders import e_sub, unit, zero
 
 
@@ -26,6 +27,7 @@ class Mesoprime(namedtuple("Mesoprime", "names delta character")):
 
     def ideal(self):
         """Materialize as I_L(rho) + <X_j : j not in delta>."""
+        from .lattices import lattice_ideal
         return delta_part(lattice_ideal(self.character, self.names), self.delta)
 
     def sort_key(self):
@@ -58,6 +60,7 @@ def delta_character(J, delta):
     J n k[delta] lies in (J + m) n k[delta] = <S_delta>.  Eisenbud-Sturmfels
     Cor. 2.5 gives L = span{a - b}, rho(a - b) = c over S_delta, consistent
     values as J is proper."""
+    from .lattices import PartialCharacter
     delta = frozenset(delta)
     gens = [g for g in J.gens if g.support() <= delta]
     return PartialCharacter.from_generators(
@@ -153,6 +156,7 @@ def is_mesoprime(I, component=None):
 
 def is_prime(I):
     """Binomial primality: mesoprime with a saturated lattice."""
+    from .lattices import is_saturated
     m = is_mesoprime(I)
     return m is not None and is_saturated(m.character.lattice)
 
@@ -167,6 +171,7 @@ def cellular_radical(component):
 def mesoprimary_primary_decomposition(I):
     """I = intersection of (I + I_j) over the lattice decomposition of its
     delta part; each component is primary."""
+    from .lattices import lattice_primary_decomposition
     base, witness = _base_and_witness(_cellular_view(I))
     if base is None or witness is not None:
         raise NotMesoprimaryError(

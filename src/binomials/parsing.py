@@ -14,25 +14,27 @@ monomial]``; the two-term shape is a parse-time guarantee.  A generator, a
 single term and a scalar read their signs by one rule (``_signed_terms``),
 so a leading ``+`` or ``-`` means the same in each.  Coefficient
 literals are products of signed rationals ``p/q``, ``zeta(m,k)`` for
-e^(2*pi*i*k/m), and fractional prime powers ``p^(a/b)`` (the latter so that
-printed output always re-parses).
+e^(2*pi*i*k/m), and fractional prime powers ``p^(a/b)`` with a signed
+numerator ``a`` (the latter so that printed output, ``2^(-1/2)`` included,
+always re-parses).
 
 The grammar functions raise ``ParseError`` without a position: they read
 flag values as well as session lines.  Only ``parse_input`` numbers lines,
-so only it prefixes an error with ``line N: ``.
+so only it prefixes an error with ``line N: ``: any ``InputError`` raised
+while reading a line, a refused coefficient factor included.
 """
 
 import re
 from fractions import Fraction
 
 from .engine import BinomialIdeal, _term_sum, binomial
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .orders import NIL, grevlex, lex
 from .scalars import Scalar, ONE
 
 _TOKEN = re.compile(r"""
     (?P<zeta>zeta\(\s*(?P<order>\d+)\s*,\s*(?P<index>\d+)\s*\))
-  | (?P<power>(?P<base>\d+)\^\(\s*(?P<power_num>\d+)\s*/\s*(?P<power_den>\d+)\s*\))
+  | (?P<power>(?P<base>\d+)\^\(\s*(?P<power_num>-?\d+)\s*/\s*(?P<power_den>\d+)\s*\))
   | (?P<number>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)
   | (?P<name>(?P<var>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>\d+))?)
   | (?P<op>[+\-*])
@@ -227,7 +229,7 @@ def check_names(names):
 
 
 def parse_input(text):
-    """Parse a session file.  A ParseError from a line names that line,
+    """Parse a session file.  An InputError from a line names that line,
     comment and blank lines counted; one found at end of file names none."""
     session = Session()
     mode, current_name, pending = None, None, []
@@ -268,7 +270,7 @@ def parse_input(text):
                 pending.append(_matrix_row(line))
             else:
                 raise ParseError("expected ring/ideal/matrix, got %r" % line)
-        except ParseError as exc:
+        except InputError as exc:
             raise ParseError("line %d: %s" % (lineno, exc)) from None
     flush()
     return session

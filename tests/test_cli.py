@@ -150,6 +150,15 @@ def test_leading_plus_in_a_term_argument(capsys, session_file, argv):
     assert run(capsys, signed) == expected
 
 
+def test_printed_basis_reads_back(capsys, session_file):
+    # a prime power with a negative exponent prints as 2^(-1/2); the printed
+    # basis, read back as a session, prints itself
+    order = ["--order", "lex(Y,X)"]
+    got = run(capsys, ["gb", session_file("ring X Y\nideal I\nX - 2^(1/2)*Y\n")] + order)
+    assert got == (0, "Y - 2^(-1/2)*X\n", "")
+    assert run(capsys, ["gb", session_file("ring X Y\nideal I\n" + got[1])] + order) == got
+
+
 class TestDecompositions:
     def test_cellular_oracle(self, capsys, session_file):
         code, out, _ = run(capsys, ["cellular", "--oracle",
@@ -250,7 +259,32 @@ class TestPredicatesAndExitCodes:
         text = "ring X Y\nideal I\nX - %d*Y\n" % ((2 ** 64 - 59) * (2 ** 64 - 83))
         code, out, err = run(capsys, ["gb", session_file(text)])
         assert code == 2 and out == ""
-        assert err.startswith("error: cannot split the coefficient factor")
+        assert err.startswith("error: line 3: cannot split the coefficient factor")
+
+    # each command that needs a proper ideal refuses the unit ideal by name
+    UNIT_REFUSALS = [
+        ("cellular FILE", "cannot decompose the unit ideal"),
+        ("is-cellular FILE", "cellularity is undefined for the unit ideal"),
+        ("mesoprimes FILE", "cellularity is undefined for the unit ideal"),
+        ("radical FILE", "cellularity is undefined for the unit ideal"),
+        ("is-mesoprimary FILE", "mesoprimary test is undefined for the unit ideal"),
+        ("meso-primary-decomp FILE", "mesoprimary test is undefined for the unit ideal"),
+        ("is-mesoprime FILE", "ideal is not mesoprime: it is not of the form "
+                              "lattice part plus complement variables"),
+        ("is-prime FILE", "ideal is not prime: not a mesoprime with saturated lattice"),
+        ("lattice-decomp FILE", "ideal contains a monomial; no lattice character exists"),
+        ("maximal FILE", "the unit ideal induces no congruence"),
+        ("congruence related FILE X Y", "the unit ideal induces no congruence"),
+        ("congruence table FILE", "the unit ideal induces no congruence"),
+        ("congruence classify FILE", "the unit ideal induces no congruence"),
+    ]
+
+    @pytest.mark.parametrize("command, message", UNIT_REFUSALS,
+                             ids=[c.partition(" FILE")[0] for c, _ in UNIT_REFUSALS])
+    def test_unit_ideal_is_refused(self, capsys, session_file, command, message):
+        path = session_file("ring X Y\nideal I\nX - 1\nX\n")
+        argv = [path if a == "FILE" else a for a in command.split()]
+        assert run(capsys, argv) == (1, "", "refused: %s\n" % message)
 
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["gb", "/nonexistent/input.txt"])
@@ -457,6 +491,10 @@ class TestInputRefusals:
         ("ring X\nmatrix A\nideal I\nX\n", ["gb"], "line 3: matrix 'A' has no rows"),
         ("# c\n\nring X Y\nideal I\n  X - $  # c\n", ["gb"],
          "line 5: unexpected character '$'"),
+        # a factoring refusal names its line too
+        ("ring X Y\nideal I\nX - 3317044064679887385962123*Y\n", ["gb"],
+         "line 3: cannot prove 3317044064679887385962123 prime: coefficient "
+         "factors must stay below 3317044064679887385961981"),
     ]
 
     @pytest.mark.parametrize("text, argv, message", CASES, ids=_case_ids(CASES))

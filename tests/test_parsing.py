@@ -7,7 +7,7 @@ from binomials.parsing import (binomial_str, ideal_text, monomial_str,
                                parse_matrix_literal, parse_order,
                                parse_scalar, parse_single_term)
 
-from gen import rand_ideal, rng
+from gen import rand_graded_ideal, rand_ideal, rng
 
 XY = ("X", "Y")
 ONE = Scalar.one()
@@ -200,11 +200,17 @@ class TestPrinting:
         assert binomial_str(Binomial((0, 2)), XY) == "Y^2"
 
     def test_print_parse_round_trip(self):
+        # coefficients with roots of unity, then with prime powers whose
+        # fractional exponents may be negative, printed as 2^(-1/2)
         r = rng(4040)
-        for _ in range(150):
-            I = rand_ideal(r, rational=False)
+        ideals = [rand_ideal(r, rational=False) for _ in range(150)]
+        ideals += [rand_graded_ideal(r, rational=False) for _ in range(150)]
+        signed = 0
+        for I in ideals:
             lines = ideal_text(I)
+            signed += any("^(-" in line for line in lines)
             reparsed = [parse_binomial(line, I.names) for line in lines]
             from binomials import BinomialIdeal
             J = BinomialIdeal(I.names, tuple(reparsed))
             assert ideal_equals(I, J)
+        assert signed

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import binomials
-import binomials.cli  # noqa: F401  (with congruences, every layer the tracer wraps)
+import binomials.cli  # noqa: F401  (with congruences and lattices, every layer the tracer wraps)
 import binomials.congruences  # noqa: F401
 from binomials import lattices
 
