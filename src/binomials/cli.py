@@ -6,12 +6,13 @@ deterministic results to stdout, diagnostics to stderr.  Exit codes:
 precondition), 2 input error, 141 when the reader of stdout went away.
 
 A process loads only what its command runs: this module imports the
-parsing layer (with ``engine``, ``orders``, ``scalars`` and ``errors``),
-and each command imports the algebra modules it calls.  ``main`` builds the
-parser of the named command alone (the full one only for top-level help and
-a missing or unknown command), reads that command's input once
-(``_read_input``) and passes it on: the selected ideal, or the degree
-matrix.
+parsing layer (with ``orders`` and ``errors``), the first ideal or
+coefficient parsed loads ``engine`` and ``scalars``, and each command
+imports the algebra modules it calls, so a literal ``--matrix`` command
+loads ``lattices`` alone.  ``main`` builds the parser of the named command
+alone (the full one only for top-level help and a missing or unknown
+command), reads that command's input once (``_read_input``) and passes it
+on: the selected ideal, or the degree matrix.
 
 ``run`` is the process entry (``python -m binomials.cli`` and the
 ``binomials`` script): it calls ``main`` and then freezes the garbage
@@ -27,7 +28,6 @@ import os
 import re
 import sys
 
-from . import engine as eng
 from .errors import InputError, NotMesoprimaryError, ParseError, Refusal
 from .orders import unit
 from .parsing import (check_names, ideal_json, ideal_text, monomial_str,
@@ -95,6 +95,7 @@ def _monomial_arg(text, names, command):
     """A one-term argument as a monomial, or a two-term one as its binomial,
     which the caller refuses in its own words.  ``command`` refuses a
     coefficient other than 1 rather than silently dropping it."""
+    from . import engine as eng
     try:
         coeff, exponent = parse_single_term(text, names)
     except ParseError:
@@ -183,6 +184,7 @@ def cmd_gb(args, I):
 
 
 def cmd_nf(args, I):
+    from . import engine as eng
     order = _order(args, I.names)
     coeff, exponent = parse_single_term(args.term, I.names)
     nf = eng.normal_form(eng.Term(coeff, exponent), I.groebner(order))
@@ -192,6 +194,7 @@ def cmd_nf(args, I):
 
 
 def cmd_eliminate(args, I):
+    from . import engine as eng
     keep = _keep_indices(args.keep, I.names)
     if not keep:
         raise InputError("--keep must name at least one variable")
@@ -201,6 +204,7 @@ def cmd_eliminate(args, I):
 
 
 def cmd_colon(args, I):
+    from . import engine as eng
     b = _monomial_arg(args.monomial, I.names, "colon")
     printed = _emit_ideal(args, eng.colon(I, b))  # refuses a binomial
     _oracle_check(args, printed, [I.gens, [b]],
@@ -208,16 +212,19 @@ def cmd_colon(args, I):
 
 
 def cmd_saturate(args, I):
+    from . import engine as eng
     sigma = _keep_indices(args.vars, I.names)
     _emit_ideal(args, eng.saturate_vars(I, sigma))
 
 
 def cmd_intersect_monomial(args, I, M):
+    from . import engine as eng
     _oracle_check(args, _emit_ideal(args, eng.intersect(I, M)), [I.gens, M.gens],
                   lambda orc, g, m: orc.rational_intersect(g, m, I.n))
 
 
 def cmd_pure_part(args, I):
+    from . import engine as eng
     lambdas = [parse_scalar(chunk.strip() or "1")
                for chunk in args.lambdas.split(",")]
     printed = _emit_ideal(args, eng.pure_part(I, lambdas))

@@ -37,10 +37,12 @@ class Congruence:
     @cached_property
     def maximal(self):
         """True when the ideal is known to contain its nil monomials
-        (monomials present, or a lattice ideal); decided on first read."""
+        (monomials present, or a lattice ideal); decided on first read, and
+        with a monomial in the basis without loading ``lattices``."""
+        if any(b.is_monomial for b in self.ideal.groebner().elements):
+            return True
         from .lattices import is_lattice_ideal
-        return (any(b.is_monomial for b in self.ideal.groebner().elements)
-                or is_lattice_ideal(self.ideal))
+        return is_lattice_ideal(self.ideal)
 
 
 def congruence(I):

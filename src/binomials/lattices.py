@@ -8,21 +8,21 @@ extensions.  Both elimination loops keep their transforms inside the work
 matrix, as blocks that each row operation carries along, and both subtract
 a pivot row through one function (``_reduce``); Smith's column operations
 are row operations on the transpose.  Positivity of a degree matrix is one
-integer simplex run for a positive functional (``_fm_feasible``); only its
-ratio test uses ``Fraction``.
+integer simplex run for a positive functional (``_fm_feasible``), whose
+ratio test compares cross products.
+
+The integer functions need no coefficient: the functions that build a
+character value or an ideal import ``scalars`` and ``engine`` themselves,
+so ``snf``, ``is-positive`` and ``fibers`` on a literal matrix load neither.
 """
 
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
-from .engine import (BinomialIdeal, ReducedGB, _from_basis, binomial,
-                     saturate_vars, scalar_power)
 from .errors import (ExtensionRankError, InconsistentCharacterError,
                      InputError, NotPositiveError, NotPureError)
 from .orders import e_sub
-from .scalars import ONE, factor_positive
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,7 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
 
     @classmethod
     def trivial(cls, lattice):
+        from .scalars import ONE
         return cls(lattice, (ONE,) * lattice.rank)
 
     @classmethod
@@ -233,6 +234,7 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
         1; T's rows from the rank on span the relations, as c * T^-1 * H = 0
         and H's nonzero rows are independent.  Then vector j takes its value:
         e_j - sum_(i < rank) (T^-1)_ji T_i is a relation, by T * T^-1 = I."""
+        from .engine import scalar_power
         vectors = _check_vectors(vectors, n, "lattice vector")
         _check_vectors([values], len(vectors), "values")
         rows, T, rank = _hnf_rows(vectors)
@@ -245,6 +247,7 @@ class PartialCharacter(namedtuple("PartialCharacter", "lattice values")):
                    tuple(scalar_power(values, T[i]) for i in range(rank)))
 
     def __call__(self, v):
+        from .engine import scalar_power
         coeffs = self.lattice.express(v)
         if coeffs is None:
             raise InputError("vector %r is outside the character's lattice" % (v,))
@@ -269,6 +272,7 @@ def saturations(L, p=0):
     each scaled by the p-free (p-power) part of d_i for Sat_p (Sat'_p).  Row
     i of U * B = D * V^-1 is d_i times row i of V^-1, and d_i != 0 below
     the rank, so those rows are U * B's divided exactly."""
+    from .scalars import factor_positive
     if p != 0 and (not isinstance(p, int) or p < 2 or factor_positive(p) != {p: 1}):
         raise InputError("p must be 0 or a prime, got %r" % (p,))
     if not L.basis:
@@ -297,6 +301,7 @@ def is_saturated(L):
 # lattice ideals
 
 def _basis_binomial(v, value):
+    from .engine import binomial
     plus = tuple(max(x, 0) for x in v)
     minus = tuple(max(-x, 0) for x in v)
     return binomial(plus, minus, value)
@@ -326,6 +331,9 @@ def _lattice_ideals(characters, names):
     (Eisenbud-Sturmfels), and X^a - X^b to a unit times X^a - rho(a - b)
     X^b.  It fixes exponents, so lambda is never needed, and it moves no
     lead: the reduced basis of I_L(1), rescaled, is that of I_L(rho)."""
+    from .engine import (BinomialIdeal, ReducedGB, _from_basis, binomial,
+                         saturate_vars, scalar_power)
+    from .scalars import ONE
     L = characters[0].lattice
     if len(names) != L.n:
         raise InputError("ring has %d variables, lattice ambient is %d" % (len(names), L.n))
@@ -365,6 +373,7 @@ def character_of(I):
 
 def is_lattice_ideal(I):
     """I = I_L(rho): proper and saturated at every variable, so pure."""
+    from .engine import saturate_vars
     return not I.is_unit() and saturate_vars(I, range(I.n)) is I
 
 
@@ -373,6 +382,7 @@ def extend_character(rho, M):
     U * C * V = D for L's coefficients C over M gives U * L.basis = D * m,
     m = V^-1 * M.basis: rho takes values^(U_i) on d_i * m_i, an extension
     a d_i-th root r_i of it on m_i, and r^(V_j) on M.basis_j = V_j * m."""
+    from .engine import scalar_power
     L = rho.lattice
     if L == M:
         return [rho]
@@ -443,8 +453,13 @@ def _fm_feasible(cols):
         c = next((k for k, x in enumerate(rows[-1][:-1]) if x < 0), None)
         if c is None:
             break
-        r = min((i for i in range(m) if rows[i][c] > 0),
-                key=lambda i: (Fraction(rows[i][-1], rows[i][c]), basis[i]))
+        # the least ratio rows[i][-1] / rows[i][c] over rows[i][c] > 0,
+        # compared as cross products; ties go to the least basic index
+        r = None
+        for i in range(m):
+            if rows[i][c] > 0 and (r is None or (rows[i][-1] * rows[r][c], basis[i])
+                                   < (rows[r][-1] * rows[i][c], basis[r])):
+                r = i
         p, pivot = rows[r][c], rows[r]
         rows = [row if row is pivot else [(p * x - row[c] * y) // D for x, y in zip(row, pivot)]
                 for row in rows]

@@ -22,15 +22,16 @@ The grammar functions raise ``ParseError`` without a position: they read
 flag values as well as session lines.  Only ``parse_input`` numbers lines,
 so only it prefixes an error with ``line N: ``: any ``InputError`` raised
 while reading a line, a refused coefficient factor included.
+
+A matrix needs no algebra: the functions that build a coefficient or an
+ideal import ``scalars`` and ``engine`` themselves, so reading and printing
+integer rows loads neither (nor ``fractions``, which ``scalars`` imports).
 """
 
 import re
-from fractions import Fraction
 
-from .engine import BinomialIdeal, _term_sum, binomial
 from .errors import InputError, ParseError
 from .orders import NIL, grevlex, lex
-from .scalars import Scalar, ONE
 
 _TOKEN = re.compile(r"""
     (?P<zeta>zeta\(\s*(?P<order>\d+)\s*,\s*(?P<index>\d+)\s*\))
@@ -58,6 +59,7 @@ def _tokenize(text):
 
 
 def _scalar_factor(tok):
+    from .scalars import Scalar
     kind = tok.lastgroup
     if kind == "zeta":
         m, k = int(tok["order"]), int(tok["index"])
@@ -99,6 +101,7 @@ def parse_term(negative, tokens, names):
     """(coeff, exponent) of a term of ``_signed_terms``: factor tokens
     (numbers, zetas, variables) joined by ``*``, negated if ``negative``.
     Without ``names`` the term is a scalar literal."""
+    from .scalars import ONE
     coeff = ONE
     exponent = [0] * len(names)
     expect_factor = True
@@ -125,6 +128,7 @@ def parse_term(negative, tokens, names):
 
 def parse_binomial(text, names):
     """A generator line as a Binomial (at most two terms)."""
+    from .engine import _term_sum, binomial
     terms = _signed_terms(text)
     if not terms:
         raise ParseError("empty generator")
@@ -237,6 +241,7 @@ def parse_input(text):
     def flush():
         nonlocal pending
         if mode == "ideal":
+            from .engine import BinomialIdeal
             session.ideals[current_name] = BinomialIdeal(session.names, tuple(pending))
         elif mode == "matrix":
             session.matrices[current_name] = _rectangular(
@@ -301,7 +306,7 @@ def binomial_str(b, names):
         return head
     coeff = b.coeff
     sign = "-"
-    if coeff.torsion == Fraction(1, 2):
+    if coeff.torsion * 2 == 1:
         sign = "+"
         coeff = coeff.negate()
     return "%s %s %s" % (head, sign, term_str(coeff, b.trail, names))

@@ -917,6 +917,22 @@ class TestSimplexPositivity:
             answers.append(w is not None)
         assert 30 < sum(answers) < 290
 
+    def test_witnesses_are_pinned(self):
+        # the exact witness, not only a valid one: the pivot rule (least
+        # ratio, then least basic index) decides which vertex is reached
+        r = rng(7)
+        pairs = []
+        for _ in range(300):
+            d = r.randint(1, 4)
+            n = r.randint(d, d + 4)
+            A = [[r.randint(-3, 6) for _ in range(n)] for _ in range(d)]
+            if any(not any(col) for col in zip(*A)):
+                continue
+            pairs.append((A, positive_witness(A)))
+        found = sum(w is not None for _, w in pairs)
+        assert (len(pairs), found) == (274, 185)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "4d671833a460923d"
+
     # the fifth matrix of a 3 x 8 ... 7 x 16 ladder, then a d x 2d ladder for
     # d = 2..10; the elimination ran past 10 s on the first and on 6 x 12
     LADDERS = [(3, [(d, 2 * d + 2) for d in range(3, 8)], 4, [True]),

@@ -132,9 +132,12 @@ def _own(modules):
     return {m for m in modules if m == "binomials" or m.startswith("binomials.")}
 
 
-# what `import binomials.cli` loads: the parsing layer and what it imports
-BASE = {"binomials"} | {"binomials." + m for m in
-                        ("cli", "parsing", "engine", "scalars", "orders", "errors")}
+# what `import binomials.cli` loads: the parsing layer and what it imports;
+# the first ideal or coefficient parsed adds ALGEBRA
+BASE = {"binomials"} | {"binomials." + m for m in ("cli", "parsing", "orders", "errors")}
+ALGEBRA = {"binomials.engine", "binomials.scalars"}
+# what the coefficient and Buchberger layers import and a matrix never needs
+HEAVY = {"fractions", "decimal", "heapq"}
 
 
 def test_package_import_loads_no_module():
@@ -144,7 +147,7 @@ def test_package_import_loads_no_module():
 def test_cli_import_loads_no_heavy_modules():
     _, loaded = _loaded("import binomials.cli")
     assert _own(loaded) == BASE
-    assert not loaded & {"dataclasses", "inspect", "json", "__future__"}
+    assert not loaded & ({"dataclasses", "inspect", "json", "__future__"} | HEAVY)
 
 
 SESSION = ("ring X Y\nideal I\nX^2 - Y^2\nideal M\nX*Y\nideal P\nX - Y\n"
@@ -153,7 +156,7 @@ LATTICES = {"binomials.lattices"}
 CELLULAR = {"binomials.cellular"}
 # mesoprimary and congruences import lattices only in the functions that
 # build or read a lattice: a delta part and a congruence query load none
-NO_LATTICE = CELLULAR | {"binomials.mesoprimary"}
+NO_LATTICE = ALGEBRA | CELLULAR | {"binomials.mesoprimary"}
 MESOPRIMARY = NO_LATTICE | LATTICES
 QUERIES = NO_LATTICE | {"binomials.congruences"}
 ALL = QUERIES | LATTICES
@@ -161,24 +164,27 @@ MATRIX = ["--matrix", "3 4 5"]
 
 # (argv, with FILE for the session file; the modules it loads beyond BASE)
 COMMAND_LOADS = [
-    (["gb", "FILE", "--ideal", "I"], set()),
-    (["nf", "FILE", "--ideal", "I", "--term", "X^3"], set()),
-    (["eliminate", "FILE", "--ideal", "I", "--keep", "Y"], set()),
-    (["colon", "FILE", "--ideal", "I", "--monomial", "Y"], set()),
-    (["saturate", "FILE", "--ideal", "I", "--vars", "Y"], set()),
-    (["intersect-monomial", "FILE", "--ideal", "I", "--with", "M"], set()),
-    (["pure-part", "FILE", "--ideal", "M", "--lambda", "1,1"], set()),
+    (["gb", "FILE", "--ideal", "I"], ALGEBRA),
+    (["nf", "FILE", "--ideal", "I", "--term", "X^3"], ALGEBRA),
+    (["eliminate", "FILE", "--ideal", "I", "--keep", "Y"], ALGEBRA),
+    (["colon", "FILE", "--ideal", "I", "--monomial", "Y"], ALGEBRA),
+    (["saturate", "FILE", "--ideal", "I", "--vars", "Y"], ALGEBRA),
+    (["intersect-monomial", "FILE", "--ideal", "I", "--with", "M"], ALGEBRA),
+    (["pure-part", "FILE", "--ideal", "M", "--lambda", "1,1"], ALGEBRA),
     (["maximal", "FILE", "--ideal", "I"], ALL),
-    (["cellular", "FILE", "--ideal", "I"], CELLULAR),
-    (["is-cellular", "FILE", "--ideal", "I"], CELLULAR),
+    # a monomial in the basis decides maximality with no lattice test
+    (["maximal", "FILE", "--ideal", "Q"], QUERIES),
+    (["cellular", "FILE", "--ideal", "I"], ALGEBRA | CELLULAR),
+    (["is-cellular", "FILE", "--ideal", "I"], ALGEBRA | CELLULAR),
     (["mesoprimes", "FILE", "--ideal", "I"], MESOPRIMARY),
     (["is-mesoprimary", "FILE", "--ideal", "I"], MESOPRIMARY),
     (["is-mesoprime", "FILE", "--ideal", "I"], MESOPRIMARY),
     (["is-prime", "FILE", "--ideal", "P"], MESOPRIMARY),
     (["radical", "FILE", "--ideal", "I"], NO_LATTICE),
     (["meso-primary-decomp", "FILE", "--ideal", "I"], MESOPRIMARY),
-    (["lattice-decomp", "FILE", "--ideal", "I"], LATTICES),
-    (["toric"] + MATRIX, LATTICES),
+    (["lattice-decomp", "FILE", "--ideal", "I"], ALGEBRA | LATTICES),
+    (["toric"] + MATRIX, ALGEBRA | LATTICES),
+    # the integer layer: a literal matrix needs no coefficient and no ideal
     (["is-positive"] + MATRIX, LATTICES),
     (["fibers", "--target", "12"] + MATRIX, LATTICES),
     (["snf"] + MATRIX, LATTICES),
@@ -194,7 +200,13 @@ def test_every_command_has_an_import_case():
 
 
 def _case_id(argv):
-    return " ".join(argv[:2] if argv[0] == "congruence" else argv[:1])
+    """The command, with its action for congruence; a maximal run on an
+    ideal other than I also names that ideal."""
+    if argv[0] == "congruence":
+        return " ".join(argv[:2])
+    if argv[0] == "maximal" and argv[-1] != "I":
+        return "maximal " + argv[-1]
+    return argv[0]
 
 
 @pytest.mark.parametrize("argv, extra", COMMAND_LOADS,
@@ -209,20 +221,22 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
                               "print('exit', main(sys.argv[1:]))", *argv)
     assert printed[-1] == "exit 0"
     assert _own(loaded) == BASE | extra
+    if not extra & ALGEBRA:
+        assert not loaded & HEAVY
 
 
 # AST nodes each command compiles from source: ast.walk over each module in
 # its set above, summed.  Exact and machine-free; a change that moves one
 # names the move in CHANGES.md
-NODES = {"gb": 12103, "nf": 12103, "eliminate": 12103, "colon": 12103,
-         "saturate": 12103, "intersect-monomial": 12103, "pure-part": 12103,
-         "cellular": 12841, "is-cellular": 12841,
-         "mesoprimes": 18013, "is-mesoprimary": 18013, "is-mesoprime": 18013,
-         "is-prime": 18013, "radical": 13793, "meso-primary-decomp": 18013,
-         "lattice-decomp": 16323, "toric": 16323, "is-positive": 16323,
-         "fibers": 16323, "snf": 16323,
-         "maximal": 19473, "congruence classify": 19473,
-         "congruence related": 15253, "congruence table": 15253}
+NODES = {"gb": 12114, "nf": 12114, "eliminate": 12114, "colon": 12114,
+         "saturate": 12114, "intersect-monomial": 12114, "pure-part": 12114,
+         "cellular": 12852, "is-cellular": 12852,
+         "mesoprimes": 18073, "is-mesoprimary": 18073, "is-mesoprime": 18073,
+         "is-prime": 18073, "radical": 13804, "meso-primary-decomp": 18073,
+         "lattice-decomp": 16383, "toric": 16383, "is-positive": 10761,
+         "fibers": 10761, "snf": 10761,
+         "maximal": 19534, "maximal Q": 15265, "congruence classify": 19534,
+         "congruence related": 15265, "congruence table": 15265}
 
 
 def _nodes(module):
